@@ -27,9 +27,6 @@
 #            byte-identical to `--pre none` on two suite benchmarks, and a
 #            resident daemon must answer tiered queries (unify/andersen
 #            echoed, exact silent)
-#   wave-smoke — wavefront-parallel solving: `analyze --jobs 4` must emit a
-#            byte-identical report to `--jobs 1` on two suite benchmarks,
-#            for both SFS and VSFS
 #   ci     — all of the above
 
 DUNE ?= dune
@@ -40,16 +37,15 @@ ENGINE_DIR := $(shell mktemp -d /tmp/pta-ci-engine.XXXXXX)
 PAR_DIR := $(shell mktemp -d /tmp/pta-ci-par.XXXXXX)
 SERVE_DIR := $(shell mktemp -d /tmp/pta-ci-serve.XXXXXX)
 LATTICE_DIR := $(shell mktemp -d /tmp/pta-ci-lattice.XXXXXX)
-WAVE_DIR := $(shell mktemp -d /tmp/pta-ci-wave.XXXXXX)
-SCHEDULERS := fifo lifo topo lrf wave
+SCHEDULERS := fifo lifo topo lrf
 # every field here is wall-clock-derived; everything else must match exactly
 PAR_TIMING_SED := s/"(seconds|pre_seconds|wall_seconds|andersen_s|time_ratio|jobs)": *[0-9.eE+-]+/"\1": 0/g
 
 .PHONY: ci build test smoke bench-smoke fuzz-smoke engine-smoke par-smoke \
-	serve-smoke hiset-smoke lattice-smoke wave-smoke clean
+	serve-smoke hiset-smoke lattice-smoke clean
 
 ci: build test smoke bench-smoke fuzz-smoke engine-smoke par-smoke \
-	serve-smoke hiset-smoke lattice-smoke wave-smoke
+	serve-smoke hiset-smoke lattice-smoke
 
 build:
 	$(DUNE) build @all
@@ -193,23 +189,6 @@ lattice-smoke: build
 	wait $$pid
 	rm -rf $(LATTICE_DIR)
 	@echo "== lattice smoke OK =="
-
-wave-smoke: build
-	@echo "== wave smoke (--jobs 1 vs --jobs 4 byte-identical; dir: $(WAVE_DIR)) =="
-	@set -e; \
-	for b in du dpkg; do \
-	  $(VSFS_BIN) gen --bench $$b --scale 0.15 -o $(WAVE_DIR)/$$b.c; \
-	  for a in sfs vsfs; do \
-	    echo "  $$b / $$a"; \
-	    $(VSFS_BIN) analyze $(WAVE_DIR)/$$b.c --analysis $$a --jobs 1 \
-	      > $(WAVE_DIR)/$$b-$$a-j1.out; \
-	    $(VSFS_BIN) analyze $(WAVE_DIR)/$$b.c --analysis $$a --jobs 4 \
-	      > $(WAVE_DIR)/$$b-$$a-j4.out; \
-	    cmp $(WAVE_DIR)/$$b-$$a-j1.out $(WAVE_DIR)/$$b-$$a-j4.out; \
-	  done; \
-	done
-	rm -rf $(WAVE_DIR)
-	@echo "== wave smoke OK =="
 
 clean:
 	$(DUNE) clean

@@ -968,193 +968,6 @@ let micro () =
   pf "@."
 
 (* ------------------------------------------------------------------ *)
-(* Wave: wavefront-parallel solving over the SCC condensation.         *)
-(* ------------------------------------------------------------------ *)
-
-(* Two suite benchmarks, each solved sequentially and with the wavefront
-   driver on [jobs] domains; the final points-to artifacts are
-   byte-compared (the determinism proof — the encoded artifact digests go
-   into the JSON so mismatches are visible without rerunning). The level
-   plan (SCC condensation layered by longest path) is reported per
-   benchmark: [levels] is the critical path, i.e. the number of barriers
-   any level-synchronous schedule pays; [max]/[mean] width bound the
-   available parallelism. Per-domain pop counts, frontier sizes and the
-   merge wall time come from the solver's [wave_*] telemetry extras. *)
-let wave_bench_names = [ "janet"; "tmux" ]
-
-let wave_extras (snap : Pta_engine.Telemetry.snapshot) =
-  List.filter
-    (fun (k, _) ->
-      String.length k > 5 && String.sub k 0 5 = "wave_")
-    snap.Pta_engine.Telemetry.s_extras
-
-let wave_extras_json extras =
-  Printf.sprintf "{%s}"
-    (String.concat ", "
-       (List.map
-          (fun (k, v) -> Printf.sprintf "\"%s\": %d" (json_escape k) v)
-          extras))
-
-type wave_solver_row = {
-  ws_solver : string;
-  ws_seq_s : float;
-  ws_wave_s : float;
-  ws_equal : bool;
-  ws_digest : string;  (** MD5 of the encoded wave-run points-to artifact *)
-  ws_extras : (string * int) list;
-  ws_engine : Pta_engine.Telemetry.snapshot;
-}
-
-let wave_solver_json r =
-  Printf.sprintf
-    "{\"solver\": \"%s\", \"seq_seconds\": %.6f, \"wave_seconds\": %.6f, \
-     \"equal\": %b, \"artifact_md5\": \"%s\", \"wave\": %s, \"engine\": %s}"
-    (json_escape r.ws_solver) r.ws_seq_s r.ws_wave_s r.ws_equal r.ws_digest
-    (wave_extras_json r.ws_extras)
-    (Pta_engine.Telemetry.snapshot_to_json r.ws_engine)
-
-(* Solve twice (sequential caller-domain run, then [Wave.solve ~jobs]) and
-   byte-compare the encoded final artifacts. Each solve gets a fresh SVFG —
-   solvers mutate the one they run on. *)
-let wave_solver_row ~jobs b ~solver ~seq ~wave ~points_to =
-  let r_seq, seq_s = Pipeline.time (fun () -> seq (Pipeline.fresh_svfg b)) in
-  let enc_seq =
-    Pta_store.Artifact.encode_points_to (points_to b `Seq r_seq)
-  in
-  let (r_wave, tel), wave_s =
-    Pipeline.time (fun () -> wave ~jobs (Pipeline.fresh_svfg b))
-  in
-  let enc_wave =
-    Pta_store.Artifact.encode_points_to (points_to b `Wave r_wave)
-  in
-  {
-    ws_solver = solver;
-    ws_seq_s = seq_s;
-    ws_wave_s = wave_s;
-    ws_equal = String.equal enc_seq enc_wave;
-    ws_digest = Digest.to_hex (Digest.string enc_wave);
-    ws_extras = wave_extras (Pta_engine.Telemetry.snapshot tel);
-    ws_engine = Pta_engine.Telemetry.snapshot tel;
-  }
-
-let wave_bench_entry ~jobs (e : Suite.entry) =
-  Pta_ds.Ptset.reset ();
-  let b = build_bench e in
-  let plan =
-    Pta_graph.Wavefront.plan (Svfg.to_digraph (Pipeline.fresh_svfg b))
-  in
-  let sfs_row =
-    wave_solver_row ~jobs b ~solver:"sfs"
-      ~seq:(fun svfg -> Pta_sfs.Sfs.solve svfg)
-      ~wave:(fun ~jobs svfg ->
-        let r = Pta_sfs.Sfs.Wave.solve ~jobs svfg in
-        (r, Pta_sfs.Sfs.telemetry r))
-      ~points_to:(fun b _ r -> Pipeline.points_to_of_sfs b r)
-  in
-  let vsfs_row =
-    wave_solver_row ~jobs b ~solver:"vsfs"
-      ~seq:(fun svfg -> Vsfs_core.Vsfs.solve svfg)
-      ~wave:(fun ~jobs svfg ->
-        let r = Vsfs_core.Vsfs.Wave.solve ~jobs svfg in
-        (r, Vsfs_core.Vsfs.telemetry r))
-      ~points_to:(fun b _ r -> Pipeline.points_to_of_vsfs b r)
-  in
-  (e, plan, [ sfs_row; vsfs_row ])
-
-let wave_bench ?(scale = 1.0) ?(jobs = 2) ?json () =
-  pf "== Wave: wavefront-parallel solving (scale %.2f, jobs %d) ==@.@." scale
-    jobs;
-  pf "The SVFG's SCC condensation is layered by longest path; components of@.";
-  pf "one level are mutually independent and evaluated on worker domains@.";
-  pf "against frozen snapshots, with a deterministic rank-then-id-ordered@.";
-  pf "merge at each level barrier. 'Equal' byte-compares the final encoded@.";
-  pf "points-to artifact against the sequential solve — the determinism@.";
-  pf "proof. Levels = condensation critical path (the barrier lower bound).@.@.";
-  let entries =
-    List.filter_map (Suite.find ~scale) wave_bench_names
-  in
-  let results = List.map (wave_bench_entry ~jobs) entries in
-  T.render Format.std_formatter
-    ~header:
-      [ "Bench."; "Solver"; "Nodes"; "Comps"; "Levels"; "MaxW"; "MeanW";
-        "Seq(s)"; "Wave(s)"; "Equal" ]
-    ~align:[ T.L; T.L; T.R; T.R; T.R; T.R; T.R; T.R; T.R; T.L ]
-    (List.concat_map
-       (fun ((e : Suite.entry), plan, rows) ->
-         List.map
-           (fun r ->
-             [
-               e.Suite.name;
-               r.ws_solver;
-               string_of_int (Pta_graph.Wavefront.n_nodes plan);
-               string_of_int (Pta_graph.Wavefront.n_comps plan);
-               string_of_int (Pta_graph.Wavefront.n_levels plan);
-               string_of_int (Pta_graph.Wavefront.max_width plan);
-               Printf.sprintf "%.1f" (Pta_graph.Wavefront.mean_width plan);
-               Printf.sprintf "%.3f" r.ws_seq_s;
-               Printf.sprintf "%.3f" r.ws_wave_s;
-               (if r.ws_equal then "yes" else "NO!");
-             ])
-           rows)
-       results);
-  pf "@.";
-  List.iter
-    (fun ((e : Suite.entry), _, rows) ->
-      List.iter
-        (fun r ->
-          let pops =
-            List.filter_map
-              (fun (k, v) ->
-                if String.length k > 8 && String.sub k 0 8 = "wave_dom" then
-                  Some (Printf.sprintf "%s=%d" k v)
-                else None)
-              r.ws_extras
-          in
-          let get k = try List.assoc k r.ws_extras with Not_found -> 0 in
-          pf "  %s/%s: batches %d, par tasks %d, seq comps %d, merge %d us%s@."
-            e.Suite.name r.ws_solver (get "wave_batches") (get "wave_tasks")
-            (get "wave_seq_comps") (get "wave_merge_us")
-            (if pops = [] then ""
-             else "; pops " ^ String.concat " " pops))
-        rows)
-    results;
-  let deterministic =
-    List.for_all
-      (fun (_, _, rows) -> List.for_all (fun r -> r.ws_equal) rows)
-      results
-  in
-  pf "@.deterministic: %s (jobs %d vs sequential, byte-compared artifacts)@.@."
-    (if deterministic then "yes" else "NO — MISMATCH")
-    jobs;
-  (match json with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    Printf.fprintf oc
-      "{\n  \"scale\": %.4f,\n  \"jobs\": %d,\n  \"deterministic\": %b,\n  \
-       \"host\": %s,\n  \"benchmarks\": [\n%s\n  ]\n}\n"
-      scale jobs deterministic (host_json ~jobs)
-      (String.concat ",\n"
-         (List.map
-            (fun ((e : Suite.entry), plan, rows) ->
-              Printf.sprintf
-                "    {\"name\": \"%s\", \"plan\": {\"nodes\": %d, \"comps\": \
-                 %d, \"levels\": %d, \"critical_path\": %d, \"max_width\": \
-                 %d, \"mean_width\": %.4f}, \"solvers\": [%s]}"
-                (json_escape e.Suite.name)
-                (Pta_graph.Wavefront.n_nodes plan)
-                (Pta_graph.Wavefront.n_comps plan)
-                (Pta_graph.Wavefront.n_levels plan)
-                (Pta_graph.Wavefront.n_levels plan)
-                (Pta_graph.Wavefront.max_width plan)
-                (Pta_graph.Wavefront.mean_width plan)
-                (String.concat ", " (List.map wave_solver_json rows)))
-            results));
-    close_out oc;
-    pf "machine-readable results written to %s@.@." path);
-  deterministic
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let argv = Array.to_list Sys.argv in
@@ -1187,7 +1000,7 @@ let () =
   let has cmd = List.mem cmd argv in
   let default = not (List.exists (fun c -> has c)
                        [ "tableI"; "tableII"; "tableIII"; "sets"; "ablations";
-                         "warm"; "serve"; "micro"; "wave"; "all" ]) in
+                         "warm"; "serve"; "micro"; "all" ]) in
   (* bare invocation = everything, so a tee'd run records the full
      reproduction ("sets" stays opt-in: the mega workload is deliberately
      out of scale with the rest of the suite) *)
@@ -1196,10 +1009,6 @@ let () =
   if has "tableIII" || has "all" || default then table3 ~scale ~jobs ?json ();
   if has "sets" then
     if not (sets_bench ~scale ?json ()) then exit 1;
-  (* opt-in like "sets": it writes its own --json file, and the default run
-     already pins determinism through the fuzz oracles *)
-  if has "wave" then
-    if not (wave_bench ~scale ~jobs:(max jobs 2) ?json ()) then exit 1;
   if has "ablations" || has "all" || default then ablations ~scale ();
   if has "warm" || has "all" || default then warm ~scale ~jobs ();
   if has "serve" || has "all" || default then serve_bench ~scale ();

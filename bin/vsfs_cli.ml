@@ -42,16 +42,14 @@ let resolve_query prog name =
   if !r < 0 then None else Some !r
 
 let analyze file analysis scheduler pre queries dump_ir dump_svfg dot_file
-    check stats cache_dir jobs =
+    check stats cache_dir =
   let src = read_file file in
   let compile s =
     if Filename.check_suffix file ".ir" then Parser.parse s
     else Pta_cfront.Lower.compile s
   in
   let store = Option.map open_store cache_dir in
-  let ctx =
-    Pipeline.context ?store ~label:file ~pre ~strategy:scheduler ~jobs ()
-  in
+  let ctx = Pipeline.context ?store ~label:file ~pre ~strategy:scheduler () in
   let b =
     try
       let b = Pipeline.build_source ~ctx ~compile src in
@@ -280,19 +278,11 @@ let analyze_cmd =
                  keyed on the source contents, and save any that are \
                  missing. See also $(b,vsfs cache).")
   in
-  let jobs =
-    Arg.(value & opt int 1
-         & info [ "jobs"; "j" ] ~docv:"N"
-             ~doc:"Worker domains for the SFS/VSFS solve: independent SCCs \
-                   of the same SVFG topological level are evaluated in \
-                   parallel and merged deterministically at each level \
-                   barrier. Results are bit-identical to --jobs 1.")
-  in
   Cmd.v
     (Cmd.info "analyze" ~doc:"Analyse a mini-C (.c) or textual-IR (.ir) file")
     Term.(
       const analyze $ file $ analysis $ scheduler $ pre $ queries $ dump_ir
-      $ dump_svfg $ dot_file $ check $ stats $ cache_dir $ jobs)
+      $ dump_svfg $ dot_file $ check $ stats $ cache_dir)
 
 let gen_cmd =
   let bench =

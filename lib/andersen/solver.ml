@@ -186,7 +186,7 @@ let collapse_sccs st =
         end
     end
   done;
-  (scc, canon)
+  scc
 
 (* A copy edge added after its source already propagated needs one full
    catch-up union (difference propagation only ships growth after the edge
@@ -326,11 +326,7 @@ let solve ?(strategy = `Topo) ?pre prog =
   in
   let scheduler =
     match strategy with
-    (* [`Wave] also runs on the rank-revalidating Prio worklist: the
-       constraint graph is rewritten between waves (collapses, new edges),
-       so a static level plan would go stale — instead [rank] holds the
-       wavefront level of each node's representative, refreshed per wave. *)
-    | `Topo | `Wave -> Scheduler.make ~rank:rank_of `Topo
+    | `Topo -> Scheduler.make ~rank:rank_of `Topo
     | (`Fifo | `Lifo | `Lrf) as s -> Scheduler.make s
   in
   (* Difference propagation as the engine's transfer step: ship the part of
@@ -358,17 +354,11 @@ let solve ?(strategy = `Topo) ?pre prog =
     st.changed <- false;
     st.waves <- st.waves + 1;
     incr st.n_waves_tel;
-    let scc, canon = collapse_sccs st in
+    let scc = collapse_sccs st in
     let m = Pta_graph.Digraph.n_nodes st.copy in
     rank :=
-      (match strategy with
-      | `Wave ->
-        let plan = Pta_graph.Wavefront.plan canon in
-        Array.init m (fun v ->
-            Pta_graph.Wavefront.level_of_node plan (Union_find.find st.uf v))
-      | _ ->
-        Array.init m (fun v ->
-            Pta_graph.Scc.rank_of_node scc (Union_find.find st.uf v)));
+      Array.init m (fun v ->
+          Pta_graph.Scc.rank_of_node scc (Union_find.find st.uf v));
     sync_new_edges st;
     (* Seed every representative with unshipped facts. *)
     for v = 0 to m - 1 do

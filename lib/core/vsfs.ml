@@ -37,13 +37,18 @@ let ptk_id t o v =
 
 let ptk_opt t o v = Hashtbl.find_opt t.ptk (key o v)
 
-(* The full sequential process function over the solver's own tables — used
-   by the engine path and by the wavefront driver for components that
-   contain calls/exits/fields. *)
-let processor t =
-  let c = t.c in
-  let svfg = c.Solver_common.svfg in
-  let ver = t.ver in
+(* Build the solver state and its engine, seed the instruction nodes, but do
+   not run: [solve] drives it to fixpoint, [solve_budgeted]/[resume] in
+   slices. *)
+let start ?(strategy = `Fifo) ?strong_updates ?versioning svfg =
+  let ver =
+    match versioning with Some v -> v | None -> Versioning.compute svfg
+  in
+  let tel =
+    Telemetry.phase ~name:"vsfs.solve" ~scheduler:(Scheduler.name strategy) ()
+  in
+  let c = Solver_common.create ?strong_updates ~tel svfg in
+  let t = { c; ver; ptk = Hashtbl.create 1024 } in
   let props = c.Solver_common.props in
   (* [process] collects the nodes to (re)visit in [buf]; the engine owns
      scheduling and deduplication. *)
@@ -151,21 +156,6 @@ let processor t =
       ());
     !buf
   in
-  process
-
-(* Build the solver state and its engine, seed the instruction nodes, but do
-   not run: [solve] drives it to fixpoint, [solve_budgeted]/[resume] in
-   slices. *)
-let start ?(strategy = `Fifo) ?strong_updates ?versioning svfg =
-  let ver =
-    match versioning with Some v -> v | None -> Versioning.compute svfg
-  in
-  let tel =
-    Telemetry.phase ~name:"vsfs.solve" ~scheduler:(Scheduler.name strategy) ()
-  in
-  let c = Solver_common.create ?strong_updates ~tel svfg in
-  let t = { c; ver; ptk = Hashtbl.create 1024 } in
-  let process = processor t in
   let eng =
     Engine.create ~telemetry:tel
       ~scheduler:(Solver_common.scheduler strategy svfg)
@@ -251,400 +241,3 @@ let n_unique_sets t = Ptset.Tally.unique (tally t)
 let telemetry t = t.c.Solver_common.tel
 let n_propagations t = !(t.c.Solver_common.props)
 let processed t = (telemetry t).Telemetry.pops
-
-(* Wavefront-parallel solving ---------------------------------------------- *)
-
-module Wave = struct
-  module Wavefront = Pta_graph.Wavefront
-
-  let mask = (1 lsl 31) - 1
-
-  (* Frozen snapshot of one component's visible state: operand points-to
-     sets and the pt_κ entries its loads/stores consume and yield, plus the
-     static strong-update predicate for its store pointers (the auxiliary
-     sets live on the caller domain). The versioning tables themselves are
-     read live from workers — [consume]/[yield]/[iter_relied]/
-     [iter_subscribers] are pure lookups, and the only mutators
-     ([add_dynamic_edge], [subscribe]) stay on the caller. *)
-  type task = {
-    w_seeds : int array;
-    w_members : int array;
-    w_pt : (Inst.var * Bitset.t) array;
-    w_ptk : (int * Bitset.t) array;  (* packed (obj, version) keys *)
-    w_su1 : Bitset.t;  (* store pointer vars with |pt_aux| = 1 *)
-  }
-
-  type delta = {
-    d_pt : (Inst.var * Bitset.t) array;
-    d_ptk : (int * Bitset.t) array;
-    d_subs : (int * int * int) array;  (* (obj, version, node) to subscribe *)
-    d_reads : (int * Bitset.t) array;
-        (* consumed keys with the worker's final view — the merge re-pushes
-           in-component subscribers of any key whose caller value differs,
-           because a key first consumed mid-eval (revealed by local pt
-           growth) was read as empty with no other trigger to re-deliver
-           the caller's existing elements *)
-    d_pops : int;
-    d_domain : int;
-  }
-
-  let node_par_ok svfg n =
-    match Svfg.kind svfg n with
-    | Svfg.NInst _ -> (
-      match Svfg.inst_of svfg n with
-      | Inst.Call _ | Inst.Exit | Inst.Field _ -> false
-      | _ -> true)
-    | _ -> true
-
-  let vars_of_inst = function
-    | Inst.Alloc { lhs; _ } -> [ lhs ]
-    | Inst.Copy { lhs; rhs } -> [ lhs; rhs ]
-    | Inst.Phi { lhs; rhs } -> lhs :: rhs
-    | Inst.Load { lhs; ptr } -> [ lhs; ptr ]
-    | Inst.Store { ptr; rhs } -> [ ptr; rhs ]
-    | Inst.Call _ | Inst.Exit | Inst.Field _ | Inst.Entry | Inst.Branch -> []
-
-  let sorted_of_list l =
-    let a = Array.of_list l in
-    Array.sort compare a;
-    a
-
-  let extract t plan ~comp seeds =
-    let svfg = t.c.Solver_common.svfg in
-    let annot = Svfg.annot svfg in
-    let aux = Svfg.aux svfg in
-    let members = Wavefront.comp_members plan comp in
-    let seen = Bitset.create () in
-    let pts = ref [] in
-    let add_var v =
-      if Bitset.add seen v then begin
-        let id = Solver_common.pt_id t.c v in
-        if not (Ptset.is_empty id) then pts := (v, Ptset.view id) :: !pts
-      end
-    in
-    let seenk = Hashtbl.create 64 in
-    let ptks = ref [] in
-    let add_ptk o v =
-      let k = key o v in
-      if not (Hashtbl.mem seenk k) then begin
-        Hashtbl.replace seenk k ();
-        match Hashtbl.find_opt t.ptk k with
-        | Some id when not (Ptset.is_empty id) ->
-          ptks := (k, Ptset.view id) :: !ptks
-        | _ -> ()
-      end
-    in
-    let su1 = Bitset.create () in
-    Array.iter
-      (fun n ->
-        match Svfg.kind svfg n with
-        | Svfg.NInst { f; i } -> (
-          let inst = Svfg.inst_of svfg n in
-          List.iter add_var (vars_of_inst inst);
-          match inst with
-          | Inst.Load { ptr; _ } ->
-            let mu = Pta_memssa.Annot.mu annot f i in
-            Bitset.iter
-              (fun o ->
-                if Bitset.mem mu o then begin
-                  let cv = Versioning.consume t.ver n o in
-                  if not (Version.is_epsilon cv) then add_ptk o cv
-                end)
-              (Solver_common.pt_of t.c ptr)
-          | Inst.Store { ptr; _ } ->
-            if Bitset.cardinal (aux.Pta_memssa.Modref.pt ptr) = 1 then
-              ignore (Bitset.add su1 ptr);
-            Bitset.iter
-              (fun o ->
-                add_ptk o (Versioning.yield t.ver n o);
-                let cv = Versioning.consume t.ver n o in
-                if not (Version.is_epsilon cv) then add_ptk o cv)
-              (Pta_memssa.Annot.chi annot f i)
-          | _ -> ())
-        | _ -> ())
-      members;
-    {
-      w_seeds = seeds;
-      w_members = members;
-      w_pt = sorted_of_list !pts;
-      w_ptk = sorted_of_list !ptks;
-      w_su1 = su1;
-    }
-
-  (* Worker-side local fixpoint: the same transfer logic as [processor]'s
-     load/store/top-level arms, over an overlay of the frozen snapshot.
-     Uncovered pt_κ slots start empty — sound because the caller re-unions
-     every emitted value, and completeness for mid-eval-revealed consumed
-     keys is restored by the [d_reads] check at merge time. *)
-  let eval ~svfg ~ver ~su_enabled task =
-    let annot = Svfg.annot svfg in
-    let prog = Svfg.prog svfg in
-    let member = Bitset.create () in
-    Array.iter (fun n -> ignore (Bitset.add member n)) task.w_members;
-    let table arr =
-      let h = Hashtbl.create ((2 * Array.length arr) + 1) in
-      Array.iter (fun (k, b) -> Hashtbl.replace h k b) arr;
-      h
-    in
-    let overlay frozen =
-      let base = Hashtbl.create 64 and cur = Hashtbl.create 64 in
-      let get k =
-        match Hashtbl.find_opt cur k with
-        | Some id -> id
-        | None ->
-          let id =
-            match Hashtbl.find_opt frozen k with
-            | Some b -> Ptset.of_bitset b
-            | None -> Ptset.empty
-          in
-          Hashtbl.replace base k id;
-          Hashtbl.replace cur k id;
-          id
-      in
-      let set k id =
-        if not (Hashtbl.mem base k) then ignore (get k);
-        Hashtbl.replace cur k id
-      in
-      let dirty () =
-        sorted_of_list
-          (Hashtbl.fold
-             (fun k id acc ->
-               if Ptset.equal id (Hashtbl.find base k) then acc
-               else (k, Ptset.view id) :: acc)
-             cur [])
-      in
-      (get, set, dirty)
-    in
-    let pt_get, pt_set, pt_dirty = overlay (table task.w_pt) in
-    let ptk_get, ptk_set, ptk_dirty = overlay (table task.w_ptk) in
-    let union_pt v src =
-      let s = pt_get v in
-      let s' = Ptset.union s src in
-      if Ptset.equal s' s then false
-      else begin
-        pt_set v s';
-        true
-      end
-    in
-    let queue = Queue.create () in
-    let marks = Bitset.create () in
-    let feed n = if Bitset.add marks n then Queue.push n queue in
-    let push_users v =
-      List.iter (fun m -> if Bitset.mem member m then feed m) (Svfg.users svfg v)
-    in
-    (* Worker-local subscriptions take effect inside this fixpoint; the
-       caller applies them for real in the first merge pass. *)
-    let local_subs = Hashtbl.create 64 in
-    let subs = ref [] in
-    let subscribe o v n =
-      if not (Version.is_epsilon v) then begin
-        let k = key o v in
-        let s =
-          match Hashtbl.find_opt local_subs k with
-          | Some s -> s
-          | None ->
-            let s = Bitset.create () in
-            Hashtbl.replace local_subs k s;
-            s
-        in
-        if Bitset.add s n then subs := (o, v, n) :: !subs
-      end
-    in
-    let consumed = Hashtbl.create 64 in
-    let consume n o =
-      let cv = Versioning.consume ver n o in
-      subscribe o cv n;
-      if not (Version.is_epsilon cv) then Hashtbl.replace consumed (key o cv) ();
-      cv
-    in
-    let propagate_version o v0 d0 =
-      if not (Ptset.is_empty d0) then begin
-        let q = Queue.create () in
-        Queue.push (v0, d0) q;
-        while not (Queue.is_empty q) do
-          let v, d = Queue.pop q in
-          Versioning.iter_subscribers ver o v (fun m ->
-              if Bitset.mem member m then feed m);
-          (match Hashtbl.find_opt local_subs (key o v) with
-          | Some s -> Bitset.iter feed s
-          | None -> ());
-          Versioning.iter_relied ver o v (fun v' ->
-              let k' = key o v' in
-              let cur = ptk_get k' in
-              let cur', d' = Ptset.union_delta cur d in
-              if not (Ptset.equal cur' cur) then begin
-                ptk_set k' cur';
-                Queue.push (v', d') q
-              end)
-        done
-      end
-    in
-    let su ptr o =
-      su_enabled && Prog.is_singleton prog o && Bitset.mem task.w_su1 ptr
-    in
-    let pops = ref 0 in
-    let process n =
-      match Svfg.kind svfg n with
-      | Svfg.NInst { f; i } -> (
-        match Svfg.inst_of svfg n with
-        | Inst.Alloc { lhs; obj } ->
-          let s = pt_get lhs in
-          let s' = Ptset.add s obj in
-          if not (Ptset.equal s' s) then begin
-            pt_set lhs s';
-            push_users lhs
-          end
-        | Inst.Copy { lhs; rhs } ->
-          if union_pt lhs (pt_get rhs) then push_users lhs
-        | Inst.Phi { lhs; rhs } ->
-          let changed = ref false in
-          List.iter
-            (fun r -> if union_pt lhs (pt_get r) then changed := true)
-            rhs;
-          if !changed then push_users lhs
-        | Inst.Load { lhs; ptr } ->
-          let mu = Pta_memssa.Annot.mu annot f i in
-          let changed = ref false in
-          Bitset.iter
-            (fun o ->
-              if Bitset.mem mu o then begin
-                let cv = consume n o in
-                if not (Version.is_epsilon cv) then
-                  if union_pt lhs (ptk_get (key o cv)) then changed := true
-              end)
-            (Ptset.view (pt_get ptr))
-          ;
-          if !changed then push_users lhs
-        | Inst.Store { ptr; rhs } ->
-          let chi = Pta_memssa.Annot.chi annot f i in
-          let ptr_pts = Ptset.view (pt_get ptr) in
-          let rhs_id = pt_get rhs in
-          Bitset.iter
-            (fun o ->
-              let y = Versioning.yield ver n o in
-              let out0 = ptk_get (key o y) in
-              let cv = consume n o in
-              let su = su ptr o in
-              if Bitset.mem ptr_pts o then begin
-                let out1, d1 = Ptset.union_delta out0 rhs_id in
-                let out2, d2 =
-                  if (not su) && not (Version.is_epsilon cv) then
-                    Ptset.union_delta out1 (ptk_get (key o cv))
-                  else (out1, Ptset.empty)
-                in
-                if not (Ptset.equal out2 out0) then begin
-                  ptk_set (key o y) out2;
-                  propagate_version o y (Ptset.union d1 d2)
-                end
-              end
-              else if (not (Version.is_epsilon cv)) && not su then begin
-                let out1, d = Ptset.union_delta out0 (ptk_get (key o cv)) in
-                if not (Ptset.equal out1 out0) then begin
-                  ptk_set (key o y) out1;
-                  propagate_version o y d
-                end
-              end)
-            chi
-        | Inst.Entry | Inst.Branch -> ()
-        | Inst.Call _ | Inst.Exit | Inst.Field _ ->
-          invalid_arg "Vsfs.Wave.eval: non-parallel node reached a worker task"
-        )
-      | _ -> ()
-    in
-    Array.iter feed task.w_seeds;
-    while not (Queue.is_empty queue) do
-      let n = Queue.pop queue in
-      ignore (Bitset.remove marks n);
-      incr pops;
-      process n
-    done;
-    {
-      d_pt = pt_dirty ();
-      d_ptk = ptk_dirty ();
-      d_subs = sorted_of_list !subs;
-      d_reads =
-        sorted_of_list
-          (Hashtbl.fold
-             (fun k () acc -> (k, Ptset.view (ptk_get k)) :: acc)
-             consumed []);
-      d_pops = !pops;
-      d_domain = (Domain.self () :> int);
-    }
-
-  (* First merge pass: subscriptions only, so the second pass's growth-
-     driven pushes see every task's new subscribers. *)
-  let apply_reg t d =
-    Array.iter (fun (o, v, n) -> Versioning.subscribe t.ver o v n) d.d_subs
-
-  (* Second merge pass. No caller-side reliance walk is needed: each
-     worker's writes are reliance-closed over its own values, the caller's
-     state was closed before the batch, and a pointwise union of closed
-     states is closed. Pushes into the delta's own component are suppressed
-     for growth (the worker fixpointed over its writes) and restricted TO
-     it for read mismatches (only its members read the stale view). *)
-  let apply t plan ~comp d =
-    let svfg = t.c.Solver_common.svfg in
-    let buf = ref [] in
-    let push_out m =
-      if Wavefront.comp_of_node plan m <> comp then buf := m :: !buf
-    in
-    Array.iter
-      (fun (v, bits) ->
-        if Solver_common.union_pt t.c v (Ptset.of_bitset bits) then
-          List.iter push_out (Svfg.users svfg v))
-      d.d_pt;
-    Array.iter
-      (fun (k, bits) ->
-        let o = k lsr 31 and v = k land mask in
-        let cur = ptk_id t o v in
-        let u = Ptset.union cur (Ptset.of_bitset bits) in
-        if not (Ptset.equal u cur) then begin
-          Hashtbl.replace t.ptk k u;
-          Versioning.iter_subscribers t.ver o v push_out
-        end)
-      d.d_ptk;
-    Array.iter
-      (fun (k, bits) ->
-        let o = k lsr 31 and v = k land mask in
-        if not (Bitset.equal (Ptset.view (ptk_id t o v)) bits) then
-          Versioning.iter_subscribers t.ver o v (fun m ->
-              if Wavefront.comp_of_node plan m = comp then buf := m :: !buf))
-      d.d_reads;
-    !buf
-
-  let client ?strong_updates ?versioning svfg =
-    let ver =
-      match versioning with Some v -> v | None -> Versioning.compute svfg
-    in
-    let tel = Telemetry.phase ~name:"vsfs.solve" ~scheduler:"wave" () in
-    let c = Solver_common.create ?strong_updates ~tel svfg in
-    let t = { c; ver; ptk = Hashtbl.create 1024 } in
-    let process = processor t in
-    let plan = Wavefront.plan (Svfg.to_digraph svfg) in
-    let su_enabled = c.Solver_common.su_enabled in
-    let seeds =
-      List.filter
-        (fun n -> match Svfg.kind svfg n with Svfg.NInst _ -> true | _ -> false)
-        (List.init (Svfg.n_nodes svfg) Fun.id)
-    in
-    let cl =
-      {
-        Pta_par.Wave.plan;
-        seeds;
-        node_par_ok = node_par_ok svfg;
-        process;
-        extract = (fun ~comp seeds -> extract t plan ~comp seeds);
-        eval = (fun task -> eval ~svfg ~ver ~su_enabled task);
-        apply_reg = (fun ~comp:_ d -> apply_reg t d);
-        apply = (fun ~comp d -> apply t plan ~comp d);
-        measure = (fun d -> (d.d_domain, d.d_pops));
-        tel = Some tel;
-      }
-    in
-    (t, cl)
-
-  let solve ?(jobs = 1) ?strong_updates ?versioning svfg =
-    let t, cl = client ?strong_updates ?versioning svfg in
-    Pta_par.Wave.drive ~jobs cl;
-    t
-end

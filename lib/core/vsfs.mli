@@ -91,35 +91,3 @@ val collapsible_versions : result -> int * int
     out equal to another version of the same object — the avoidable
     versions §IV-C1 predicts from using imprecise auxiliary results for the
     prelabelling. *)
-
-(** Wavefront-parallel solving: same fixpoint, bit-identical results, with
-    independent SCCs of the same topological level evaluated on worker
-    domains against frozen snapshots and merged deterministically at each
-    level barrier (see {!Pta_par.Wave}). *)
-module Wave : sig
-  type task
-  (** Plain-data snapshot of one component's visible state, safe to ship to
-      a worker domain. *)
-
-  type delta
-  (** Plain-data result of a worker-local fixpoint. *)
-
-  val client :
-    ?strong_updates:bool ->
-    ?versioning:Versioning.t ->
-    Pta_svfg.Svfg.t ->
-    result * (task, delta) Pta_par.Wave.client
-  (** Fresh solver state plus the wavefront client that solves into it.
-      Drive with {!Pta_par.Wave.drive}; read results from the paired
-      [result] afterwards. *)
-
-  val solve :
-    ?jobs:int ->
-    ?strong_updates:bool ->
-    ?versioning:Versioning.t ->
-    Pta_svfg.Svfg.t ->
-    result
-  (** [solve ~jobs svfg] = [drive ~jobs] on a fresh client. [jobs = 1]
-      (default) runs every component on the caller domain; any [jobs] yields
-      bit-identical results. *)
-end

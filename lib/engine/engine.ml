@@ -51,9 +51,7 @@ let run ?(budget = unlimited) t =
       | Some n ->
         incr steps;
         (match t.tel with
-        | Some p ->
-          p.Telemetry.pops <- p.Telemetry.pops + 1;
-          p.Telemetry.steps <- p.Telemetry.steps + 1
+        | Some p -> p.Telemetry.pops <- p.Telemetry.pops + 1
         | None -> ());
         (match t.process n with
         | [] -> ()

@@ -1,15 +1,14 @@
 open Pta_ds
 
-type strategy = [ `Fifo | `Lifo | `Topo | `Lrf | `Wave ]
+type strategy = [ `Fifo | `Lifo | `Topo | `Lrf ]
 
 let name = function
   | `Fifo -> "fifo"
   | `Lifo -> "lifo"
   | `Topo -> "topo"
   | `Lrf -> "lrf"
-  | `Wave -> "wave"
 
-let all : strategy list = [ `Fifo; `Lifo; `Topo; `Lrf; `Wave ]
+let all : strategy list = [ `Fifo; `Lifo; `Topo; `Lrf ]
 let assoc = List.map (fun s -> (name s, s)) all
 
 let of_name n =
@@ -20,7 +19,6 @@ type t =
   | Lifo of Worklist.Lifo.t
   | Prio of Worklist.Prio.t
   | Lrf of lrf
-  | Wave of wave
 
 and lrf = {
   prio : Worklist.Prio.t;
@@ -28,22 +26,7 @@ and lrf = {
   mutable clock : int;
 }
 
-(* Wavefront order: per-component FIFO queues visited in (level, component)
-   order. [comps.(p)] lists component ids sorted by that key; [cursor] is a
-   lower bound on the first dirty position — it only moves forward during
-   pops and is reset backward when a push lands behind it, so the scan cost
-   amortises over pushes. *)
-and wave = {
-  plan : Pta_graph.Wavefront.t;
-  queues : int Queue.t array;  (* per component *)
-  queued : Bitset.t;
-  comps : int array;  (* position -> component id, (level, comp)-sorted *)
-  pos : int array;  (* component id -> position *)
-  mutable cursor : int;
-  mutable count : int;
-}
-
-let make ?rank ?plan (strategy : strategy) =
+let make ?rank (strategy : strategy) =
   match strategy with
   | `Fifo -> Fifo (Worklist.Fifo.create ())
   | `Lifo -> Lifo (Worklist.Lifo.create ())
@@ -64,60 +47,12 @@ let make ?rank ?plan (strategy : strategy) =
       match Hashtbl.find_opt stamps n with Some s -> s | None -> 0
     in
     Lrf { prio = Worklist.Prio.create ~priority (); stamps; clock = 0 }
-  | `Wave ->
-    let plan =
-      match plan with
-      | Some p -> p
-      | None -> invalid_arg "Scheduler.make: `Wave requires a ~plan"
-    in
-    let module W = Pta_graph.Wavefront in
-    let nc = W.n_comps plan in
-    let comps = Array.init nc Fun.id in
-    Array.sort
-      (fun a b ->
-        compare (W.level_of_comp plan a, a) (W.level_of_comp plan b, b))
-      comps;
-    let pos = Array.make nc 0 in
-    Array.iteri (fun p c -> pos.(c) <- p) comps;
-    Wave
-      {
-        plan;
-        queues = Array.init nc (fun _ -> Queue.create ());
-        queued = Bitset.create ();
-        comps;
-        pos;
-        cursor = nc;
-        count = 0;
-      }
-
-let wave_push w x =
-  if Bitset.add w.queued x then begin
-    let c = Pta_graph.Wavefront.comp_of_node w.plan x in
-    Queue.push x w.queues.(c);
-    if w.pos.(c) < w.cursor then w.cursor <- w.pos.(c);
-    w.count <- w.count + 1;
-    true
-  end
-  else false
-
-let wave_pop w =
-  if w.count = 0 then None
-  else begin
-    while Queue.is_empty w.queues.(w.comps.(w.cursor)) do
-      w.cursor <- w.cursor + 1
-    done;
-    let x = Queue.pop w.queues.(w.comps.(w.cursor)) in
-    ignore (Bitset.remove w.queued x);
-    w.count <- w.count - 1;
-    Some x
-  end
 
 let push t x =
   match t with
   | Fifo w -> Worklist.Fifo.push w x
   | Lifo w -> Worklist.Lifo.push w x
   | Prio w | Lrf { prio = w; _ } -> Worklist.Prio.push w x
-  | Wave w -> wave_push w x
 
 let pop t =
   match t with
@@ -131,18 +66,15 @@ let pop t =
       Hashtbl.replace l.stamps x l.clock;
       Some x
     | None -> None)
-  | Wave w -> wave_pop w
 
 let length t =
   match t with
   | Fifo w -> Worklist.Fifo.length w
   | Lifo w -> Worklist.Lifo.length w
   | Prio w | Lrf { prio = w; _ } -> Worklist.Prio.length w
-  | Wave w -> w.count
 
 let is_empty t =
   match t with
   | Fifo w -> Worklist.Fifo.is_empty w
   | Lifo w -> Worklist.Lifo.is_empty w
   | Prio w | Lrf { prio = w; _ } -> Worklist.Prio.is_empty w
-  | Wave w -> w.count = 0

@@ -10,16 +10,10 @@ type strategy =
   [ `Fifo  (** classic breadth-first worklist *)
   | `Lifo  (** most recently pushed first (depth-first flavour) *)
   | `Topo  (** smallest static rank first — SCC-topological order *)
-  | `Lrf  (** least recently fired first; starved nodes surface early *)
-  | `Wave
-    (** wavefront order over a {!Pta_graph.Wavefront} level plan: drain the
-        lowest dirty level, one component at a time (FIFO within a
-        component), before touching the next. The sequential twin of
-        [Pta_par.Wave] — [--jobs 1] under this policy pops components in
-        exactly the order the parallel driver merges them. *) ]
+  | `Lrf  (** least recently fired first; starved nodes surface early *) ]
 
 val name : strategy -> string
-(** ["fifo" | "lifo" | "topo" | "lrf" | "wave"] — telemetry and CLI. *)
+(** ["fifo" | "lifo" | "topo" | "lrf"] — used in telemetry records and CLI. *)
 
 val all : strategy list
 
@@ -30,13 +24,10 @@ val of_name : string -> strategy option
 
 type t
 
-val make :
-  ?rank:(int -> int) -> ?plan:Pta_graph.Wavefront.t -> strategy -> t
+val make : ?rank:(int -> int) -> strategy -> t
 (** [`Topo] requires [~rank] (smaller processes first; it is re-read at pop
     time, so a mutable ranking — Andersen's SCC collapses — is fine) and
-    [`Wave] requires [~plan] (pushes of nodes outside the planned graph
-    raise); either raises [Invalid_argument] without its argument. The
-    other strategies ignore both. *)
+    raises [Invalid_argument] without it; the other strategies ignore it. *)
 
 val push : t -> int -> bool
 (** [false]: the item was already queued (a duplicate push). *)

@@ -1,7 +1,7 @@
 (* Structured per-phase counters for engine runs, replacing the scattered
    global [Stats.incr] calls the solver loops used to make. A [phase] is one
    solver activation ("sfs.solve", "andersen.solve", ...); the engine
-   updates its push/pop/step counts, the solver adds named extras through
+   updates its push/pop counts, the solver adds named extras through
    cached [counter] refs (no hashing on the hot path). *)
 
 type phase = {
@@ -9,9 +9,8 @@ type phase = {
   scheduler : string;
   mutable pushes : int;  (* accepted engine pushes *)
   mutable dups : int;  (* pushes dropped because the node was queued *)
-  mutable pops : int;
-  mutable steps : int;  (* process() invocations (= pops) *)
-  mutable grew : int;  (* steps that returned successor work *)
+  mutable pops : int;  (* process() invocations *)
+  mutable grew : int;  (* pops that returned successor work *)
   mutable runs : int;  (* Engine.run segments (1 + number of resumes) *)
   mutable paused : int;  (* segments stopped by a budget *)
   mutable wall : float;  (* seconds inside Engine.run, summed over segments *)
@@ -47,7 +46,7 @@ let truncate t =
 let phase ?sink ~name ~scheduler () =
   let sink = match sink with Some s -> s | None -> global () in
   let p =
-    { name; scheduler; pushes = 0; dups = 0; pops = 0; steps = 0; grew = 0;
+    { name; scheduler; pushes = 0; dups = 0; pops = 0; grew = 0;
       runs = 0; paused = 0; wall = 0.; extras = Hashtbl.create 8 }
   in
   sink.phases <- p :: sink.phases;
@@ -80,7 +79,6 @@ type snapshot = {
   s_pushes : int;
   s_dups : int;
   s_pops : int;
-  s_steps : int;
   s_grew : int;
   s_runs : int;
   s_paused : int;
@@ -95,7 +93,6 @@ let snapshot p =
     s_pushes = p.pushes;
     s_dups = p.dups;
     s_pops = p.pops;
-    s_steps = p.steps;
     s_grew = p.grew;
     s_runs = p.runs;
     s_paused = p.paused;
@@ -129,10 +126,10 @@ let snapshot_to_json s =
   in
   Printf.sprintf
     "{\"phase\": \"%s\", \"scheduler\": \"%s\", \"pushes\": %d, \"dups\": \
-     %d, \"pops\": %d, \"steps\": %d, \"grew\": %d, \"runs\": %d, \
+     %d, \"pops\": %d, \"grew\": %d, \"runs\": %d, \
      \"paused\": %d, \"wall_seconds\": %.6f, \"extras\": {%s}}"
     (json_escape s.phase) (json_escape s.scheduler) s.s_pushes s.s_dups
-    s.s_pops s.s_steps s.s_grew s.s_runs s.s_paused s.s_wall extras
+    s.s_pops s.s_grew s.s_runs s.s_paused s.s_wall extras
 
 let pp_phase ppf p =
   let s = snapshot p in

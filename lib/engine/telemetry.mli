@@ -1,7 +1,7 @@
 (** Structured telemetry for {!Engine} runs.
 
     Each solver activation opens a {!phase}; the engine maintains the
-    push/pop/step counters and wall time, the solver registers named extras
+    push/pop counters and wall time, the solver registers named extras
     ([counter] hands back a cached [int ref] so hot loops pay no hashing).
     Phases live in a sink — default {!global}, which the CLI's [--stats]
     prints and which keeps only the most recent activations (bounded, so
@@ -17,9 +17,8 @@ type phase = {
   scheduler : string;  (** {!Scheduler.name} of the policy driving it *)
   mutable pushes : int;  (** accepted pushes *)
   mutable dups : int;  (** pushes dropped as already-queued *)
-  mutable pops : int;
-  mutable steps : int;  (** process() invocations (= pops) *)
-  mutable grew : int;  (** steps that produced successor work *)
+  mutable pops : int;  (** process() invocations *)
+  mutable grew : int;  (** pops that produced successor work *)
   mutable runs : int;  (** run segments: 1 + number of resumes *)
   mutable paused : int;  (** segments stopped by a budget *)
   mutable wall : float;  (** seconds inside [Engine.run], summed *)
@@ -53,7 +52,6 @@ type snapshot = {
   s_pushes : int;
   s_dups : int;
   s_pops : int;
-  s_steps : int;
   s_grew : int;
   s_runs : int;
   s_paused : int;
@@ -65,7 +63,7 @@ val snapshot : phase -> snapshot
 
 val snapshot_to_json : snapshot -> string
 (** One JSON object: [{"phase": ..., "scheduler": ..., "pushes": n, "dups":
-    n, "pops": n, "steps": n, "grew": n, "runs": n, "paused": n,
+    n, "pops": n, "grew": n, "runs": n, "paused": n,
     "wall_seconds": s, "extras": {...}}]. *)
 
 val pp_phase : Format.formatter -> phase -> unit

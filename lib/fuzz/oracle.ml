@@ -462,72 +462,6 @@ let check_par src =
       end
     | _ -> Fail { cls = "par-pt"; detail = "pool returned wrong arity" })
 
-(* ---------- wave: wavefront-parallel solve bit-equality ---------- *)
-
-(* The level-parallel drivers (SFS/VSFS on 2 worker domains) and the [`Wave]
-   scheduling strategy of the sequential engines (Dense, Andersen) must all
-   land on the fixpoints the default sequential solves produce, bit for
-   bit. *)
-let check_wave src =
-  match
-    let b = Pipeline.build_source src in
-    let sfs_r, _ = Pipeline.run_sfs b in
-    let vsfs_r, _ = Pipeline.run_vsfs b in
-    let wave_sfs = Pta_sfs.Sfs.Wave.solve ~jobs:2 (Pipeline.fresh_svfg b) in
-    let wave_vsfs =
-      Vsfs_core.Vsfs.Wave.solve ~jobs:2 (Pipeline.fresh_svfg b)
-    in
-    let mismatch =
-      match
-        ( points_to_mismatch "sfs"
-            (Pipeline.points_to_of_sfs b sfs_r)
-            (Pipeline.points_to_of_sfs b wave_sfs),
-          points_to_mismatch "vsfs"
-            (Pipeline.points_to_of_vsfs b vsfs_r)
-            (Pipeline.points_to_of_vsfs b wave_vsfs) )
-      with
-      | Some d, _ | _, Some d -> Some d
-      | None, None ->
-        let bad = ref None in
-        let dense_f, _ = Pipeline.run_dense ~strategy:`Fifo b in
-        let dense_w, _ = Pipeline.run_dense ~strategy:`Wave b in
-        let and_f = Pta_andersen.Solver.solve ~strategy:`Fifo b.Pipeline.prog in
-        let and_w = Pta_andersen.Solver.solve ~strategy:`Wave b.Pipeline.prog in
-        Prog.iter_vars b.Pipeline.prog (fun v ->
-            if !bad = None then begin
-              if
-                Prog.is_top b.Pipeline.prog v
-                && not
-                     (Pta_ds.Bitset.equal
-                        (Pta_sfs.Dense.pt dense_f v)
-                        (Pta_sfs.Dense.pt dense_w v))
-              then
-                bad := Some (Printf.sprintf "dense: set of var %d differs" v)
-              else if
-                not
-                  (Pta_ds.Bitset.equal
-                     (Pta_andersen.Solver.pts and_f v)
-                     (Pta_andersen.Solver.pts and_w v))
-              then
-                bad :=
-                  Some (Printf.sprintf "andersen: set of var %d differs" v)
-            end);
-        !bad
-    in
-    mismatch
-  with
-  | exception e -> (
-    match rejected e with
-    | Some msg -> Rejected msg
-    | None -> fail_exn "build" e)
-  | None -> Pass
-  | Some d ->
-    Fail
-      {
-        cls = "wave";
-        detail = "wavefront-parallel solve differs from sequential: " ^ d;
-      }
-
 (* ---------- repr: flat vs hierarchical set representation ---------- *)
 
 (* The two canonical representations behind [Ptset] ids — flat sparse
@@ -796,11 +730,6 @@ let all =
       name = "par";
       doc = "pool-worker-domain vs caller-domain solve bit-equality";
       check = check_par;
-    };
-    {
-      name = "wave";
-      doc = "wavefront-parallel (jobs=2) solves bit-identical to sequential";
-      check = check_wave;
     };
     {
       name = "serve";

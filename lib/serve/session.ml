@@ -77,10 +77,10 @@ let same_points_to (a : Artifact.points_to) (b : Artifact.points_to) =
    like an in-place reload does. Any failure — unreadable file, parse or
    lowering error, validation, even a solver invariant trip — is reported
    without touching the previous session state. *)
-let load ~store ~with_vsfs ?(jobs = 1) path =
+let load ~store ~with_vsfs path =
   match
     let src = read_file path in
-    let ctx = Pipeline.context ~store ~label:path ~jobs () in
+    let ctx = Pipeline.context ~store ~label:path () in
     let b = Pipeline.build_source ~ctx ~compile:(compile_for path) src in
     let warm = Pipeline.stage_warm ctx "build" in
     let svfg = Pipeline.fresh_svfg ~ctx b in
@@ -103,10 +103,7 @@ let load ~store ~with_vsfs ?(jobs = 1) path =
            spliced SFS answers must be bit-identical to a from-scratch VSFS
            solve of the same source *)
         let svfg2 = Pipeline.fresh_svfg ~ctx b in
-        let rv =
-          if jobs > 1 then Vsfs_core.Vsfs.Wave.solve ~jobs svfg2
-          else Vsfs_core.Vsfs.solve svfg2
-        in
+        let rv = Vsfs_core.Vsfs.solve svfg2 in
         if not (same_points_to snap (Pipeline.points_to_of_vsfs b rv)) then
           failwith "internal: spliced SFS and VSFS disagree";
         Some rv
@@ -153,7 +150,7 @@ let info_of l =
   }
 
 let create ~store ~pool ~with_vsfs path =
-  match load ~store ~with_vsfs ~jobs:(Pool.jobs pool) path with
+  match load ~store ~with_vsfs path with
   | Error e -> Error e
   | Ok l ->
     Ok
@@ -175,8 +172,7 @@ let create ~store ~pool ~with_vsfs path =
 
 let reload t ?path () =
   let p = match path with Some p -> p | None -> t.path in
-  match load ~store:t.store ~with_vsfs:t.with_vsfs ~jobs:(Pool.jobs t.pool) p
-  with
+  match load ~store:t.store ~with_vsfs:t.with_vsfs p with
   | Error e -> Error e
   | Ok l ->
     t.path <- p;

@@ -307,11 +307,6 @@ let solve ?(strategy = `Fifo) prog (aux : Pta_memssa.Modref.aux) =
         ~rank:(fun nid ->
           if nid < n then Pta_graph.Scc.rank_of_node scc nid else max_int)
         `Topo
-    | `Wave ->
-      (* The ICFG is static, so the level plan is exact (unlike the SVFG
-         snapshot, which on-the-fly call edges can invalidate). *)
-      let plan = Pta_graph.Wavefront.plan icfg.Icfg.graph in
-      Pta_engine.Scheduler.make ~plan `Wave
     | (`Fifo | `Lifo | `Lrf) as s -> Pta_engine.Scheduler.make s
   in
   let eng = Pta_engine.Engine.create ~telemetry:tel ~scheduler ~process () in

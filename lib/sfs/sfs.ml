@@ -67,126 +67,18 @@ type seed = {
   schedule : int list;
 }
 
-(* The transfer function for the node kinds whose processing only reads and
-   writes points-to state (loads, stores, memory nodes, and the simple
-   top-level instructions), abstracted over that state: the engine path
-   instantiates [ops] with the solver tables directly, the wavefront
-   driver's worker realm with a frozen-snapshot overlay ([Wave.eval]).
-   Keeping one body is what makes the two realms compute the same function.
-
-   Returns [false] for the kinds that must stay on the caller domain —
-   calls and exits (they mutate the call graph, the SVFG and cross-function
-   state) and fields (object interning); those fall through to
-   [Solver_common.process_top_level]. *)
-type ops = {
-  o_pt_id : Inst.var -> Ptset.t;
-  o_pt_view : Inst.var -> Bitset.t;
-  o_add_pt : Inst.var -> int -> bool;
-  o_union_pt : Inst.var -> Ptset.t -> bool;
-  o_in : int -> int -> Ptset.t;  (* registers (node, obj), like [in_id] *)
-  o_out : int -> int -> Ptset.t;
-  o_set_out : int -> int -> Ptset.t -> unit;
-  o_union_in : int -> int -> Ptset.t -> bool;
-  o_node_objs : int -> Bitset.t option;
-  o_su : ptr:Inst.var -> int -> bool;
-  o_prop : unit -> unit;
-  o_push : int -> unit;
-  o_push_users : Inst.var -> unit;
-}
-
-let transfer svfg annot ops n =
-  (* Propagate [set] along every outgoing [o]-edge of [n]. Callers pass
-     either a full exposed set (phi-like pass-through nodes, where the
-     memoized union makes re-propagation cheap) or just the delta a store
-     added, which is what makes this difference propagation. *)
-  let propagate n o set =
-    if not (Ptset.is_empty set) then
-      Svfg.iter_ind_succs svfg n o (fun m ->
-          ops.o_prop ();
-          if ops.o_union_in m o set then ops.o_push m)
+(* Build the solver state and its engine, seed every node (or, with a
+   [seed], only its schedule), but do not run: [solve] drives it to
+   fixpoint, [solve_budgeted]/[resume] in slices. *)
+let start ?(strategy = `Fifo) ?strong_updates ?seed svfg =
+  let tel =
+    Telemetry.phase ~name:"sfs.solve" ~scheduler:(Scheduler.name strategy) ()
   in
-  match Svfg.kind svfg n with
-  | Svfg.NInst { f; i } -> (
-    match Svfg.inst_of svfg n with
-    | Inst.Alloc { lhs; obj } ->
-      if ops.o_add_pt lhs obj then ops.o_push_users lhs;
-      true
-    | Inst.Copy { lhs; rhs } ->
-      if ops.o_union_pt lhs (ops.o_pt_id rhs) then ops.o_push_users lhs;
-      true
-    | Inst.Phi { lhs; rhs } ->
-      let changed = ref false in
-      List.iter
-        (fun r -> if ops.o_union_pt lhs (ops.o_pt_id r) then changed := true)
-        rhs;
-      if !changed then ops.o_push_users lhs;
-      true
-    | Inst.Load { lhs; ptr } ->
-      let mu = Pta_memssa.Annot.mu annot f i in
-      let changed = ref false in
-      Bitset.iter
-        (fun o ->
-          if Bitset.mem mu o then
-            if ops.o_union_pt lhs (ops.o_in n o) then changed := true)
-        (ops.o_pt_view ptr);
-      if !changed then ops.o_push_users lhs;
-      true
-    | Inst.Store { ptr; rhs } ->
-      let chi = Pta_memssa.Annot.chi annot f i in
-      let ptr_pts = ops.o_pt_view ptr in
-      let rhs_id = ops.o_pt_id rhs in
-      Bitset.iter
-        (fun o ->
-          if Bitset.mem chi o then begin
-            let out0 = ops.o_out n o in
-            let out1, d1 = Ptset.union_delta out0 rhs_id in
-            let out2, d2 =
-              if ops.o_su ~ptr o then (out1, Ptset.empty)
-              else Ptset.union_delta out1 (ops.o_in n o)
-            in
-            if not (Ptset.equal out2 out0) then begin
-              ops.o_set_out n o out2;
-              propagate n o (Ptset.union d1 d2)
-            end
-          end)
-        ptr_pts;
-      (* Spurious χ objects (the auxiliary analysis thought this store may
-         define them, so the SVFG routes their def-use chain through this
-         node, but flow-sensitively the store does not write them): pass
-         IN through to OUT unchanged — except for a statically strong-
-         updated object, which is killed here no matter what. *)
-      (match ops.o_node_objs n with
-      | Some objs ->
-        Bitset.iter
-          (fun o ->
-            if (not (Bitset.mem ptr_pts o)) && not (ops.o_su ~ptr o) then begin
-              let out0 = ops.o_out n o in
-              let out1, d = Ptset.union_delta out0 (ops.o_in n o) in
-              if not (Ptset.equal out1 out0) then begin
-                ops.o_set_out n o out1;
-                propagate n o d
-              end
-            end)
-          objs
-      | None -> ())
-      ;
-      true
-    | Inst.Entry | Inst.Branch -> true
-    | Inst.Call _ | Inst.Exit | Inst.Field _ -> false)
-  | Svfg.NMemPhi { obj; _ }
-  | Svfg.NFormalIn { obj; _ }
-  | Svfg.NFormalOut { obj; _ }
-  | Svfg.NActualIn { obj; _ }
-  | Svfg.NActualOut { obj; _ } ->
-    propagate n obj (ops.o_in n obj);
-    true
-
-(* The full sequential process function over the solver's own tables —
-   used by the engine path and by the wavefront driver for components that
-   contain calls/exits/fields. *)
-let processor t =
-  let c = t.c in
-  let svfg = c.Solver_common.svfg in
+  let c = Solver_common.create ?strong_updates ~tel svfg in
+  let t =
+    { c; ins = Hashtbl.create 1024; outs = Hashtbl.create 256;
+      node_objs = Hashtbl.create 256 }
+  in
   let annot = Svfg.annot svfg in
   let props = c.Solver_common.props in
   (* [process] collects the nodes to (re)visit in [buf]; the engine owns
@@ -194,22 +86,15 @@ let processor t =
   let buf = ref [] in
   let push n = buf := n :: !buf in
   let push_users v = List.iter push (Svfg.users svfg v) in
-  let ops =
-    {
-      o_pt_id = Solver_common.pt_id c;
-      o_pt_view = Solver_common.pt_of c;
-      o_add_pt = Solver_common.add_pt c;
-      o_union_pt = Solver_common.union_pt c;
-      o_in = in_id t;
-      o_out = out_id t;
-      o_set_out = (fun n o id -> Hashtbl.replace t.outs (key n o) id);
-      o_union_in = union_in t;
-      o_node_objs = (fun n -> Hashtbl.find_opt t.node_objs n);
-      o_su = (fun ~ptr o -> Solver_common.strong_update_ok c ~ptr o);
-      o_prop = (fun () -> incr props);
-      o_push = push;
-      o_push_users = push_users;
-    }
+  (* Propagate [set] along every outgoing [o]-edge of [n]. Callers pass
+     either a full exposed set (phi-like pass-through nodes, where the
+     memoized union makes re-propagation cheap) or just the delta a store
+     added, which is what makes this difference propagation. *)
+  let propagate n o set =
+    if not (Ptset.is_empty set) then
+      Svfg.iter_ind_succs svfg n o (fun m ->
+          incr props;
+          if union_in t m o set then push m)
   in
   let on_call_edge cs g =
     List.iter
@@ -222,25 +107,68 @@ let processor t =
   in
   let process n =
     buf := [];
-    if not (transfer svfg annot ops n) then
-      Solver_common.process_top_level c ~push_users ~on_call_edge ~node:n
-        (Svfg.inst_of svfg n);
+    (match Svfg.kind svfg n with
+    | Svfg.NInst { f; i } -> (
+      match Svfg.inst_of svfg n with
+      | Inst.Load { lhs; ptr } ->
+        let mu = Pta_memssa.Annot.mu annot f i in
+        let changed = ref false in
+        Bitset.iter
+          (fun o ->
+            if Bitset.mem mu o then
+              if Solver_common.union_pt c lhs (in_id t n o) then changed := true)
+          (Solver_common.pt_of c ptr);
+        if !changed then push_users lhs
+      | Inst.Store { ptr; rhs } ->
+        let chi = Pta_memssa.Annot.chi annot f i in
+        let ptr_pts = Solver_common.pt_of c ptr in
+        let rhs_id = Solver_common.pt_id c rhs in
+        Bitset.iter
+          (fun o ->
+            if Bitset.mem chi o then begin
+              let out0 = out_id t n o in
+              let out1, d1 = Ptset.union_delta out0 rhs_id in
+              let out2, d2 =
+                if Solver_common.strong_update_ok c ~ptr o then (out1, Ptset.empty)
+                else Ptset.union_delta out1 (in_id t n o)
+              in
+              if not (Ptset.equal out2 out0) then begin
+                Hashtbl.replace t.outs (key n o) out2;
+                propagate n o (Ptset.union d1 d2)
+              end
+            end)
+          ptr_pts;
+        (* Spurious χ objects (the auxiliary analysis thought this store may
+           define them, so the SVFG routes their def-use chain through this
+           node, but flow-sensitively the store does not write them): pass
+           IN through to OUT unchanged — except for a statically strong-
+           updated object, which is killed here no matter what. *)
+        (match Hashtbl.find_opt t.node_objs n with
+        | Some objs ->
+          Bitset.iter
+            (fun o ->
+              if
+                (not (Bitset.mem ptr_pts o))
+                && not (Solver_common.strong_update_ok c ~ptr o)
+              then begin
+                let out0 = out_id t n o in
+                let out1, d = Ptset.union_delta out0 (in_id t n o) in
+                if not (Ptset.equal out1 out0) then begin
+                  Hashtbl.replace t.outs (key n o) out1;
+                  propagate n o d
+                end
+              end)
+            objs
+        | None -> ())
+      | ins -> Solver_common.process_top_level c ~push_users ~on_call_edge ~node:n ins)
+    | Svfg.NMemPhi { obj; _ }
+    | Svfg.NFormalIn { obj; _ }
+    | Svfg.NFormalOut { obj; _ }
+    | Svfg.NActualIn { obj; _ }
+    | Svfg.NActualOut { obj; _ } ->
+      propagate n obj (in_id t n obj));
     !buf
   in
-  process
-
-(* Build the solver state and its engine, seed every node, but do not run:
-   [solve] drives it to fixpoint, [solve_budgeted]/[resume] in slices. *)
-let start ?(strategy = `Fifo) ?strong_updates ?seed svfg =
-  let tel =
-    Telemetry.phase ~name:"sfs.solve" ~scheduler:(Scheduler.name strategy) ()
-  in
-  let c = Solver_common.create ?strong_updates ~tel svfg in
-  let t =
-    { c; ins = Hashtbl.create 1024; outs = Hashtbl.create 256;
-      node_objs = Hashtbl.create 256 }
-  in
-  let process = processor t in
   let eng =
     Engine.create ~telemetry:tel
       ~scheduler:(Solver_common.scheduler strategy svfg)
@@ -276,15 +204,10 @@ let continue_ budget p =
   | Engine.Fixpoint -> Done p.res
   | Engine.Paused _ -> Paused p
 
-let solve ?strategy ?strong_updates svfg =
-  match continue_ None (start ?strategy ?strong_updates svfg) with
+let solve ?strategy ?strong_updates ?seed svfg =
+  match continue_ None (start ?strategy ?strong_updates ?seed svfg) with
   | Done r -> r
   | Paused _ -> assert false (* no budget: run only returns at fixpoint *)
-
-let solve_seeded ?strategy ?strong_updates ~seed svfg =
-  match continue_ None (start ?strategy ?strong_updates ~seed svfg) with
-  | Done r -> r
-  | Paused _ -> assert false
 
 let solve_budgeted ?strategy ?strong_updates ~budget svfg =
   continue_ (Some budget) (start ?strategy ?strong_updates svfg)
@@ -344,343 +267,3 @@ let n_unique_sets t = Ptset.Tally.unique (tally t)
 let telemetry t = t.c.Solver_common.tel
 let n_propagations t = !(t.c.Solver_common.props)
 let processed t = (telemetry t).Telemetry.pops
-
-(* Wavefront-parallel solving ---------------------------------------------- *)
-
-module Wave = struct
-  module Wavefront = Pta_graph.Wavefront
-
-  let mask = (1 lsl 31) - 1
-
-  (* A frozen, plain-data snapshot of one component's visible state: dirty
-     nodes, member set, the points-to sets of the variables its
-     instructions touch, its materialised IN/OUT entries and node-object
-     registrations, plus the static strong-update predicate pre-decided for
-     its store pointers (the auxiliary sets live on the caller domain and
-     must not be consulted from a worker). Bitsets are caller-owned views,
-     read-only by contract while the batch is in flight. *)
-  type task = {
-    w_seeds : int array;
-    w_members : int array;
-    w_pt : (int * Bitset.t) array;
-    w_ins : (int * Bitset.t) array;  (* packed (node, obj) keys *)
-    w_outs : (int * Bitset.t) array;
-    w_node_objs : (int * Bitset.t) array;
-    w_su1 : Bitset.t;  (* store pointer vars with |pt_aux| = 1 *)
-  }
-
-  (* What a worker sends back: full new values for every slot it changed
-     (sorted, so the caller's merge order is canonical), new node-object
-     registrations, and pop accounting. All plain data — the worker's
-     interned sets are viewed into bitsets at task end. *)
-  type delta = {
-    d_pt : (int * Bitset.t) array;
-    d_ins : (int * Bitset.t) array;
-    d_outs : (int * Bitset.t) array;
-    d_node_objs : (int * int) array;
-    d_pops : int;
-    d_domain : int;
-  }
-
-  let vars_of_inst = function
-    | Inst.Alloc { lhs; _ } -> [ lhs ]
-    | Inst.Copy { lhs; rhs } -> [ lhs; rhs ]
-    | Inst.Phi { lhs; rhs } -> lhs :: rhs
-    | Inst.Load { lhs; ptr } -> [ lhs; ptr ]
-    | Inst.Store { ptr; rhs } -> [ ptr; rhs ]
-    | Inst.Call _ | Inst.Exit | Inst.Field _ | Inst.Entry | Inst.Branch -> []
-
-  (* Calls and exits mutate the call graph, the SVFG and other functions'
-     state; fields intern objects. Everything else only touches points-to
-     slots and is safe to evaluate against a frozen snapshot. *)
-  let node_par_ok svfg n =
-    match Svfg.kind svfg n with
-    | Svfg.NInst _ -> (
-      match Svfg.inst_of svfg n with
-      | Inst.Call _ | Inst.Exit | Inst.Field _ -> false
-      | _ -> true)
-    | _ -> true
-
-  let sorted_of_list l =
-    let a = Array.of_list l in
-    Array.sort compare a;
-    a
-
-  let extract t plan ~comp seeds =
-    let svfg = t.c.Solver_common.svfg in
-    let annot = Svfg.annot svfg in
-    let aux = Svfg.aux svfg in
-    let members = Wavefront.comp_members plan comp in
-    let seen = Bitset.create () in
-    let pts = ref [] in
-    let add_var v =
-      if Bitset.add seen v then begin
-        let id = Solver_common.pt_id t.c v in
-        if not (Ptset.is_empty id) then pts := (v, Ptset.view id) :: !pts
-      end
-    in
-    let ins = ref [] and outs = ref [] and nobjs = ref [] in
-    let su1 = Bitset.create () in
-    let add_out n o =
-      match Hashtbl.find_opt t.outs (key n o) with
-      | Some id when not (Ptset.is_empty id) ->
-        outs := (key n o, Ptset.view id) :: !outs
-      | _ -> ()
-    in
-    Array.iter
-      (fun n ->
-        let objs =
-          match Hashtbl.find_opt t.node_objs n with
-          | Some objs ->
-            nobjs := (n, objs) :: !nobjs;
-            Bitset.iter
-              (fun o ->
-                (match Hashtbl.find_opt t.ins (key n o) with
-                | Some id when not (Ptset.is_empty id) ->
-                  ins := (key n o, Ptset.view id) :: !ins
-                | _ -> ());
-                add_out n o)
-              objs;
-            objs
-          | None -> seen (* any set that cannot contain objects *)
-        in
-        match Svfg.kind svfg n with
-        | Svfg.NInst { f; i } -> (
-          let inst = Svfg.inst_of svfg n in
-          List.iter add_var (vars_of_inst inst);
-          match inst with
-          | Inst.Store { ptr; _ } ->
-            if Bitset.cardinal (aux.Pta_memssa.Modref.pt ptr) = 1 then
-              ignore (Bitset.add su1 ptr);
-            (* OUT entries from strong updates may exist for χ objects
-               never registered in [node_objs]. *)
-            Bitset.iter
-              (fun o -> if not (Bitset.mem objs o) then add_out n o)
-              (Pta_memssa.Annot.chi annot f i)
-          | _ -> ())
-        | _ -> ())
-      members;
-    {
-      w_seeds = seeds;
-      w_members = members;
-      w_pt = sorted_of_list !pts;
-      w_ins = sorted_of_list !ins;
-      w_outs = sorted_of_list !outs;
-      w_node_objs = sorted_of_list !nobjs;
-      w_su1 = su1;
-    }
-
-  (* Worker-side local fixpoint: the same [transfer] as the sequential
-     realm, instantiated with an overlay over the frozen snapshot. Slots
-     the snapshot does not cover start empty — sound, because the caller
-     re-unions every emitted value into its own state (monotonicity turns
-     a stale base into redundant work, never wrong results). Pushes
-     outside the component are dropped here; the caller re-derives them
-     from the deltas that actually changed its state. *)
-  let eval ~svfg ~su_enabled task =
-    let annot = Svfg.annot svfg in
-    let prog = Svfg.prog svfg in
-    let member = Bitset.create () in
-    Array.iter (fun n -> ignore (Bitset.add member n)) task.w_members;
-    let table arr =
-      let h = Hashtbl.create ((2 * Array.length arr) + 1) in
-      Array.iter (fun (k, b) -> Hashtbl.replace h k b) arr;
-      h
-    in
-    let fpt = table task.w_pt in
-    let fins = table task.w_ins in
-    let fouts = table task.w_outs in
-    let fnobjs = table task.w_node_objs in
-    let overlay frozen =
-      let base = Hashtbl.create 64 and cur = Hashtbl.create 64 in
-      let get k =
-        match Hashtbl.find_opt cur k with
-        | Some id -> id
-        | None ->
-          let id =
-            match Hashtbl.find_opt frozen k with
-            | Some b -> Ptset.of_bitset b
-            | None -> Ptset.empty
-          in
-          Hashtbl.replace base k id;
-          Hashtbl.replace cur k id;
-          id
-      in
-      let set k id =
-        if not (Hashtbl.mem base k) then ignore (get k);
-        Hashtbl.replace cur k id
-      in
-      let dirty () =
-        sorted_of_list
-          (Hashtbl.fold
-             (fun k id acc ->
-               if Ptset.equal id (Hashtbl.find base k) then acc
-               else (k, Ptset.view id) :: acc)
-             cur [])
-      in
-      (get, set, dirty)
-    in
-    let pt_get, pt_set, pt_dirty = overlay fpt in
-    let in_get, in_set, in_dirty = overlay fins in
-    let out_get, out_set, out_dirty = overlay fouts in
-    let nobjs = Hashtbl.create 16 in
-    let regs = ref [] in
-    let reg n o =
-      let s =
-        match Hashtbl.find_opt nobjs n with
-        | Some s -> s
-        | None ->
-          let s =
-            match Hashtbl.find_opt fnobjs n with
-            | Some b -> Bitset.copy b
-            | None -> Bitset.create ()
-          in
-          Hashtbl.replace nobjs n s;
-          s
-      in
-      if Bitset.add s o then regs := (n, o) :: !regs
-    in
-    let queue = Queue.create () in
-    let marks = Bitset.create () in
-    let feed n = if Bitset.add marks n then Queue.push n queue in
-    let pops = ref 0 in
-    let ops =
-      {
-        o_pt_id = pt_get;
-        o_pt_view = (fun v -> Ptset.view (pt_get v));
-        o_add_pt =
-          (fun v o ->
-            let s = pt_get v in
-            let s' = Ptset.add s o in
-            if Ptset.equal s' s then false
-            else begin
-              pt_set v s';
-              true
-            end);
-        o_union_pt =
-          (fun v src ->
-            let s = pt_get v in
-            let s' = Ptset.union s src in
-            if Ptset.equal s' s then false
-            else begin
-              pt_set v s';
-              true
-            end);
-        o_in =
-          (fun n o ->
-            reg n o;
-            in_get (key n o));
-        o_out = (fun n o -> out_get (key n o));
-        o_set_out = (fun n o id -> out_set (key n o) id);
-        o_union_in =
-          (fun n o src ->
-            reg n o;
-            let k = key n o in
-            let s = in_get k in
-            let s' = Ptset.union s src in
-            if Ptset.equal s' s then false
-            else begin
-              in_set k s';
-              true
-            end);
-        o_node_objs =
-          (fun n ->
-            match Hashtbl.find_opt nobjs n with
-            | Some s -> Some s
-            | None -> Hashtbl.find_opt fnobjs n);
-        o_su =
-          (fun ~ptr o ->
-            su_enabled && Prog.is_singleton prog o && Bitset.mem task.w_su1 ptr);
-        o_prop = ignore;
-        o_push = (fun m -> if Bitset.mem member m then feed m);
-        o_push_users =
-          (fun v ->
-            List.iter
-              (fun m -> if Bitset.mem member m then feed m)
-              (Svfg.users svfg v));
-      }
-    in
-    Array.iter feed task.w_seeds;
-    while not (Queue.is_empty queue) do
-      let n = Queue.pop queue in
-      ignore (Bitset.remove marks n);
-      incr pops;
-      if not (transfer svfg annot ops n) then
-        invalid_arg "Sfs.Wave.eval: non-parallel node reached a worker task"
-    done;
-    {
-      d_pt = pt_dirty ();
-      d_ins = in_dirty ();
-      d_outs = out_dirty ();
-      d_node_objs = sorted_of_list !regs;
-      d_pops = !pops;
-      d_domain = (Domain.self () :> int);
-    }
-
-  (* First merge pass: registrations only, so every task's data pass sees
-     every task's new node-object memberships. *)
-  let apply_reg t d =
-    Array.iter (fun (n, o) -> ignore (in_id t n o)) d.d_node_objs
-
-  (* Second merge pass: union the emitted values into the caller state and
-     derive pushes from what actually changed. Pushes into the delta's own
-     component are suppressed — the worker left it at a local fixpoint
-     w.r.t. its own writes; another component's delta changing shared state
-     re-pushes it through that delta's apply. OUT deltas never push: the
-     worker already propagated them along the (static, quiescent) SVFG, so
-     in-flow they produced is in [d_ins]. *)
-  let apply t plan ~comp d =
-    let svfg = t.c.Solver_common.svfg in
-    let buf = ref [] in
-    let push_out m =
-      if Wavefront.comp_of_node plan m <> comp then buf := m :: !buf
-    in
-    Array.iter
-      (fun (v, bits) ->
-        if Solver_common.union_pt t.c v (Ptset.of_bitset bits) then
-          List.iter push_out (Svfg.users svfg v))
-      d.d_pt;
-    Array.iter
-      (fun (k, bits) ->
-        if union_in t (k lsr 31) (k land mask) (Ptset.of_bitset bits) then
-          push_out (k lsr 31))
-      d.d_ins;
-    Array.iter
-      (fun (k, bits) ->
-        let cur = find_or_empty t.outs k in
-        let u = Ptset.union cur (Ptset.of_bitset bits) in
-        if not (Ptset.equal u cur) then Hashtbl.replace t.outs k u)
-      d.d_outs;
-    !buf
-
-  let client ?strong_updates svfg =
-    let tel = Telemetry.phase ~name:"sfs.solve" ~scheduler:"wave" () in
-    let c = Solver_common.create ?strong_updates ~tel svfg in
-    let t =
-      { c; ins = Hashtbl.create 1024; outs = Hashtbl.create 256;
-        node_objs = Hashtbl.create 256 }
-    in
-    let process = processor t in
-    let plan = Wavefront.plan (Svfg.to_digraph svfg) in
-    let su_enabled = c.Solver_common.su_enabled in
-    let cl =
-      {
-        Pta_par.Wave.plan;
-        seeds = List.init (Svfg.n_nodes svfg) Fun.id;
-        node_par_ok = node_par_ok svfg;
-        process;
-        extract = (fun ~comp seeds -> extract t plan ~comp seeds);
-        eval = (fun task -> eval ~svfg ~su_enabled task);
-        apply_reg = (fun ~comp:_ d -> apply_reg t d);
-        apply = (fun ~comp d -> apply t plan ~comp d);
-        measure = (fun d -> (d.d_domain, d.d_pops));
-        tel = Some tel;
-      }
-    in
-    (t, cl)
-
-  let solve ?(jobs = 1) ?strong_updates svfg =
-    let t, cl = client ?strong_updates svfg in
-    Pta_par.Wave.drive ~jobs cl;
-    t
-end

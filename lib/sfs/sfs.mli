@@ -19,32 +19,6 @@ open Pta_ir
 
 type result
 
-val solve :
-  ?strategy:Pta_engine.Scheduler.strategy ->
-  ?strong_updates:bool ->
-  Pta_svfg.Svfg.t ->
-  result
-(** [strategy] defaults to [`Fifo] (empirically better here; the
-    alternatives are benchmarked as ablations). *)
-
-type paused
-(** A budgeted solve stopped short of fixpoint: partial state plus the
-    queued work. Resume with {!resume}; do not read results out of it. *)
-
-type outcome = Done of result | Paused of paused
-
-val solve_budgeted :
-  ?strategy:Pta_engine.Scheduler.strategy ->
-  ?strong_updates:bool ->
-  budget:Pta_engine.Engine.budget ->
-  Pta_svfg.Svfg.t ->
-  outcome
-
-val resume : budget:Pta_engine.Engine.budget -> paused -> outcome
-(** Each resume grants a fresh budget allowance. *)
-
-(* Seeded (partial) solves ------------------------------------------------ *)
-
 type seed = {
   seed_pt : (Inst.var * Pta_ds.Bitset.t) list;
       (** exact final points-to sets of top-level variables whose every
@@ -61,17 +35,37 @@ type seed = {
           re-solved potential callee, producers of unseeded variables) *)
 }
 
-val solve_seeded :
+val solve :
   ?strategy:Pta_engine.Scheduler.strategy ->
   ?strong_updates:bool ->
-  seed:seed ->
+  ?seed:seed ->
   Pta_svfg.Svfg.t ->
   result
-(** Run to fixpoint from pre-installed facts instead of an empty state,
-    queueing only [seed.schedule]. With sound seeds (see {!seed}) the result
-    is bit-identical to {!solve} on the same graph; the caller
+(** [strategy] defaults to [`Fifo] (empirically better here; the
+    alternatives are benchmarked as ablations).
+
+    Without [seed], every node is queued over an empty state. With one, the
+    solve runs to fixpoint from the pre-installed facts instead, queueing
+    only [seed.schedule]. With sound seeds (see {!seed}) the result is
+    bit-identical to an unseeded solve on the same graph; the caller
     ({!Pta_workload.Incr}) is responsible for seed soundness. An empty
-    schedule returns immediately (0 engine steps). *)
+    schedule returns immediately (0 engine pops). *)
+
+type paused
+(** A budgeted solve stopped short of fixpoint: partial state plus the
+    queued work. Resume with {!resume}; do not read results out of it. *)
+
+type outcome = Done of result | Paused of paused
+
+val solve_budgeted :
+  ?strategy:Pta_engine.Scheduler.strategy ->
+  ?strong_updates:bool ->
+  budget:Pta_engine.Engine.budget ->
+  Pta_svfg.Svfg.t ->
+  outcome
+
+val resume : budget:Pta_engine.Engine.budget -> paused -> outcome
+(** Each resume grants a fresh budget allowance. *)
 
 val iter_ins : result -> (int -> Inst.var -> Pta_ds.Bitset.t -> unit) -> unit
 (** Every materialised non-empty IN entry as [(node, object, set)], in
@@ -119,30 +113,3 @@ val n_propagations : result -> int
 
 val processed : result -> int
 (** Worklist pops. *)
-
-(** Wavefront-parallel solving: same fixpoint, bit-identical results, with
-    independent SCCs of the same topological level evaluated on worker
-    domains against frozen snapshots and merged deterministically at each
-    level barrier (see {!Pta_par.Wave}). *)
-module Wave : sig
-  type task
-  (** Plain-data snapshot of one component's visible state, safe to ship to
-      a worker domain. *)
-
-  type delta
-  (** Plain-data result of a worker-local fixpoint: every slot it changed,
-      as bitsets. *)
-
-  val client :
-    ?strong_updates:bool ->
-    Pta_svfg.Svfg.t ->
-    result * (task, delta) Pta_par.Wave.client
-  (** Fresh solver state plus the wavefront client that solves into it.
-      Drive with {!Pta_par.Wave.drive}; read results from the paired
-      [result] afterwards. *)
-
-  val solve : ?jobs:int -> ?strong_updates:bool -> Pta_svfg.Svfg.t -> result
-  (** [solve ~jobs svfg] = [drive ~jobs] on a fresh client. [jobs = 1]
-      (default) runs every component on the caller domain; any [jobs] yields
-      bit-identical results. *)
-end

@@ -34,9 +34,6 @@ let scheduler strategy svfg =
     Pta_engine.Scheduler.make
       ~rank:(fun n -> if n < Array.length rank then rank.(n) else max_int)
       `Topo
-  | `Wave ->
-    let plan = Pta_graph.Wavefront.plan (Pta_svfg.Svfg.to_digraph svfg) in
-    Pta_engine.Scheduler.make ~plan `Wave
   | (`Fifo | `Lifo | `Lrf) as s -> Pta_engine.Scheduler.make s
 
 let pt_id t v =

@@ -235,30 +235,34 @@ let gc t ~kept ~removed =
         (try Sys.remove path with Sys_error _ -> ());
         incr removed)
     (entry_files t);
-  (* reconcile the index with what survived on disk *)
-  let indexed = Manifest.load (manifest t) in
-  let kept_entries =
-    List.filter (fun e -> Hashtbl.mem valid e.Manifest.file) indexed
-  in
-  let known = List.map (fun e -> e.Manifest.file) kept_entries in
-  let recovered =
-    Hashtbl.fold
-      (fun f (stage, key, _) acc ->
-        if List.mem f known then acc
-        else
-          {
-            Manifest.stage;
-            key;
-            file = f;
-            bytes = (Unix.stat (Filename.concat t.dir f)).Unix.st_size;
-            created = (Unix.stat (Filename.concat t.dir f)).Unix.st_mtime;
-            label = "";
-            funcs = [];
-          }
-          :: acc)
-      valid []
-  in
+  (* Reconcile the index with what survived on disk, reading it under the
+     lock: a concurrent writer may have published (frame, then index line)
+     since the scan above, and its line must survive this rewrite — so an
+     entry is dropped only when its frame is gone, not merely unscanned. *)
   with_manifest_lock t (fun () ->
+      let kept_entries =
+        List.filter
+          (fun e -> Sys.file_exists (Filename.concat t.dir e.Manifest.file))
+          (Manifest.load (manifest t))
+      in
+      let known = List.map (fun e -> e.Manifest.file) kept_entries in
+      let recovered =
+        Hashtbl.fold
+          (fun f (stage, key, _) acc ->
+            if List.mem f known then acc
+            else
+              {
+                Manifest.stage;
+                key;
+                file = f;
+                bytes = (Unix.stat (Filename.concat t.dir f)).Unix.st_size;
+                created = (Unix.stat (Filename.concat t.dir f)).Unix.st_mtime;
+                label = "";
+                funcs = [];
+              }
+              :: acc)
+          valid []
+      in
       Manifest.save (manifest t) (kept_entries @ recovered))
 
 let clear t =

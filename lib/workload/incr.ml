@@ -745,7 +745,7 @@ let run_sfs_spliced ~store ?label ?strategy (b : Pipeline.built) svfg =
         schedule = schedule_list;
       }
     in
-    let r = Sfs.solve_seeded ?strategy ~seed svfg in
+    let r = Sfs.solve ?strategy ~seed svfg in
     Pipeline.record_funcs ~store b (manifest_funcs tbl);
     (* persist what was missing, addressed by the new closure digests *)
     let missing = ref [] in

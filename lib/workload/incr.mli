@@ -9,11 +9,11 @@
     they are stable under edits that shift variable/function ids.
 
     {!run_sfs_spliced} consults the store per function: closure hits are
-    seeded verbatim into {!Pta_sfs.Sfs.solve_seeded} and never re-processed;
+    seeded verbatim into {!Pta_sfs.Sfs.solve} and never re-processed;
     misses are re-solved against boundary-injected inputs, and their fresh
     artifacts saved. With sound seeds the result is bit-identical to a cold
     {!Pta_sfs.Sfs.solve} — the [serve] fuzz oracle and [test_serve] enforce
-    exactly that — while engine steps shrink to the dirty region.
+    exactly that — while engine pops shrink to the dirty region.
 
     Every degenerate case (non-unique names, undecodable or missing
     artifacts) falls back towards "more things dirty", never towards wrong

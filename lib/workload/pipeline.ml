@@ -27,12 +27,11 @@ type ctx = {
   label : string;
   pre : pre;
   strategy : Pta_engine.Scheduler.strategy option;
-  jobs : int;  (* > 1 routes the solve stages through the wavefront driver *)
   stage_log : (string * float * bool) list ref;  (* newest first *)
 }
 
-let context ?store ?(label = "") ?(pre = `None) ?strategy ?(jobs = 1) () =
-  { store; label; pre; strategy; jobs; stage_log = ref [] }
+let context ?store ?(label = "") ?(pre = `None) ?strategy () =
+  { store; label; pre; strategy; stage_log = ref [] }
 
 let stage_log ctx = List.rev !(ctx.stage_log)
 
@@ -282,16 +281,11 @@ let stage_versioning =
 
 let stage_sfs =
   Stage.v ~key:"solve-sfs" (fun ctx (_, svfg) ->
-      if ctx.jobs > 1 then Pta_sfs.Sfs.Wave.solve ~jobs:ctx.jobs svfg
-      else Pta_sfs.Sfs.solve ?strategy:ctx.strategy svfg)
+      Pta_sfs.Sfs.solve ?strategy:ctx.strategy svfg)
 
 let stage_vsfs =
   Stage.v ~key:"solve-vsfs" (fun ctx (_, svfg, ver) ->
-      let r =
-        if ctx.jobs > 1 then
-          Vsfs_core.Vsfs.Wave.solve ~jobs:ctx.jobs ~versioning:ver svfg
-        else Vsfs_core.Vsfs.solve ?strategy:ctx.strategy ~versioning:ver svfg
-      in
+      let r = Vsfs_core.Vsfs.solve ?strategy:ctx.strategy ~versioning:ver svfg in
       (r, ver))
 
 let stage_dense =

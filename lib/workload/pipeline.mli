@@ -47,10 +47,7 @@ type ctx
 
 val context :
   ?store:Pta_store.Store.t -> ?label:string -> ?pre:pre ->
-  ?strategy:Pta_engine.Scheduler.strategy -> ?jobs:int -> unit -> ctx
-(** [jobs > 1] routes the SFS/VSFS solve stages through the
-    wavefront-parallel driver ({!Pta_sfs.Sfs.Wave}, {!Vsfs_core.Vsfs.Wave})
-    on that many worker domains; results are bit-identical to [jobs = 1]. *)
+  ?strategy:Pta_engine.Scheduler.strategy -> unit -> ctx
 
 val stage_log : ctx -> (string * float * bool) list
 (** [(key, seconds, warm)] per executed stage, oldest first. *)

@@ -417,6 +417,42 @@ let prop_ptset_subset_cardinal =
       Ptset.subset sa sb = Model.subset (Model.of_list a) (Model.of_list b)
       && Ptset.cardinal sa = List.length (Model.of_list a))
 
+(* Union is commutative and associative and the pool is hash-consed, so
+   folding the same sets into a slot in any order yields not just equal
+   contents but the very same Ptset id. Modelled: k slots, each hit by a
+   random subset of sets, merged once in the generated order and once in a
+   random permutation of it. *)
+let prop_ptset_union_order_independent =
+  QCheck2.Test.make ~name:"ptset union order-independent (same ids)"
+    ~count:50
+    QCheck2.Gen.(
+      triple (1 -- 6)
+        (list_size (1 -- 12)
+           (pair (0 -- 5) (list_size (0 -- 8) (0 -- 200))))
+        (0 -- 10_000))
+    (fun (n_slots, sets, shuffle_seed) ->
+      let sets =
+        List.map
+          (fun (slot, elems) -> (slot mod n_slots, Bitset.of_list elems))
+          sets
+      in
+      let merge order =
+        let slots = Array.make n_slots Ptset.empty in
+        List.iter
+          (fun (slot, bits) ->
+            slots.(slot) <- Ptset.union slots.(slot) (Ptset.of_bitset bits))
+          order;
+        slots
+      in
+      let canonical = merge sets in
+      let rng = Random.State.make [| shuffle_seed; 0xDADA |] in
+      let shuffled =
+        List.map snd
+          (List.sort compare
+             (List.map (fun d -> (Random.State.bits rng, d)) sets))
+      in
+      Array.for_all2 Ptset.equal canonical (merge shuffled))
+
 (* ---------- vec ---------- *)
 
 let test_vec_basic () =
@@ -751,6 +787,7 @@ let () =
           prop_ptset_diff;
           prop_ptset_memo_consistent;
           prop_ptset_subset_cardinal;
+          prop_ptset_union_order_independent;
         ];
       ( "vec",
         [

@@ -14,7 +14,7 @@ module Vsfs = Vsfs_core.Vsfs
 
 let test_strategy_names () =
   Alcotest.(check (list string))
-    "names" [ "fifo"; "lifo"; "topo"; "lrf"; "wave" ]
+    "names" [ "fifo"; "lifo"; "topo"; "lrf" ]
     (List.map Scheduler.name Scheduler.all);
   List.iter
     (fun s ->
@@ -66,41 +66,6 @@ let test_lrf_order () =
     (Scheduler.pop t);
   Alcotest.(check bool) "empty" true (Scheduler.is_empty t)
 
-let test_wave_requires_plan () =
-  Alcotest.check_raises "wave without plan"
-    (Invalid_argument "Scheduler.make: `Wave requires a ~plan") (fun () ->
-      ignore (Scheduler.make `Wave))
-
-let test_wave_order () =
-  (* diamond 0 -> {1,2} -> 3: levels 0 / 1 / 2, every component trivial *)
-  let g = Pta_graph.Digraph.create ~n:4 () in
-  List.iter
-    (fun (u, v) -> ignore (Pta_graph.Digraph.add_edge g u v))
-    [ (0, 1); (0, 2); (1, 3); (2, 3) ];
-  let plan = Pta_graph.Wavefront.plan g in
-  let t = Scheduler.make ~plan `Wave in
-  List.iter
-    (fun x ->
-      Alcotest.(check bool) "fresh push accepted" true (Scheduler.push t x))
-    [ 3; 2; 1; 0 ];
-  Alcotest.(check bool) "duplicate push rejected" false (Scheduler.push t 3);
-  Alcotest.(check int) "dedup'd length" 4 (Scheduler.length t);
-  (* pops drain levels in ascending order regardless of push order *)
-  Alcotest.(check (option int)) "unique level-0 node first" (Some 0)
-    (Scheduler.pop t);
-  let mid = Scheduler.pop t in
-  Alcotest.(check bool) "a level-1 node next" true
-    (mid = Some 1 || mid = Some 2);
-  (* a push behind the cursor resets it: node 0 fires again before the
-     rest of level 1 *)
-  ignore (Scheduler.push t 0);
-  Alcotest.(check (option int)) "cursor reset backward" (Some 0)
-    (Scheduler.pop t);
-  let other = if mid = Some 1 then 2 else 1 in
-  Alcotest.(check (list int)) "rest of level 1, then the sink" [ other; 3 ]
-    (drain t);
-  Alcotest.(check bool) "empty" true (Scheduler.is_empty t)
-
 (* ---------- generic engine on a toy dataflow ---------- *)
 
 (* Transitive closure of "reaches" bitmasks over a small digraph: node v's
@@ -111,19 +76,12 @@ let toy_n = 6
 
 let toy_succs v = List.filter_map (fun (a, b) -> if a = v then Some b else None) toy_edges
 
-let toy_digraph () =
-  let g = Pta_graph.Digraph.create ~n:toy_n () in
-  List.iter (fun (a, b) -> ignore (Pta_graph.Digraph.add_edge g a b)) toy_edges;
-  g
-
 let run_toy ?budget strategy =
   let value = Array.init toy_n (fun v -> 1 lsl v) in
   let rank v = v in
   let scheduler =
     match strategy with
     | `Topo -> Scheduler.make ~rank `Topo
-    | `Wave ->
-      Scheduler.make ~plan:(Pta_graph.Wavefront.plan (toy_digraph ())) `Wave
     | s -> Scheduler.make s
   in
   let tel = Telemetry.phase ~sink:(Telemetry.create ()) ~name:"toy" ~scheduler:(Scheduler.name strategy) () in
@@ -157,9 +115,8 @@ let test_engine_fixpoint_all_schedulers () =
       let value, tel = run_toy s in
       Alcotest.(check (array int))
         (Scheduler.name s) reference value;
-      Alcotest.(check int) "steps = pops" tel.Telemetry.pops tel.Telemetry.steps;
-      Alcotest.(check bool) "grew <= steps" true
-        (tel.Telemetry.grew <= tel.Telemetry.steps);
+      Alcotest.(check bool) "grew <= pops" true
+        (tel.Telemetry.grew <= tel.Telemetry.pops);
       Alcotest.(check int) "one run segment" 1 tel.Telemetry.runs;
       Alcotest.(check int) "never paused" 0 tel.Telemetry.paused)
     Scheduler.all
@@ -184,7 +141,7 @@ let test_engine_time_budget_immediate_pause () =
   (match Engine.run ~budget:(Engine.time_budget (-1.0)) eng with
   | Engine.Paused _ -> ()
   | Engine.Fixpoint -> Alcotest.fail "expected Paused");
-  Alcotest.(check int) "nothing processed" 0 tel.Telemetry.steps;
+  Alcotest.(check int) "nothing processed" 0 tel.Telemetry.pops;
   Alcotest.(check int) "work retained" 1 (Engine.pending eng);
   (match Engine.run eng with
   | Engine.Fixpoint -> ()
@@ -460,7 +417,7 @@ let test_bench_json_roundtrip () =
   Alcotest.(check string) "scheduler" "topo" (str (field e "scheduler"));
   List.iter
     (fun k -> ignore (num (field e k)))
-    [ "pushes"; "dups"; "pops"; "steps"; "grew"; "runs"; "paused";
+    [ "pushes"; "dups"; "pops"; "grew"; "runs"; "paused";
       "wall_seconds" ];
   (match field e "extras" with
   | Obj _ -> ()
@@ -487,10 +444,6 @@ let () =
           Alcotest.test_case "fifo/lifo order" `Quick test_fifo_lifo_order;
           Alcotest.test_case "topo rank-at-pop" `Quick test_topo_order;
           Alcotest.test_case "lrf order" `Quick test_lrf_order;
-          Alcotest.test_case "wave requires plan" `Quick
-            test_wave_requires_plan;
-          Alcotest.test_case "wave order + dedup + cursor reset" `Quick
-            test_wave_order;
         ] );
       ( "engine",
         [

@@ -28,7 +28,7 @@ let test_oracle_registry () =
   Alcotest.(check (list string))
     "tower order (cheap to expensive)"
     [ "crash"; "andersen"; "equiv"; "unify"; "repr"; "sched"; "store"; "par";
-      "wave"; "serve" ]
+      "serve" ]
     Oracle.names;
   List.iter
     (fun n -> Alcotest.(check bool) n true (Oracle.find n <> None))
@@ -250,21 +250,6 @@ let test_par_oracle_on_corpus () =
         Alcotest.failf "%s: par oracle failed (%s): %s" file cls detail)
     entries
 
-let test_wave_oracle_on_corpus () =
-  (* the wave oracle (jobs=2 wavefront solves bit-identical to sequential,
-     across all five exact solvers) must hold on every persisted
-     reproducer, same as the par oracle above *)
-  let wave = Option.get (Oracle.find "wave") in
-  let entries = Corpus.load_dir corpus_dir in
-  Alcotest.(check bool) "corpus is non-empty" true (entries <> []);
-  List.iter
-    (fun (file, e) ->
-      match wave.Oracle.check e.Corpus.source with
-      | Oracle.Pass | Oracle.Rejected _ -> ()
-      | Oracle.Fail { cls; detail } ->
-        Alcotest.failf "%s: wave oracle failed (%s): %s" file cls detail)
-    entries
-
 (* ---------- driver ---------- *)
 
 let test_driver_clean_and_deterministic () =
@@ -311,8 +296,6 @@ let () =
           Alcotest.test_case "replay" `Slow test_corpus_replays;
           Alcotest.test_case "par oracle over corpus" `Slow
             test_par_oracle_on_corpus;
-          Alcotest.test_case "wave oracle over corpus" `Slow
-            test_wave_oracle_on_corpus;
         ] );
       ( "driver",
         [

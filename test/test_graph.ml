@@ -221,105 +221,6 @@ let prop_rpo_wellformed =
       Array.length rpo = Digraph.n_nodes g
       && Array.for_all (fun v -> Order.reachable order v) rpo)
 
-(* ---------- wavefront level plans ---------- *)
-
-let test_wavefront_simple () =
-  (* 0 -> {1,2} -> 3 with a 1<->4 cycle: diamond layering over the
-     condensation, the cycle collapsed into one component *)
-  let g = build (5, [ (0, 1); (0, 2); (1, 3); (2, 3); (1, 4); (4, 1) ]) in
-  let p = Wavefront.plan g in
-  Alcotest.(check int) "comps" 4 (Wavefront.n_comps p);
-  Alcotest.(check int) "levels (critical path)" 3 (Wavefront.n_levels p);
-  Alcotest.(check int) "source level" 0 (Wavefront.level_of_node p 0);
-  Alcotest.(check int) "sink level" 2 (Wavefront.level_of_node p 3);
-  Alcotest.(check int) "cycle shares a comp"
-    (Wavefront.comp_of_node p 1) (Wavefront.comp_of_node p 4);
-  Alcotest.(check int) "max width" 2 (Wavefront.max_width p);
-  Alcotest.(check (array int)) "widths" [| 1; 2; 1 |] (Wavefront.widths p)
-
-let prop_wave_edges_ascend =
-  QCheck2.Test.make
-    ~name:"wavefront: cross-comp edges go to strictly higher levels"
-    ~count:200 gen_graph (fun spec ->
-      let g = build spec in
-      let p = Wavefront.plan g in
-      let ok = ref true in
-      Digraph.iter_edges g (fun u v ->
-          if Wavefront.comp_of_node p u = Wavefront.comp_of_node p v then begin
-            if Wavefront.level_of_node p u <> Wavefront.level_of_node p v then
-              ok := false
-          end
-          else if Wavefront.level_of_node p u >= Wavefront.level_of_node p v
-          then ok := false);
-      !ok)
-
-let prop_wave_partition =
-  QCheck2.Test.make
-    ~name:"wavefront: comp members partition the nodes; levels partition \
-           the comps"
-    ~count:200 gen_graph (fun spec ->
-      let g = build spec in
-      let p = Wavefront.plan g in
-      let n = Digraph.n_nodes g in
-      (* every node appears exactly once, in its own component's members *)
-      let seen = Array.make n 0 in
-      for c = 0 to Wavefront.n_comps p - 1 do
-        Array.iter
-          (fun v ->
-            seen.(v) <- seen.(v) + 1;
-            if Wavefront.comp_of_node p v <> c then failwith "wrong comp")
-          (Wavefront.comp_members p c);
-        if Array.length (Wavefront.comp_members p c) <> Wavefront.comp_size p c
-        then failwith "comp_size"
-      done;
-      Array.for_all (fun k -> k = 1) seen
-      &&
-      (* comps_at_level covers each comp exactly once, at its own level *)
-      let comps = ref 0 in
-      for l = 0 to Wavefront.n_levels p - 1 do
-        Array.iter
-          (fun c ->
-            incr comps;
-            if Wavefront.level_of_comp p c <> l then failwith "wrong level")
-          (Wavefront.comps_at_level p l)
-      done;
-      !comps = Wavefront.n_comps p)
-
-let prop_wave_longest_path =
-  QCheck2.Test.make
-    ~name:"wavefront: level = longest path over the condensation" ~count:200
-    gen_graph (fun spec ->
-      let g = build spec in
-      let p = Wavefront.plan g in
-      (* recompute each comp's deepest cross-comp predecessor level *)
-      let deepest = Array.make (Wavefront.n_comps p) (-1) in
-      Digraph.iter_edges g (fun u v ->
-          let cu = Wavefront.comp_of_node p u
-          and cv = Wavefront.comp_of_node p v in
-          if cu <> cv then
-            deepest.(cv) <- max deepest.(cv) (Wavefront.level_of_comp p cu));
-      let ok = ref true in
-      for c = 0 to Wavefront.n_comps p - 1 do
-        if Wavefront.level_of_comp p c <> deepest.(c) + 1 then ok := false
-      done;
-      !ok)
-
-let prop_wave_widths =
-  QCheck2.Test.make ~name:"wavefront: width bookkeeping is consistent"
-    ~count:200 gen_graph (fun spec ->
-      let g = build spec in
-      let p = Wavefront.plan g in
-      let w = Wavefront.widths p in
-      Array.length w = Wavefront.n_levels p
-      && Array.fold_left ( + ) 0 w = Wavefront.n_comps p
-      && Array.fold_left max 0 w = Wavefront.max_width p
-      && (Wavefront.n_levels p = 0
-         || abs_float
-              (Wavefront.mean_width p
-              -. (float_of_int (Wavefront.n_comps p)
-                 /. float_of_int (Wavefront.n_levels p)))
-            < 1e-9))
-
 let () =
   Alcotest.run "pta_graph"
     [
@@ -345,13 +246,4 @@ let () =
           QCheck_alcotest.to_alcotest prop_dominators;
         ] );
       ("orders", [ QCheck_alcotest.to_alcotest prop_rpo_wellformed ]);
-      ( "wavefront",
-        [
-          Alcotest.test_case "diamond with a cycle" `Quick
-            test_wavefront_simple;
-          QCheck_alcotest.to_alcotest prop_wave_edges_ascend;
-          QCheck_alcotest.to_alcotest prop_wave_partition;
-          QCheck_alcotest.to_alcotest prop_wave_longest_path;
-          QCheck_alcotest.to_alcotest prop_wave_widths;
-        ] );
     ]

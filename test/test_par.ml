@@ -200,50 +200,6 @@ let prop_interleaved_domains_match_sequential =
       let got = Pool.run ~jobs:2 replay_ops [ seed_a; seed_b ] in
       got = [ exp_a; exp_b ])
 
-(* The wavefront merge invariant: per-domain frontier deltas arrive as
-   plain Bitsets and are folded into the caller's interned slots with
-   unions. Union is commutative and associative and the pool is
-   hash-consed, so within one generation ANY arrival order yields not just
-   equal contents but the very same Ptset (O(1) id equality) per slot —
-   which is why [Pta_par.Wave]'s barrier merge can process level-local
-   results in fixed (comp-id) order yet stay independent of which domain
-   finished first. Modelled here: k slots, each hit by a random subset of
-   deltas, merged once in canonical order and once per random
-   interleaving. *)
-let prop_delta_merge_order_independent =
-  QCheck2.Test.make
-    ~name:"frontier delta merge is order-independent (same Ptset ids)"
-    ~count:50
-    QCheck2.Gen.(
-      triple (1 -- 6)
-        (list_size (1 -- 12)
-           (pair (0 -- 5) (list_size (0 -- 8) (0 -- 200))))
-        (0 -- 10_000))
-    (fun (n_slots, deltas, shuffle_seed) ->
-      Ptset.reset ();
-      let deltas =
-        List.map
-          (fun (slot, elems) -> (slot mod n_slots, Pta_ds.Bitset.of_list elems))
-          deltas
-      in
-      let merge order =
-        let slots = Array.make n_slots Ptset.empty in
-        List.iter
-          (fun (slot, bits) ->
-            slots.(slot) <- Ptset.union slots.(slot) (Ptset.of_bitset bits))
-          order;
-        slots
-      in
-      let canonical = merge deltas in
-      let rng = Random.State.make [| shuffle_seed; 0xDADA |] in
-      let shuffled =
-        List.map snd
-          (List.sort compare
-             (List.map (fun d -> (Random.State.bits rng, d)) deltas))
-      in
-      let got = merge shuffled in
-      Array.for_all2 (fun a b -> Ptset.equal a b) canonical got)
-
 (* ---------- Stats / Telemetry confinement ---------- *)
 
 let test_stats_snapshot_merge () =
@@ -318,40 +274,6 @@ let test_parallel_solves_bit_identical () =
       Alcotest.(check (array (list int))) (ctx "object sets") seq_obj par_obj)
     (List.combine sequential parallel)
 
-(* ---------- wavefront-parallel solves bit-identical ---------- *)
-
-let test_wave_solves_bit_identical () =
-  let sources =
-    match Pta_fuzz.Corpus.load_dir corpus_dir with
-    | [] -> Alcotest.fail "corpus_fuzz is empty"
-    | entries ->
-      List.filteri (fun i _ -> i < 3)
-        (List.map (fun (_, e) -> e.Pta_fuzz.Corpus.source) entries)
-  in
-  List.iteri
-    (fun i src ->
-      Ptset.reset ();
-      let b = Pipeline.build_source src in
-      let enc_sfs r = Pta_store.Artifact.encode_points_to (Pipeline.points_to_of_sfs b r)
-      and enc_vsfs r =
-        Pta_store.Artifact.encode_points_to (Pipeline.points_to_of_vsfs b r)
-      in
-      let seq_sfs = enc_sfs (Pta_sfs.Sfs.solve (Pipeline.fresh_svfg b)) in
-      let seq_vsfs = enc_vsfs (Vsfs_core.Vsfs.solve (Pipeline.fresh_svfg b)) in
-      List.iter
-        (fun jobs ->
-          let ctx fmt = Printf.sprintf "program %d, jobs %d: %s" i jobs fmt in
-          Alcotest.(check bool) (ctx "sfs artifact byte-identical") true
-            (String.equal seq_sfs
-               (enc_sfs
-                  (Pta_sfs.Sfs.Wave.solve ~jobs (Pipeline.fresh_svfg b))));
-          Alcotest.(check bool) (ctx "vsfs artifact byte-identical") true
-            (String.equal seq_vsfs
-               (enc_vsfs
-                  (Vsfs_core.Vsfs.Wave.solve ~jobs (Pipeline.fresh_svfg b)))))
-        [ 1; 2 ])
-    sources
-
 let () =
   Alcotest.run "pta_par"
     [
@@ -381,7 +303,6 @@ let () =
           Alcotest.test_case "memo tables not shared" `Quick
             test_memo_tables_not_shared;
           QCheck_alcotest.to_alcotest prop_interleaved_domains_match_sequential;
-          QCheck_alcotest.to_alcotest prop_delta_merge_order_independent;
           Alcotest.test_case "stats snapshot/merge" `Quick
             test_stats_snapshot_merge;
           Alcotest.test_case "telemetry sink per domain" `Quick
@@ -391,7 +312,5 @@ let () =
         [
           Alcotest.test_case "parallel solves bit-identical" `Slow
             test_parallel_solves_bit_identical;
-          Alcotest.test_case "wave solves bit-identical" `Slow
-            test_wave_solves_bit_identical;
         ] );
     ]

@@ -445,18 +445,30 @@ let test_session_answers_cold () =
 
 let test_session_batch_equals_singles () =
   (* jobs=2 and a battery well past the inline threshold: the pooled path
-     must produce byte-identical answers to one-at-a-time queries *)
-  with_session ~with_vsfs:false ~jobs:2 src_base (fun _file s ->
-      let _, names, _ = cold_expectations src_base in
-      let all_names = Hashtbl.fold (fun n _ acc -> n :: acc) names [] in
-      let battery = battery_of_names (all_names @ all_names) in
-      Alcotest.(check bool) "battery is past the inline threshold" true
-        (List.length battery > 16);
-      let batched = Session.answers s battery in
-      let singles =
-        List.concat_map (fun q -> Session.answers s [ q ]) battery
-      in
-      Alcotest.(check bool) "batched = singles" true (batched = singles))
+     must produce byte-identical answers to one-at-a-time queries, and to a
+     jobs=1 session — with and without the VSFS cross-check on load *)
+  let _, names, _ = cold_expectations src_base in
+  let all_names = Hashtbl.fold (fun n _ acc -> n :: acc) names [] in
+  let battery = battery_of_names (all_names @ all_names) in
+  Alcotest.(check bool) "battery is past the inline threshold" true
+    (List.length battery > 16);
+  let sequential =
+    with_session ~with_vsfs:false ~jobs:1 src_base (fun _file s ->
+        Session.answers s battery)
+  in
+  List.iter
+    (fun with_vsfs ->
+      with_session ~with_vsfs ~jobs:2 src_base (fun _file s ->
+          let what = Printf.sprintf "with_vsfs=%b" with_vsfs in
+          let batched = Session.answers s battery in
+          let singles =
+            List.concat_map (fun q -> Session.answers s [ q ]) battery
+          in
+          Alcotest.(check bool) (what ^ ": batched = singles") true
+            (batched = singles);
+          Alcotest.(check bool) (what ^ ": jobs=2 = jobs=1") true
+            (batched = sequential)))
+    [ false; true ]
 
 let test_session_reload_identical_reuses_all () =
   with_session src_base (fun _file s ->
