@@ -8,7 +8,9 @@
 #   bench-smoke — scale-0.1 Table III run with --json; checks the
 #            machine-readable output carries the interning metrics
 #   fuzz-smoke — bounded differential-fuzzing run (fixed seed, all
-#            oracles); any failure means a solver-stage disagreement
+#            oracles, then the interned-set pool invariant after every
+#            case); any failure means a solver-stage disagreement or a
+#            corrupt set pool
 #   engine-smoke — run a tiny benchmark through SFS and VSFS under every
 #            engine scheduler and require byte-identical reports
 #   par-smoke — run the bench table and the fuzz campaign at --jobs 1 and
@@ -19,10 +21,6 @@
 #            batch `analyze` run bit-for-bit, append one function to the
 #            source, reload, and require the re-analysis to splice (reused
 #            functions > 0) while the report still matches the batch run
-#   hiset-smoke — small-scale mega-workload run under both set
-#            representations; the bench exits non-zero unless flat and
-#            hier reach bit-identical fixpoints, and the JSON must record
-#            bit_identical plus the hierarchical sharing counters
 #   lattice-smoke — `--pre unify` must leave SFS and VSFS reports
 #            byte-identical to `--pre none` on two suite benchmarks, and a
 #            resident daemon must answer tiered queries (unify/andersen
@@ -32,7 +30,6 @@
 DUNE ?= dune
 SMOKE_DIR := $(shell mktemp -d /tmp/pta-ci-cache.XXXXXX)
 BENCH_JSON := $(shell mktemp /tmp/pta-ci-bench.XXXXXX.json)
-HISET_JSON := $(shell mktemp /tmp/pta-ci-hiset.XXXXXX.json)
 ENGINE_DIR := $(shell mktemp -d /tmp/pta-ci-engine.XXXXXX)
 PAR_DIR := $(shell mktemp -d /tmp/pta-ci-par.XXXXXX)
 SERVE_DIR := $(shell mktemp -d /tmp/pta-ci-serve.XXXXXX)
@@ -42,10 +39,10 @@ SCHEDULERS := fifo lifo topo lrf
 PAR_TIMING_SED := s/"(seconds|pre_seconds|wall_seconds|andersen_s|time_ratio|jobs)": *[0-9.eE+-]+/"\1": 0/g
 
 .PHONY: ci build test smoke bench-smoke fuzz-smoke engine-smoke par-smoke \
-	serve-smoke hiset-smoke lattice-smoke clean
+	serve-smoke lattice-smoke clean
 
 ci: build test smoke bench-smoke fuzz-smoke engine-smoke par-smoke \
-	serve-smoke hiset-smoke lattice-smoke
+	serve-smoke lattice-smoke
 
 build:
 	$(DUNE) build @all
@@ -142,16 +139,6 @@ serve-smoke: build
 	wait $$pid
 	rm -rf $(SERVE_DIR)
 	@echo "== serve smoke OK =="
-
-hiset-smoke: build
-	@echo "== hiset smoke (flat vs hier on the mega workload; json: $(HISET_JSON)) =="
-	$(DUNE) exec bench/main.exe -- sets 0.02 --json $(HISET_JSON) > /dev/null
-	grep -q '"bit_identical": true' $(HISET_JSON)
-	grep -q '"representation": "hier"' $(HISET_JSON)
-	grep -q '"blocks_shared"' $(HISET_JSON)
-	grep -q '"summary_skips"' $(HISET_JSON)
-	rm -f $(HISET_JSON)
-	@echo "== hiset smoke OK =="
 
 lattice-smoke: build
 	@echo "== lattice smoke (--pre unify bit-identity, tiered serve; dir: $(LATTICE_DIR)) =="

@@ -7,11 +7,6 @@
      dune exec bench/main.exe -- tableI
      dune exec bench/main.exe -- tableII [scale]
      dune exec bench/main.exe -- tableIII [scale] [--json out.json]
-     dune exec bench/main.exe -- sets [scale] [--json out.json]
-                                              — flat vs hierarchical set
-                                                representations on the mega
-                                                workload (~10^6 objects at
-                                                scale 1; not part of "all")
      dune exec bench/main.exe -- ablations [scale]
      dune exec bench/main.exe -- warm [scale]
      dune exec bench/main.exe -- serve [scale]
@@ -151,30 +146,6 @@ let ptset_stats_json ~unique_sets ~pool_words =
     (hit_rate
        (g "ptset.add_hits" + g "ptset.union_hits" + g "ptset.delta_hits")
        (g "ptset.add_misses" + g "ptset.union_misses" + g "ptset.delta_misses"))
-
-(* The "sets" JSON section: which canonical representation backed the
-   interned pools, the hierarchical block population and how much of it was
-   physically shared, plus the two memo levels (per-block ops inside
-   [Hibitset]; per-operand-pair ops inside [Ptset]'s [Hier] mode). All
-   counters are zero under [Flat]. *)
-let sets_counters_json ~repr =
-  let g = Pta_ds.Stats.get in
-  Printf.sprintf
-    "{\"representation\": \"%s\", \"blocks_interned\": %d, \
-     \"blocks_shared\": %d, \"summary_skips\": %d, \
-     \"block_memo_hit_rate\": %.4f, \"op_memo_hit_rate\": %.4f}"
-    (json_escape repr)
-    (g "hiset.blocks_interned")
-    (g "hiset.block_reused")
-    (g "hiset.summary_skips")
-    (hit_rate
-       (g "hiset.block_union_hits" + g "hiset.block_diff_hits"
-       + g "hiset.block_inter_hits")
-       (g "hiset.block_union_misses" + g "hiset.block_diff_misses"
-       + g "hiset.block_inter_misses"))
-    (hit_rate
-       (g "hiset.union_hits" + g "hiset.delta_hits")
-       (g "hiset.union_misses" + g "hiset.delta_misses"))
 
 let host_json ~jobs =
   Printf.sprintf
@@ -348,277 +319,16 @@ let table3 ?(scale = 1.0) ?(check = true) ?(jobs = 1) ?json () =
       "{\n  \"scale\": %.4f,\n  \"jobs\": %d,\n  \"wall_seconds\": %.6f,\n  \
        \"host\": %s,\n  \"benchmarks\": [\n%s\n  ],\n  \"geomean\": \
        {\"time_ratio\": %.4f, \"mem_ratio\": %.4f, \"mem_ratio_shared\": \
-       %.4f, \"dedup_sfs\": %.4f, \"dedup_vsfs\": %.4f},\n  \"sets\": %s,\n  \
-       \"ptset\": %s\n}\n"
+       %.4f, \"dedup_sfs\": %.4f, \"dedup_vsfs\": %.4f},\n  \"ptset\": \
+       %s\n}\n"
       scale jobs wall_seconds (host_json ~jobs)
       (String.concat ",\n" (List.map (fun r -> r.r_json) results))
       (T.geomean time_ratios) (T.geomean mem_ratios)
       (T.geomean shared_mem_ratios)
       (T.geomean sfs_dedups) (T.geomean vsfs_dedups)
-      (sets_counters_json
-         ~repr:(Pta_ds.Ptset.repr_name (Pta_ds.Ptset.default_repr ())))
       (ptset_stats_json ~unique_sets ~pool_words);
     close_out oc;
     pf "machine-readable results written to %s@.@." path
-
-(* ------------------------------------------------------------------ *)
-(* Sets: flat vs hierarchical canonical representations on the mega    *)
-(* workload (~10^6 abstract objects).                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Everything one representation's run contributes. Both runs happen on
-   the calling domain, back to back, each inside a fresh pool generation
-   ([set_default_repr] + [reset]), so the figures differ only in the
-   canonical representation behind the ids. *)
-type sets_run = {
-  k_repr : string;
-  k_compile : float;
-  k_solve : float;
-  k_digest : int;  (** combined {!Ptset.content_hash} over every variable *)
-  k_vars : int;
-  k_objects : int;
-  k_unique : int;
-  k_pool_words : int;
-  k_t_unique : int;
-  k_t_shared : int;
-  k_t_unshared : int;
-  k_t_blocks : int;
-  k_t_block_words : int;
-  k_top_n : int;
-  k_top_shared : int;
-  k_top_unshared : int;
-  k_replay : (string * float) list;  (** op class -> seconds *)
-  k_counters : string;  (** {!sets_counters_json}, rendered while live *)
-}
-
-(* How many of the largest distinct result sets the replay phase works
-   over, and how many timed operations per class. The mega workload's top
-   sets are the reader sets: near-identical million-element sets differing
-   in one private object — the regime where block sharing turns whole-set
-   walks into per-group id comparisons. *)
-let sets_top_n = 320
-let sets_replay_pairs = 4000
-let sets_replay_alloc_pairs = 1500
-
-let sets_entry ~repr src =
-  Pta_ds.Ptset.set_default_repr repr;
-  Pta_ds.Ptset.reset ();
-  Pta_ds.Stats.reset_all ();
-  let name = Pta_ds.Ptset.repr_name repr in
-  let prog, compile_s =
-    Pipeline.time (fun () -> Pta_cfront.Lower.compile src)
-  in
-  let r, solve_s =
-    Pipeline.time (fun () -> Pta_andersen.Solver.solve prog)
-  in
-  Printf.eprintf "  [done] %-5s compile=%.2fs andersen=%.2fs\n%!" name
-    compile_s solve_s;
-  (* Representation-independent digest of every variable's final set; this
-     is the bit-identity oracle between the two runs. *)
-  let digest = ref 5381 in
-  Pta_ir.Prog.iter_vars prog (fun v ->
-      let h = Pta_ds.Ptset.content_hash (Pta_andersen.Solver.pts_id r v) in
-      digest := ((!digest * 33) + h) land max_int);
-  (* Footprints, read before the replay phase interns anything new. *)
-  let unique = Pta_ds.Ptset.n_unique () in
-  let pool_words = Pta_ds.Ptset.pool_words () in
-  let tally = Pta_ds.Ptset.Tally.create () in
-  Pta_ir.Prog.iter_vars prog (fun v ->
-      Pta_ds.Ptset.Tally.visit tally (Pta_andersen.Solver.pts_id r v));
-  (* The replay working set: the [sets_top_n] largest distinct result sets,
-     selected by (cardinal, content hash) so both representations replay
-     the same sets in the same order. *)
-  let ids =
-    let seen = Hashtbl.create 4096 in
-    Pta_ir.Prog.iter_vars prog (fun v ->
-        let id = Pta_andersen.Solver.pts_id r v in
-        Hashtbl.replace seen (id :> int) id);
-    let keyed =
-      Hashtbl.fold
-        (fun _ id acc ->
-          ((Pta_ds.Ptset.cardinal id, Pta_ds.Ptset.content_hash id), id) :: acc)
-        seen []
-    in
-    let keyed =
-      List.sort
-        (fun ((ca, ha), _) ((cb, hb), _) ->
-          if ca <> cb then compare cb ca else compare ha hb)
-        keyed
-    in
-    let rec take n = function
-      | x :: tl when n > 0 -> x :: take (n - 1) tl
-      | _ -> []
-    in
-    Array.of_list (List.map snd (take sets_top_n keyed))
-  in
-  let top = Pta_ds.Ptset.Tally.create () in
-  Array.iter (Pta_ds.Ptset.Tally.visit top) ids;
-  let replay =
-    let n = Array.length ids in
-    let classes =
-      [
-        ("diff", sets_replay_pairs,
-         fun a b -> ignore (Pta_ds.Ptset.diff a b));
-        ("subset", sets_replay_pairs,
-         fun a b -> ignore (Pta_ds.Ptset.subset a b));
-        ("union", sets_replay_alloc_pairs,
-         fun a b -> ignore (Pta_ds.Ptset.union a b));
-        ("union_delta", sets_replay_alloc_pairs,
-         fun a b -> ignore (Pta_ds.Ptset.union_delta a b));
-      ]
-    in
-    if n < 2 then List.map (fun (name, _, _) -> (name, 0.)) classes
-    else
-      (* Deterministic mostly-injective pair stream: prime strides through
-         the id array, so memo hits reflect block sharing rather than
-         repeated operand pairs. Each class gets its own stream offset —
-         otherwise a later class re-walks the pairs an earlier class already
-         memoized (union_delta riding union's cache, say) and its timing
-         measures the memo, not the operation. *)
-      let pair off k =
-        (* [off] shifts the two strides by different phases; a shared
-           additive shift would collapse mod [n] into the same pair set. *)
-        let i = (k * 7919 + off) mod n in
-        let j = (k * 104729 + 2 * off + 1) mod n in
-        (ids.(i), ids.(if j = i then (j + 1) mod n else j))
-      in
-      List.mapi
-        (fun ci (cls, count, f) ->
-          let off = ci * 127 in
-          let (), s =
-            Pipeline.time (fun () ->
-                for k = 0 to count - 1 do
-                  let a, b = pair off k in
-                  f a b
-                done)
-          in
-          Printf.eprintf "  [done] %-5s replay %-11s %d ops in %.3fs\n%!"
-            name cls count s;
-          (cls, s))
-        classes
-  in
-  {
-    k_repr = name;
-    k_compile = compile_s;
-    k_solve = solve_s;
-    k_digest = !digest;
-    k_vars = Pta_ir.Prog.n_vars prog;
-    k_objects = Pta_ir.Prog.count_objects prog;
-    k_unique = unique;
-    k_pool_words = pool_words;
-    k_t_unique = Pta_ds.Ptset.Tally.unique tally;
-    k_t_shared = Pta_ds.Ptset.Tally.shared_words tally;
-    k_t_unshared = Pta_ds.Ptset.Tally.unshared_words tally;
-    k_t_blocks = Pta_ds.Ptset.Tally.unique_blocks tally;
-    k_t_block_words = Pta_ds.Ptset.Tally.block_words tally;
-    k_top_n = Array.length ids;
-    k_top_shared = Pta_ds.Ptset.Tally.shared_words top;
-    k_top_unshared = Pta_ds.Ptset.Tally.unshared_words top;
-    k_replay = replay;
-    k_counters = sets_counters_json ~repr:name;
-  }
-
-let sets_run_json k =
-  Printf.sprintf
-    "    {\"representation\": \"%s\", \"compile_s\": %.6f, \"solve_s\": \
-     %.6f, \"digest\": %d, \"vars\": %d, \"objects\": %d, \"unique_sets\": \
-     %d, \"pool_words\": %d, \"tally\": {\"unique\": %d, \"shared_words\": \
-     %d, \"unshared_words\": %d, \"unique_blocks\": %d, \"block_words\": \
-     %d}, \"top_sets\": {\"n\": %d, \"shared_words\": %d, \
-     \"unshared_words\": %d}, \"replay_s\": {%s}, \"sets\": %s}"
-    (json_escape k.k_repr) k.k_compile k.k_solve k.k_digest k.k_vars
-    k.k_objects k.k_unique k.k_pool_words k.k_t_unique k.k_t_shared
-    k.k_t_unshared k.k_t_blocks k.k_t_block_words k.k_top_n k.k_top_shared
-    k.k_top_unshared
-    (String.concat ", "
-       (List.map
-          (fun (name, s) -> Printf.sprintf "\"%s\": %.6f" name s)
-          k.k_replay))
-    k.k_counters
-
-let sets_bench ?(scale = 1.0) ?json () =
-  let cfg = Gen.mega_scaled scale in
-  pf "== Sets: flat vs hierarchical representations (mega workload) ==@.@.";
-  pf "~%d abstract objects, %d reader sets (scale %.3f). Both runs execute@."
-    cfg.Gen.m_objects cfg.Gen.m_readers scale;
-  pf "the same Andersen fixpoint behind the same interned-set API; only the@.";
-  pf "canonical representation differs. 'Digest equal' is a content hash@.";
-  pf "over every variable's final points-to set. The replay phase times@.";
-  pf "diff/subset/union/union_delta streams over the %d largest distinct@."
-    sets_top_n;
-  pf "result sets (the near-identical reader sets).@.@.";
-  let src = Gen.mega_source cfg in
-  pf "generated source: %d LOC@.@." (Gen.loc src);
-  let saved = Pta_ds.Ptset.default_repr () in
-  let flat = sets_entry ~repr:Pta_ds.Ptset.Flat src in
-  let hier = sets_entry ~repr:Pta_ds.Ptset.Hier src in
-  Pta_ds.Ptset.set_default_repr saved;
-  Pta_ds.Ptset.reset ();
-  let identical = flat.k_digest = hier.k_digest in
-  let mb w = float w *. 8. /. 1048576. in
-  let ms name k = 1000. *. List.assoc name k.k_replay in
-  T.render Format.std_formatter
-    ~header:
-      [ "Repr."; "Andersen"; "Pool MB"; "Result MB"; "Top-set MB";
-        "diff ms"; "subset ms"; "union ms"; "delta ms" ]
-    ~align:[ T.L; T.R; T.R; T.R; T.R; T.R; T.R; T.R; T.R ]
-    (List.map
-       (fun k ->
-         [
-           k.k_repr;
-           Printf.sprintf "%.2f" k.k_solve;
-           Printf.sprintf "%.1f" (mb k.k_pool_words);
-           Printf.sprintf "%.1f" (mb k.k_t_shared);
-           Printf.sprintf "%.1f" (mb k.k_top_shared);
-           Printf.sprintf "%.1f" (ms "diff" k);
-           Printf.sprintf "%.1f" (ms "subset" k);
-           Printf.sprintf "%.1f" (ms "union" k);
-           Printf.sprintf "%.1f" (ms "union_delta" k);
-         ])
-       [ flat; hier ]);
-  let classes = [ "diff"; "subset"; "union"; "union_delta" ] in
-  let rtime name =
-    List.assoc name flat.k_replay /. max (List.assoc name hier.k_replay) 1e-9
-  in
-  let setop_geomean = T.geomean (List.map rtime classes) in
-  let solve_ratio = flat.k_solve /. max hier.k_solve 1e-9 in
-  let pool_ratio =
-    float flat.k_pool_words /. float (max hier.k_pool_words 1)
-  in
-  let top_ratio =
-    float flat.k_top_shared /. float (max hier.k_top_shared 1)
-  in
-  pf "@.results digest equal:            %s@."
-    (if identical then "yes" else "NO! (representations disagree)");
-  pf "set-op replay geomean (flat/hier): %.2fx@." setop_geomean;
-  List.iter (fun c -> pf "  %-12s %.2fx@." c (rtime c)) classes;
-  pf "Andersen solve ratio:            %.2fx@." solve_ratio;
-  pf "pool footprint ratio:            %.2fx (%d vs %d words)@." pool_ratio
-    flat.k_pool_words hier.k_pool_words;
-  pf "top-set footprint ratio:         %.2fx (%d vs %d words, %d sets)@."
-    top_ratio flat.k_top_shared hier.k_top_shared flat.k_top_n;
-  pf "hier blocks: %d interned, %d words (result tally: %d distinct)@.@."
-    hier.k_t_blocks hier.k_t_block_words hier.k_t_blocks;
-  (match json with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    Printf.fprintf oc
-      "{\n  \"scale\": %.4f,\n  \"workload\": {\"objects\": %d, \
-       \"readers\": %d, \"loc\": %d},\n  \"bit_identical\": %b,\n  \
-       \"runs\": [\n%s,\n%s\n  ],\n  \"ratios\": {\"solve\": %.4f, %s, \
-       \"setop_geomean\": %.4f, \"pool_words\": %.4f, \"top_set_words\": \
-       %.4f},\n  \"host\": %s\n}\n"
-      scale cfg.Gen.m_objects cfg.Gen.m_readers (Gen.loc src) identical
-      (sets_run_json flat) (sets_run_json hier) solve_ratio
-      (String.concat ", "
-         (List.map
-            (fun c -> Printf.sprintf "\"%s\": %.4f" c (rtime c))
-            classes))
-      setop_geomean pool_ratio top_ratio (host_json ~jobs:1);
-    close_out oc;
-    pf "machine-readable results written to %s@.@." path);
-  identical
 
 (* ------------------------------------------------------------------ *)
 (* Ablations.                                                          *)
@@ -999,16 +709,13 @@ let () =
   in
   let has cmd = List.mem cmd argv in
   let default = not (List.exists (fun c -> has c)
-                       [ "tableI"; "tableII"; "tableIII"; "sets"; "ablations";
+                       [ "tableI"; "tableII"; "tableIII"; "ablations";
                          "warm"; "serve"; "micro"; "all" ]) in
   (* bare invocation = everything, so a tee'd run records the full
-     reproduction ("sets" stays opt-in: the mega workload is deliberately
-     out of scale with the rest of the suite) *)
+     reproduction *)
   if has "tableI" || has "all" || default then table1 ();
   if has "tableII" || has "all" || default then table2 ~scale ();
   if has "tableIII" || has "all" || default then table3 ~scale ~jobs ?json ();
-  if has "sets" then
-    if not (sets_bench ~scale ?json ()) then exit 1;
   if has "ablations" || has "all" || default then ablations ~scale ();
   if has "warm" || has "all" || default then warm ~scale ~jobs ();
   if has "serve" || has "all" || default then serve_bench ~scale ();

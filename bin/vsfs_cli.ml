@@ -361,8 +361,9 @@ let fuzz_cmd =
          "Differential fuzzing: generate adversarial mini-C programs and \
           check every solver stage against the oracle tower (crash safety, \
           Naive-vs-Andersen soundness, Dense/SFS/VSFS equivalence, store \
-          round-trip). Failures are delta-debugged to a minimal reproducer. \
-          Exits 1 if any case fails.")
+          round-trip), then check the interned-set pool invariant. Oracle \
+          failures are delta-debugged to a minimal reproducer. Exits 1 if \
+          any case fails.")
     Term.(
       const fuzz $ runs $ seed $ max_shrink_steps $ oracle $ corpus_dir $ jobs)
 

@@ -28,12 +28,6 @@ val solve :
 val pts : result -> Pta_ir.Inst.var -> Pta_ds.Bitset.t
 (** Points-to set (object ids) of a variable. Do not mutate. *)
 
-val pts_id : result -> Pta_ir.Inst.var -> Pta_ds.Ptset.t
-(** The interned id behind {!pts} — lets large-scale consumers digest or
-    tally results (e.g. via {!Pta_ds.Ptset.content_hash}) without
-    materialising a flat view per variable. Domain-local like every
-    [Ptset.t]. *)
-
 val points_to : result -> Pta_ir.Inst.var -> Pta_ir.Inst.var -> bool
 
 val callgraph : result -> Pta_ir.Callgraph.t

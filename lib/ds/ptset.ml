@@ -1,80 +1,31 @@
 (* Hash-consed points-to sets.
 
-   A set is an [int] id into a domain-local intern pool of canonical sets:
-   structurally equal sets always share one id (and one heap
+   A set is an [int] id into a domain-local intern pool of canonical flat
+   [Bitset]s: structurally equal sets always share one id (and one heap
    representation), so set equality is integer equality and every solver
    that materialises "the same set at a thousand program points" stores it
    once. On top of the pool sit memo caches for the hot operations —
-   [add], [union] and [union_delta] — keyed by operand ids: once a union
-   of two interned sets has been computed, every later occurrence on the
-   same domain is a single hash-table probe. [union_delta] additionally
+   [add], [union], [union_delta] and [diff] — keyed by operand ids: once a
+   union of two interned sets has been computed, every later occurrence on
+   the same domain is a single hash-table probe. [union_delta] additionally
    returns the interned set of elements actually added, which is what makes
    difference propagation in the flow-sensitive solvers fall out for free.
-
-   Two canonical representations sit behind the same id API:
-
-   - [Flat]: one sparse [Bitset] per unique set — every operation walks
-     words proportional to the universe, which drowns near 10^6 objects.
-   - [Hier]: a two-level [Hibitset] — hash-consed 1008-element blocks
-     shared *across* interned sets under per-group summary words, so set
-     operations skip untouched regions wholesale and the operation-level
-     memos land as ["hiset.union_hits"/"misses"] and
-     ["hiset.delta_hits"/"misses"] next to the representation-independent
-     ["ptset.*"] counters.
-
-   The representation is chosen per pool generation ([set_default_repr] +
-   [reset]; initial default from [PTA_SET_REPR]) and is invisible at call
-   sites: ids, fast paths, memo keys and results are identical either way,
-   which the fuzz "repr" oracle and [content_hash] enforce.
 
    All ids and elements must stay below 2^31 so that an (id, id) or
    (id, element) pair packs into one OCaml int; the packing is checked, not
    assumed (cf. the silent collision the unchecked VSFS key had). *)
 
-module HCF = Hashcons.Make (struct
+module HC = Hashcons.Make (struct
   type t = Bitset.t
 
   let equal = Bitset.equal
   let hash = Bitset.hash
 end)
 
-module HCH = Hashcons.Make (struct
-  type t = Hibitset.t
-
-  let equal = Hibitset.equal
-  let hash = Hibitset.hash
-end)
-
 type t = int
-type repr = Flat | Hier
-
-let repr_name = function Flat -> "flat" | Hier -> "hier"
-
-let repr_of_string = function
-  | "flat" -> Some Flat
-  | "hier" -> Some Hier
-  | _ -> None
-
-(* Initial per-domain default; [PTA_SET_REPR=flat] restores the PR-2
-   representation wholesale, e.g. to bisect a suspected repr bug. *)
-let initial_repr () =
-  match Sys.getenv_opt "PTA_SET_REPR" with
-  | Some s -> (
-    match repr_of_string s with
-    | Some r -> r
-    | None -> invalid_arg ("PTA_SET_REPR: unknown representation " ^ s))
-  | None -> Hier
-
-let dls_default_repr = Domain.DLS.new_key initial_repr
-let default_repr () = Domain.DLS.get dls_default_repr
-let set_default_repr r = Domain.DLS.set dls_default_repr r
 
 type state = {
-  repr : repr;
-  poolf : HCF.t; (* canonical sets when [repr = Flat] *)
-  poolh : HCH.t; (* canonical sets when [repr = Hier] *)
-  views : (int, Bitset.t) Hashtbl.t; (* Hier only: flat views, memoized *)
-  hashes : (int, int) Hashtbl.t; (* content_hash memo *)
+  pool : HC.t;
   add_memo : (int, int) Hashtbl.t;
   union_memo : (int, int) Hashtbl.t;
   delta_memo : (int, int * int) Hashtbl.t;
@@ -82,21 +33,11 @@ type state = {
 }
 
 let fresh_state () =
-  let repr = default_repr () in
-  let poolf = HCF.create (match repr with Flat -> 4096 | Hier -> 16) in
-  let poolh = HCH.create (match repr with Hier -> 4096 | Flat -> 16) in
-  let eps =
-    match repr with
-    | Flat -> HCF.intern poolf (Bitset.create ())
-    | Hier -> HCH.intern poolh Hibitset.empty
-  in
+  let pool = HC.create 4096 in
+  let eps = HC.intern pool (Bitset.create ()) in
   assert (eps = 0);
   {
-    repr;
-    poolf;
-    poolh;
-    views = Hashtbl.create (match repr with Hier -> 1024 | Flat -> 16);
-    hashes = Hashtbl.create 64;
+    pool;
     add_memo = Hashtbl.create 4096;
     union_memo = Hashtbl.create 4096;
     delta_memo = Hashtbl.create 4096;
@@ -112,14 +53,7 @@ let fresh_state () =
    data), never [Ptset.t]. *)
 let dls_state = Domain.DLS.new_key fresh_state
 let state () = Domain.DLS.get dls_state
-
-let reset () =
-  (* Block ids inside interned [Hibitset]s point into [Hibitset]'s own
-     domain-local pool; the two generations roll over together. *)
-  Hibitset.reset_pool ();
-  Domain.DLS.set dls_state (fresh_state ())
-
-let current_repr () = (state ()).repr
+let reset () = Domain.DLS.set dls_state (fresh_state ())
 
 let empty = 0
 let is_empty id = id = 0
@@ -129,8 +63,7 @@ let compare_id : t -> t -> int = Int.compare
 
 (* Memo keys pack two ids (or an id and an element) into one OCaml int, so
    both halves are bounded by a *named, checked* width — large enough for
-   ~2·10^9 interned sets or abstract objects, i.e. three orders of
-   magnitude above the mega workload's ~10^6. *)
+   ~2·10^9 interned sets or abstract objects. *)
 let key_bits = 31
 let key_limit = 1 lsl key_bits
 
@@ -139,59 +72,25 @@ let pack a b =
     invalid_arg "Ptset: id or element exceeds the 31-bit packed-key range";
   (a lsl key_bits) lor b
 
-(* Canonical value accessors. [hview] is the native Hier lookup; [view]
-   always yields a flat [Bitset] — in Hier mode it materialises (and
-   memoizes) one per id, so it is a boundary/report operation, never a
-   solver-loop one. *)
-let hview id = HCH.get (state ()).poolh id
-
-let view id =
-  let st = state () in
-  match st.repr with
-  | Flat -> HCF.get st.poolf id
-  | Hier -> (
-    match Hashtbl.find_opt st.views id with
-    | Some s -> s
-    | None ->
-      let s = Hibitset.to_bitset (HCH.get st.poolh id) in
-      Hashtbl.add st.views id s;
-      s)
+let unpack key = (key lsr key_bits, key land (key_limit - 1))
+let view id = HC.get (state ()).pool id
 
 (* Intern a set the caller owns (and will never mutate again). *)
 let intern_owned s =
   let st = state () in
-  match HCF.find_opt st.poolf s with
+  match HC.find_opt st.pool s with
   | Some id -> id
   | None ->
     Stats.incr "ptset.interned";
-    HCF.intern st.poolf s
-
-let intern_owned_h h =
-  let st = state () in
-  match HCH.find_opt st.poolh h with
-  | Some id -> id
-  | None ->
-    Stats.incr "ptset.interned";
-    HCH.intern st.poolh h
+    HC.intern st.pool s
 
 let of_bitset s =
-  let st = state () in
-  match st.repr with
-  | Flat -> (
-    match HCF.find_opt st.poolf s with
-    | Some id -> id
-    | None -> intern_owned (Bitset.copy s))
-  | Hier -> intern_owned_h (Hibitset.of_bitset s)
+  match HC.find_opt (state ()).pool s with
+  | Some id -> id
+  | None -> intern_owned (Bitset.copy s)
 
-let of_list l =
-  match (state ()).repr with
-  | Flat -> intern_owned (Bitset.of_list l)
-  | Hier -> intern_owned_h (Hibitset.of_list l)
-
-let mem id x =
-  match (state ()).repr with
-  | Flat -> Bitset.mem (view id) x
-  | Hier -> Hibitset.mem (hview id) x
+let of_list l = intern_owned (Bitset.of_list l)
+let mem id x = Bitset.mem (view id) x
 
 let add id x =
   if mem id x then id
@@ -204,14 +103,9 @@ let add id x =
       r
     | None ->
       Stats.incr "ptset.add_misses";
-      let r =
-        match st.repr with
-        | Flat ->
-          let s = Bitset.copy (view id) in
-          ignore (Bitset.add s x);
-          intern_owned s
-        | Hier -> intern_owned_h (Hibitset.add (hview id) x)
-      in
+      let s = Bitset.copy (view id) in
+      ignore (Bitset.add s x);
+      let r = intern_owned s in
       Hashtbl.add st.add_memo key r;
       r
   end
@@ -227,24 +121,15 @@ let union a b =
     match Hashtbl.find_opt st.union_memo key with
     | Some r ->
       Stats.incr "ptset.union_hits";
-      if st.repr = Hier then Stats.incr "hiset.union_hits";
       r
     | None ->
       Stats.incr "ptset.union_misses";
+      let sa = view a and sb = view b in
+      (* Subset fast paths return an existing id without allocating. *)
       let r =
-        match st.repr with
-        | Flat ->
-          let sa = view a and sb = view b in
-          (* Subset fast paths return an existing id without allocating. *)
-          if Bitset.subset sb sa then a
-          else if Bitset.subset sa sb then b
-          else intern_owned (Bitset.union sa sb)
-        | Hier ->
-          Stats.incr "hiset.union_misses";
-          let sa = hview a and sb = hview b in
-          if Hibitset.subset sb sa then a
-          else if Hibitset.subset sa sb then b
-          else intern_owned_h (Hibitset.union sa sb)
+        if Bitset.subset sb sa then a
+        else if Bitset.subset sa sb then b
+        else intern_owned (Bitset.union sa sb)
       in
       Hashtbl.add st.union_memo key r;
       r
@@ -259,38 +144,12 @@ let union_delta a b =
     match Hashtbl.find_opt st.delta_memo key with
     | Some r ->
       Stats.incr "ptset.delta_hits";
-      if st.repr = Hier then Stats.incr "hiset.delta_hits";
       r
     | None ->
       Stats.incr "ptset.delta_misses";
+      let d = Bitset.diff (view b) (view a) in
       let r =
-        match st.repr with
-        | Flat ->
-          let d = Bitset.diff (view b) (view a) in
-          if Bitset.is_empty d then (a, empty)
-          else (union a b, intern_owned d)
-        | Hier -> (
-          Stats.incr "hiset.delta_misses";
-          let ukey = pack (min a b) (max a b) in
-          match Hashtbl.find_opt st.union_memo ukey with
-          | Some uid ->
-            (* The union is already cached (either order) — only the delta
-               remains, exactly as the Flat path gets by routing through
-               [union]. *)
-            let d = Hibitset.diff (hview b) (hview a) in
-            if Hibitset.is_empty d then (a, empty)
-            else (uid, intern_owned_h d)
-          | None ->
-            let sa = hview a and sb = hview b in
-            let u, d = Hibitset.union_delta sa sb in
-            if Hibitset.is_empty d then (a, empty)
-            else begin
-              let uid = intern_owned_h u in
-              (* Seed the commutative union cache so a later [union a b] is
-                 a probe. *)
-              Hashtbl.add st.union_memo ukey uid;
-              (uid, intern_owned_h d)
-            end)
+        if Bitset.is_empty d then (a, empty) else (union a b, intern_owned d)
       in
       Hashtbl.add st.delta_memo key r;
       r
@@ -308,11 +167,7 @@ let diff a b =
       r
     | None ->
       Stats.incr "ptset.diff_misses";
-      let r =
-        match st.repr with
-        | Flat -> intern_owned (Bitset.diff (view a) (view b))
-        | Hier -> intern_owned_h (Hibitset.diff (hview a) (hview b))
-      in
+      let r = intern_owned (Bitset.diff (view a) (view b)) in
       Hashtbl.add st.diff_memo key r;
       r
   end
@@ -320,129 +175,103 @@ let diff a b =
 let inter a b =
   if a = b then a
   else if a = empty || b = empty then empty
-  else
-    match (state ()).repr with
-    | Flat -> intern_owned (Bitset.inter (view a) (view b))
-    | Hier -> intern_owned_h (Hibitset.inter (hview a) (hview b))
+  else intern_owned (Bitset.inter (view a) (view b))
 
-let subset a b =
-  a = b
-  ||
-  match (state ()).repr with
-  | Flat -> Bitset.subset (view a) (view b)
-  | Hier -> Hibitset.subset (hview a) (hview b)
-
-let cardinal id =
-  match (state ()).repr with
-  | Flat -> Bitset.cardinal (view id)
-  | Hier -> Hibitset.cardinal (hview id)
-
-let iter f id =
-  match (state ()).repr with
-  | Flat -> Bitset.iter f (view id)
-  | Hier -> Hibitset.iter f (hview id)
-
-let fold f id acc =
-  match (state ()).repr with
-  | Flat -> Bitset.fold f (view id) acc
-  | Hier -> Hibitset.fold f (hview id) acc
-
-let elements id =
-  match (state ()).repr with
-  | Flat -> Bitset.elements (view id)
-  | Hier -> Hibitset.elements (hview id)
-
-let choose id =
-  match (state ()).repr with
-  | Flat -> Bitset.choose (view id)
-  | Hier -> Hibitset.choose (hview id)
-
-let words id =
-  match (state ()).repr with
-  | Flat -> Bitset.words (view id)
-  | Hier -> Hibitset.words (hview id)
-
-let content_hash id =
-  let st = state () in
-  match Hashtbl.find_opt st.hashes id with
-  | Some h -> h
-  | None ->
-    let h = ref 5381 in
-    let mix w word =
-      h := (!h * 33) + (w land max_int);
-      h := (!h * 33) + (word land max_int)
-    in
-    (match st.repr with
-    | Flat -> Bitset.iter_words mix (HCF.get st.poolf id)
-    | Hier -> Hibitset.iter_words mix (HCH.get st.poolh id));
-    let v = !h land max_int in
-    Hashtbl.add st.hashes id v;
-    v
-
-let n_unique () =
-  let st = state () in
-  match st.repr with Flat -> HCF.count st.poolf | Hier -> HCH.count st.poolh
+let subset a b = a = b || Bitset.subset (view a) (view b)
+let cardinal id = Bitset.cardinal (view id)
+let iter f id = Bitset.iter f (view id)
+let fold f id acc = Bitset.fold f (view id) acc
+let elements id = Bitset.elements (view id)
+let choose id = Bitset.choose (view id)
+let words id = Bitset.words (view id)
+let n_unique () = HC.count (state ()).pool
 
 let pool_words () =
-  let st = state () in
-  match st.repr with
-  | Flat ->
-    let total = ref 0 in
-    HCF.iter (fun _ s -> total := !total + Bitset.words s) st.poolf;
-    !total
-  | Hier ->
-    (* Per-set skeletons plus each distinct block's content once — the
-       honest pool-wide footprint under block sharing. *)
-    let total = ref (Hibitset.pool_block_words ()) in
-    HCH.iter (fun _ h -> total := !total + Hibitset.skeleton_words h) st.poolh;
-    !total
+  let total = ref 0 in
+  HC.iter (fun _ s -> total := !total + Bitset.words s) (state ()).pool;
+  !total
 
-let pp ppf id =
-  match (state ()).repr with
-  | Flat -> Bitset.pp ppf (view id)
-  | Hier -> Hibitset.pp ppf (hview id)
+let pp ppf id = Bitset.pp ppf (view id)
+
+(* ---------- the pool invariant ---------- *)
+
+(* Every canonical set must re-intern to its own id (no duplicate or
+   mutated pool entries), and every memo entry must equal what a fresh
+   [Bitset] recomputation from its unpacked operands gives — a packed-key
+   collision or a stale entry fails here. The first violation is
+   reported. *)
+let check_pool () =
+  let st = state () in
+  let n = HC.count st.pool in
+  let err = ref None in
+  let fail fmt =
+    Printf.ksprintf (fun m -> if !err = None then err := Some m) fmt
+  in
+  let live id = id >= 0 && id < n in
+  HC.iter
+    (fun id s ->
+      match HC.find_opt st.pool s with
+      | Some id' when id' = id -> ()
+      | Some id' -> fail "pool: set %d re-interns to %d" id id'
+      | None -> fail "pool: set %d is no longer interned" id)
+    st.pool;
+  let same what key r expected =
+    if not (live r && Bitset.equal (HC.get st.pool r) expected) then
+      let a, b = unpack key in
+      fail "%s memo: (%d, %d) -> %d differs from recomputation" what a b r
+  in
+  let operands what key k =
+    let a, b = unpack key in
+    if live a && live b then k (HC.get st.pool a) (HC.get st.pool b)
+    else fail "%s memo: operand (%d, %d) outside the pool" what a b
+  in
+  Hashtbl.iter
+    (fun key r ->
+      let a, x = unpack key in
+      if not (live a) then fail "add memo: set %d outside the pool" a
+      else begin
+        let s = Bitset.copy (HC.get st.pool a) in
+        ignore (Bitset.add s x);
+        same "add" key r s
+      end)
+    st.add_memo;
+  Hashtbl.iter
+    (fun key r ->
+      operands "union" key (fun sa sb ->
+          same "union" key r (Bitset.union sa sb)))
+    st.union_memo;
+  Hashtbl.iter
+    (fun key (u, d) ->
+      operands "union_delta" key (fun sa sb ->
+          same "union_delta" key u (Bitset.union sa sb);
+          same "union_delta" key d (Bitset.diff sb sa)))
+    st.delta_memo;
+  Hashtbl.iter
+    (fun key r ->
+      operands "diff" key (fun sa sb -> same "diff" key r (Bitset.diff sa sb)))
+    st.diff_memo;
+  match !err with None -> Ok () | Some m -> Error m
 
 (* ---------- shared-footprint accounting ---------- *)
 
 module Tally = struct
   type nonrec t = {
-    repr : repr;
     seen : Bitset.t; (* distinct set ids *)
-    blocks : Bitset.t; (* Hier: distinct block ids across seen sets *)
-    mutable skel : int; (* Hier: Σ skeleton words over distinct sets *)
     mutable refs : int;
     mutable unshared : int;
   }
 
-  let create () =
-    {
-      repr = current_repr ();
-      seen = Bitset.create ();
-      blocks = Bitset.create ();
-      skel = 0;
-      refs = 0;
-      unshared = 0;
-    }
+  let create () = { seen = Bitset.create (); refs = 0; unshared = 0 }
 
   let visit tl id =
     tl.refs <- tl.refs + 1;
     tl.unshared <- tl.unshared + words id;
-    if Bitset.add tl.seen id && tl.repr = Hier then begin
-      let h = hview id in
-      tl.skel <- tl.skel + Hibitset.skeleton_words h;
-      Hibitset.iter_blocks (fun b -> ignore (Bitset.add tl.blocks b)) h
-    end
+    ignore (Bitset.add tl.seen id)
 
   let unique tl = Bitset.cardinal tl.seen
   let refs tl = tl.refs
   let unshared_words tl = tl.unshared
-  let unique_blocks tl = Bitset.cardinal tl.blocks
-
-  let block_words tl =
-    Bitset.fold (fun b acc -> acc + Hibitset.block_heap_words b) tl.blocks 0
 
   let shared_words tl =
-    match tl.repr with
-    | Flat -> Bitset.fold (fun id acc -> acc + words id) tl.seen tl.refs
-    | Hier -> tl.refs + tl.skel + block_words tl
+    Bitset.fold (fun id acc -> acc + words id) tl.seen tl.refs
 end

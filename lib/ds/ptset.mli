@@ -11,18 +11,6 @@
     ["ptset.delta_misses"], ["ptset.diff_hits"], ["ptset.diff_misses"] and
     ["ptset.interned"].
 
-    Two interchangeable canonical representations back the ids (see
-    {!repr}): flat sparse {!Bitset}s, and two-level {!Hibitset}s whose
-    1008-element blocks are hash-consed and physically shared across
-    interned sets. Call sites cannot tell them apart — same ids, same memo
-    behaviour, bit-identical results (cross-checked by {!content_hash} and
-    the fuzz "repr" oracle) — but at ~10⁶-object scale the hierarchical
-    representation skips untouched regions wholesale where the flat one
-    walks every word. In [Hier] mode the operation-level memo hits surface
-    additionally as ["hiset.union_hits"/"misses"] and
-    ["hiset.delta_hits"/"misses"], on top of the block-level ["hiset.*"]
-    counters published by {!Hibitset} itself.
-
     Ids and elements must stay below {!key_limit} [= 2^31] (checked —
     [Invalid_argument] otherwise) so operand pairs pack into single-int
     memo keys. *)
@@ -34,28 +22,6 @@ type t = private int
     domain of a parallel batch owns a private, lock-free generation. Never
     ship a [t] (or a closure capturing one) to another domain — convert to
     {!Bitset.t} ({!view} + copy, or {!elements}) at the boundary. *)
-
-(** {2 Representation selection} *)
-
-type repr = Flat | Hier
-
-val repr_name : repr -> string
-(** ["flat"] / ["hier"]. *)
-
-val repr_of_string : string -> repr option
-
-val default_repr : unit -> repr
-(** The calling domain's default for the {e next} pool generation. The
-    initial per-domain value honours the [PTA_SET_REPR] environment
-    variable (["flat"] or ["hier"]; default ["hier"]). *)
-
-val set_default_repr : repr -> unit
-(** Set the calling domain's default. Takes effect at the next {!reset} —
-    the live generation keeps its representation; other domains are
-    untouched. *)
-
-val current_repr : unit -> repr
-(** The representation of the calling domain's {e live} generation. *)
 
 (** {2 Construction and operations} *)
 
@@ -70,12 +36,13 @@ val of_bitset : Bitset.t -> t
     freely afterwards. *)
 
 val view : t -> Bitset.t
-(** The canonical {e flat} bitset behind an id. In [Flat] mode this is the
-    pooled value itself; in [Hier] mode a flat view is materialised on
-    first request and memoized. Either way it is shared by every holder of
-    the id: treat it as read-only — mutating it corrupts the pool. A
-    boundary/report operation, not a solver-loop one.
-    @raise Invalid_argument on ids from a previous generation. *)
+(** The canonical bitset behind an id — the pooled value itself, shared by
+    every holder of the id: treat it as read-only, since mutating it
+    corrupts the pool. Ids are not tagged with their generation: only an id
+    at or past the current generation's {!n_unique} raises
+    [Invalid_argument]; a stale id from a previous generation (see
+    {!reset}) or another domain that happens to be in range silently names
+    whatever set now has that number. *)
 
 val is_empty : t -> bool
 val mem : t -> int -> bool
@@ -111,13 +78,6 @@ val fold : (int -> 'acc -> 'acc) -> t -> 'acc -> 'acc
 val elements : t -> int list
 val choose : t -> int option
 
-val content_hash : t -> int
-(** Representation-independent digest of the set's contents (a rolling
-    hash over the sparse (word index, word) stream, which {!Bitset} and
-    {!Hibitset} yield identically for equal content). Memoized per id —
-    this is how flat and hierarchical solver runs are compared bit-for-bit
-    without materialising million-element views. *)
-
 (** {2 Packed memo keys} *)
 
 val key_bits : int
@@ -125,42 +85,42 @@ val key_bits : int
 
 val key_limit : int
 (** [2^key_bits]. Ids and elements at or above this are rejected with
-    [Invalid_argument] by every memoized operation — ~2·10⁹, three orders
-    of magnitude above the mega workload's ~10⁶ objects. *)
+    [Invalid_argument] by every memoized operation (~2·10⁹). *)
 
 (** {2 Pool accounting} *)
 
 val words : t -> int
-(** Heap words of the canonical representation (counted once per unique
-    set, however many ids reference it — see {!Tally}). In [Hier] mode
-    this charges the set its skeleton plus every referenced block as if
-    unshared; {!pool_words} counts each block once. *)
+(** Heap words of the canonical bitset (counted once per unique set,
+    however many ids reference it — see {!Tally}). *)
 
 val n_unique : unit -> int
 (** Number of distinct sets interned since the last {!reset}. *)
 
 val pool_words : unit -> int
-(** Total heap words of all canonical sets in the pool. In [Hier] mode:
-    every set's skeleton plus each distinct block's content {e once} —
-    the honest footprint under block sharing. *)
+(** Total heap words of all canonical sets in the pool. *)
 
 val reset : unit -> unit
 (** Drop the current domain's pool and every memo cache, starting a fresh
-    generation (other domains' generations are untouched) with the current
-    {!default_repr}. Also rolls over {!Hibitset}'s block pool — the two
-    generations are in lock-step. Outstanding ids become invalid
-    (previously obtained {!view}s remain valid plain bitsets). Only for
-    tests and per-task batch isolation — never call it while any solver
-    result is still alive. *)
+    generation (other domains' generations are untouched). Outstanding
+    ids become invalid (previously obtained {!view}s remain valid plain
+    bitsets). Only for tests and per-task batch isolation — never call it
+    while any solver result is still alive. *)
 
 val pp : Format.formatter -> t -> unit
+
+val check_pool : unit -> (unit, string) result
+(** The calling domain's pool invariant: every interned set re-interns to
+    its own id, and every {!add}, {!union}, {!union_delta} and {!diff} memo
+    entry equals a fresh {!Bitset} recomputation from its operands — which
+    catches packed-key collisions, stale entries and mutated pool values.
+    [Error] names the first violation found. Walks the whole pool and every
+    memo table: a test and fuzzing check, not a solver-loop one. *)
 
 (** Accumulates the memory footprint of a result that references interned
     sets from many slots: visit every reference, then read off the number
     of distinct sets, the structure-shared footprint (each unique set once
     plus one word per reference) and the unshared footprint a per-slot
-    materialisation would have cost. A tally is bound to the representation
-    live at {!Tally.create} time. *)
+    materialisation would have cost. *)
 module Tally : sig
   type ptset := t
   type t
@@ -171,19 +131,8 @@ module Tally : sig
   val refs : t -> int
 
   val shared_words : t -> int
-  (** Σ words of distinct sets + one word per visited reference. Under
-      [Hier], "words of distinct sets" means each distinct set's skeleton
-      plus each distinct {e block} once across all of them — block-level
-      sharing shows up here. *)
+  (** Σ words of distinct sets + one word per visited reference. *)
 
   val unshared_words : t -> int
   (** Σ words over {e all} visited references — the pre-interning cost. *)
-
-  val unique_blocks : t -> int
-  (** Distinct {!Hibitset} blocks across all visited sets (0 under
-      [Flat]). *)
-
-  val block_words : t -> int
-  (** Heap words of those distinct blocks, each counted once (0 under
-      [Flat]). *)
 end

@@ -127,10 +127,29 @@ let run_case cfg oracles case =
         `Rejected
       | Oracle.Fail { cls; detail } -> `Fail (o, cls, detail))
   in
+  (* The case's interned-set pool, after every oracle has used it, must
+     still satisfy its invariant; a violation is a case failure of the
+     pseudo-oracle "pool" (nothing to shrink). *)
+  let with_pool_check v =
+    match Pta_ds.Ptset.check_pool () with
+    | Ok () -> v
+    | Error detail ->
+      `Fail
+        {
+          case;
+          case_seed;
+          oracle_name = "pool";
+          cls = "pool-invariant";
+          detail;
+          shrunk_loc = Gen.loc src;
+          shrink_steps = 0;
+          corpus_path = None;
+        }
+  in
   let verdict =
     match first_failure oracles with
-    | `None -> `Ok
-    | `Rejected -> `Rejected
+    | `None -> with_pool_check `Ok
+    | `Rejected -> with_pool_check `Rejected
     | `Fail (o, cls, detail) ->
       let ast = Pta_cfront.Cparser.parse src in
       let shrunk =

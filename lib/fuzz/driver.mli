@@ -6,6 +6,9 @@
     generated program), and walks the {!Oracle} tower cheap-to-expensive.
     The first failing oracle triggers {!Shrink.minimize} and, when a corpus
     directory is configured, persists the reproducer via {!Corpus.save}.
+    A case no oracle failed ends with {!Pta_ds.Ptset.check_pool} on the
+    pool its oracles shared; a violation is reported as a failure of
+    oracle ["pool"], class ["pool-invariant"], unshrunk.
 
     Determinism contract (tested): the same [config] produces the same
     {!report} and the same {!report_to_string} bytes — reports carry no

@@ -462,61 +462,6 @@ let check_par src =
       end
     | _ -> Fail { cls = "par-pt"; detail = "pool returned wrong arity" })
 
-(* ---------- repr: flat vs hierarchical set representation ---------- *)
-
-(* The two canonical representations behind [Ptset] ids — flat sparse
-   bitsets and two-level block-sharing [Hibitset]s — must be
-   observationally identical: which one backs the pool can change timings
-   and footprints, never a fixpoint. The oracle runs the full pipeline
-   (build, SFS, VSFS, equivalence verdict) once under each representation,
-   each inside its own pool generation, and compares the exported bitset
-   arrays bit for bit. Everything kept across a generation switch is plain
-   data ([Artifact.points_to] arrays and a bool), never [Ptset] ids. *)
-
-let solve_with_repr repr src =
-  let saved = Pta_ds.Ptset.default_repr () in
-  Pta_ds.Ptset.set_default_repr repr;
-  Pta_ds.Ptset.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Pta_ds.Ptset.set_default_repr saved;
-      Pta_ds.Ptset.reset ())
-    (fun () -> solve_both src)
-
-let check_repr src =
-  let go () =
-    let f_sfs, f_vsfs, f_verdict = solve_with_repr Pta_ds.Ptset.Flat src in
-    let h_sfs, h_vsfs, h_verdict = solve_with_repr Pta_ds.Ptset.Hier src in
-    if f_verdict <> h_verdict then
-      Fail
-        {
-          cls = "repr-verdict";
-          detail =
-            Printf.sprintf
-              "SFS-vs-VSFS equivalence verdict flipped across set \
-               representations: flat %b, hier %b"
-              f_verdict h_verdict;
-        }
-    else begin
-      match
-        ( points_to_mismatch "sfs" f_sfs h_sfs,
-          points_to_mismatch "vsfs" f_vsfs h_vsfs )
-      with
-      | None, None -> Pass
-      | Some d, _ | _, Some d ->
-        Fail
-          {
-            cls = "repr-pt";
-            detail =
-              "flat and hierarchical set representations disagree: " ^ d;
-          }
-    end
-  in
-  match go () with
-  | exception e -> (
-    match rejected e with Some msg -> Rejected msg | None -> fail_exn "build" e)
-  | o -> o
-
 (* ---------- unify: Steensgaard bound + seeded-build bit-identity ---------- *)
 
 (* Two contracts in one oracle. (1) The unification tier is a sound
@@ -710,11 +655,6 @@ let all =
       name = "unify";
       doc = "unification tier bounds Andersen; unify-seeded solve bit-identical";
       check = check_unify;
-    };
-    {
-      name = "repr";
-      doc = "flat vs hierarchical set representations solve bit-identically";
-      check = check_repr;
     };
     {
       name = "sched";

@@ -19,8 +19,8 @@ val all : t list
     over parse/lower/mem2reg/validate/andersen), ["andersen"] (wave solver
     vs the naive reference fixpoint, soundness direction distinguished),
     ["equiv"] (Dense = SFS = VSFS bit-equality via {!Vsfs_core.Equiv}),
-    ["repr"] (flat vs hierarchical {!Pta_ds.Ptset} representations solve
-    bit-identically), ["sched"] (every scheduler lands on the same
+    ["unify"] (the unification tier bounds Andersen and a unify-seeded
+    solve is bit-identical), ["sched"] (every scheduler lands on the same
     fixpoint), ["store"] (cold vs warm-started {!Pta_store} pipeline
     bit-equality, catching cache-staleness and codec bugs), ["par"]
     (worker-domain vs caller-domain bit-equality) and ["serve"] (daemon

@@ -58,9 +58,9 @@ let add_sbs p b a = Codec.add_array (add_sb p) b a
 
    Whole-set dedup still leaves cross-set redundancy on disk: two distinct
    points-to sets that share a large stable core re-serialise every shared
-   word. Mirroring the in-memory [Hibitset], the v3 pool splits each set
-   into 16-word block spans, serialises each *distinct* span once, and
-   encodes a set as (delta-coded block index, block ref) pairs.
+   word. The v3 pool splits each set into 16-word block spans, serialises
+   each *distinct* span once, and encodes a set as (delta-coded block
+   index, block ref) pairs.
 
    Layout: magic | n_blocks | blocks (mask + words) | n_sets | sets | body.
    The magic is a set count no real v2 artifact can reach (~2·10⁹ distinct

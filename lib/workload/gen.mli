@@ -64,42 +64,3 @@ val loc : string -> int
 val small_random : int -> config
 (** A small config fuzzed from the given seed, for property-based
     differential testing (programs of a few hundred LOC). *)
-
-(** {2 The mega workload}
-
-    A deterministic (RNG-free) program whose Andersen solution carries
-    [m_objects] distinct abstract objects: chunk functions malloc
-    {!mega_chunk} objects each and accumulate them through per-chunk sink
-    parameters, a {!mega_arity}-ary combiner tree unions the chunks into
-    one root set, [main] stores it into a hub heap cell, and [m_readers]
-    reader functions each load the hub set and extend it with one private
-    object. The result: [m_readers] near-identical sets of ~[m_objects]
-    elements — a flat interned pool materialises each separately, while the
-    hierarchical pool stores thin skeletons over one shared block
-    population. Parameter fan-in (not reassignment) carries every
-    accumulation, so the shape survives SSA and reads identically under
-    flow-sensitive solvers. *)
-
-type mega_config = {
-  m_objects : int;  (** target abstract-object count (~10^6 at default) *)
-  m_readers : int;  (** distinct near-identical result sets *)
-}
-
-val mega_default : mega_config
-(** One million objects, 400 readers. *)
-
-val mega_scaled : float -> mega_config
-(** [mega_scaled s] — the default scaled by [s] (clamped to
-    [0.001 .. 1024.]; at least 1000 objects / 4 readers), keeping the
-    reader count proportional. [mega_scaled 1.0 = mega_default]. *)
-
-val mega_chunk : int
-(** Allocation sites per chunk function (126 — two {!Pta_ds.Hibitset}
-    words). *)
-
-val mega_arity : int
-(** Combiner-tree fan-in. *)
-
-val mega_source : mega_config -> string
-(** The generated program. Same config → byte-identical source; no RNG
-    involved. *)

@@ -274,18 +274,6 @@ let test_ptset_view_words () =
     ((2 * Ptset.words a) + Ptset.words (ptset_of_list [ 5 ]))
     (Ptset.Tally.unshared_words tl)
 
-(* Run [f] inside its own pool generation under [repr], restoring the
-   caller's default (and a fresh generation) on the way out. *)
-let with_repr repr f =
-  let saved = Ptset.default_repr () in
-  Ptset.set_default_repr repr;
-  Ptset.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Ptset.set_default_repr saved;
-      Ptset.reset ())
-    f
-
 let test_ptset_key_overflow () =
   Ptset.reset ();
   Alcotest.(check int) "key_limit = 2^key_bits" (1 lsl Ptset.key_bits)
@@ -305,48 +293,66 @@ let test_ptset_key_overflow () =
     (Ptset.mem s top);
   Alcotest.(check int) "cardinal" 1 (Ptset.cardinal s)
 
-let test_ptset_repr_equivalence () =
-  (* The same operation sequence under both canonical representations:
-     identical elements and identical (representation-independent) content
-     hashes. Elements straddle word, block and group boundaries. *)
-  let workload () =
-    let a = ptset_of_list [ 1; 62; 63; 1007; 1008; 63503; 63504; 200_000 ] in
-    let b = ptset_of_list [ 2; 63; 1008; 70_000; 200_000 ] in
-    let u = Ptset.union a b in
-    let d = Ptset.diff a b in
-    let i = Ptset.inter a b in
-    let u2, dl = Ptset.union_delta a b in
-    ( [
-        Ptset.elements u; Ptset.elements d; Ptset.elements i;
-        Ptset.elements u2; Ptset.elements dl;
-      ],
-      List.map Ptset.content_hash [ a; b; u; d; i; dl ],
-      (Ptset.equal u u2, Ptset.subset i a, Ptset.cardinal u) )
-  in
-  let ef, hf, mf = with_repr Ptset.Flat workload in
-  let eh, hh, mh = with_repr Ptset.Hier workload in
-  Alcotest.(check (list (list int))) "same elements" ef eh;
-  Alcotest.(check (list int)) "same content hashes" hf hh;
-  Alcotest.(check bool) "same predicates" true (mf = mh)
+let test_ptset_check_pool () =
+  Ptset.reset ();
+  let a = ptset_of_list [ 1; 2 ] and b = ptset_of_list [ 2; 70_000 ] in
+  ignore (Ptset.union a b);
+  ignore (Ptset.union_delta b a);
+  ignore (Ptset.diff a b);
+  ignore (Ptset.add a 9);
+  Alcotest.(check bool) "clean pool" true (Ptset.check_pool () = Ok ());
+  (* Writing through a shared view corrupts the pool: the set no longer
+     re-interns to its id and the memo entries over it go stale. *)
+  ignore (Bitset.add (Ptset.view a) 5);
+  Alcotest.(check bool) "mutated set caught" true
+    (Result.is_error (Ptset.check_pool ()));
+  Ptset.reset ()
 
-let prop_ptset_repr_equiv =
-  QCheck2.Test.make ~name:"flat and hier representations agree" ~count:150
-    QCheck2.Gen.(pair ints_small ints_sparse)
-    (fun (a, b) ->
-      let run repr =
-        with_repr repr (fun () ->
-            let sa = ptset_of_list a and sb = ptset_of_list b in
-            let u, d = Ptset.union_delta sa sb in
-            ( Ptset.elements (Ptset.union sa sb),
-              Ptset.elements (Ptset.diff sa sb),
-              Ptset.elements (Ptset.inter sa sb),
-              Ptset.elements u,
-              Ptset.elements d,
-              Ptset.content_hash sa,
-              Ptset.subset sa sb,
-              Ptset.cardinal sa ))
+(* Random operation sequences over a growing population of sets, checked
+   against the sorted-list model. Every operation runs twice, so the second
+   answer comes from the memo, and [union a b] follows each
+   [union_delta a b] so the two caches must agree; the run ends with the
+   pool invariant. *)
+let prop_ptset_op_sequences =
+  QCheck2.Test.make ~name:"op sequences match model and pool" ~count:200
+    QCheck2.Gen.(
+      pair
+        (list_size (1 -- 4) (oneof [ ints_small; ints_sparse ]))
+        (list_size (1 -- 30)
+           (quad (0 -- 3) (0 -- 1000) (0 -- 1000) (0 -- 1500))))
+    (fun (seeds, ops) ->
+      Ptset.reset ();
+      let vals =
+        ref
+          (Array.of_list
+             (List.map (fun l -> (ptset_of_list l, Model.of_list l)) seeds))
       in
-      run Ptset.Flat = run Ptset.Hier)
+      let pick i = !vals.(i mod Array.length !vals) in
+      let ok = ref true in
+      let expect s m = ok := !ok && Ptset.elements s = m in
+      let twice f =
+        let r = f () in
+        ok := !ok && f () = r;
+        r
+      in
+      List.iter
+        (fun (op, i, j, x) ->
+          let a, ma = pick i and b, mb = pick j in
+          let r, mr =
+            match op with
+            | 0 -> (twice (fun () -> Ptset.add a x), Model.union ma [ x ])
+            | 1 -> (twice (fun () -> Ptset.union a b), Model.union ma mb)
+            | 2 ->
+              let u, d = twice (fun () -> Ptset.union_delta a b) in
+              expect d (Model.diff mb ma);
+              ok := !ok && Ptset.equal (twice (fun () -> Ptset.union a b)) u;
+              (u, Model.union ma mb)
+            | _ -> (twice (fun () -> Ptset.diff a b), Model.diff ma mb)
+          in
+          expect r mr;
+          vals := Array.append !vals [| (r, mr) |])
+        ops;
+      !ok && Ptset.check_pool () = Ok ())
 
 let prop_ptset_roundtrip =
   QCheck2.Test.make ~name:"ptset elements = sorted input" ~count:300
@@ -773,12 +779,11 @@ let () =
           Alcotest.test_case "view/tally" `Quick test_ptset_view_words;
           Alcotest.test_case "packed-key overflow" `Quick
             test_ptset_key_overflow;
-          Alcotest.test_case "repr equivalence" `Quick
-            test_ptset_repr_equivalence;
+          Alcotest.test_case "check_pool" `Quick test_ptset_check_pool;
         ] );
       qsuite "ptset-props"
         [
-          prop_ptset_repr_equiv;
+          prop_ptset_op_sequences;
           prop_ptset_roundtrip;
           prop_ptset_equal_ids;
           prop_ptset_add;

@@ -27,7 +27,7 @@ let clean_src =
 let test_oracle_registry () =
   Alcotest.(check (list string))
     "tower order (cheap to expensive)"
-    [ "crash"; "andersen"; "equiv"; "unify"; "repr"; "sched"; "store"; "par";
+    [ "crash"; "andersen"; "equiv"; "unify"; "sched"; "store"; "par";
       "serve" ]
     Oracle.names;
   List.iter
