@@ -26,6 +26,13 @@
 #            resident daemon must answer tiered queries (unify/andersen
 #            echoed, exact silent)
 #   ci     — all of the above
+#
+# Not part of ci:
+#   perf-pairs — PAIRS alternating perfbench pairs per workload of the
+#            revision PARENT (checked out in a temporary git worktree)
+#            against this tree, each pair on one seed, then `run.py
+#            compare` of the two sets. About 2 x PAIRS x 55 s per workload:
+#            `make perf-pairs PARENT=<rev> PAIRS=10`
 
 DUNE ?= dune
 SMOKE_DIR := $(shell mktemp -d /tmp/pta-ci-cache.XXXXXX)
@@ -39,7 +46,7 @@ SCHEDULERS := fifo lifo topo lrf
 PAR_TIMING_SED := s/"(seconds|pre_seconds|wall_seconds|andersen_s|time_ratio|jobs)": *[0-9.eE+-]+/"\1": 0/g
 
 .PHONY: ci build test smoke bench-smoke fuzz-smoke engine-smoke par-smoke \
-	serve-smoke lattice-smoke clean
+	serve-smoke lattice-smoke perf-pairs clean
 
 ci: build test smoke bench-smoke fuzz-smoke engine-smoke par-smoke \
 	serve-smoke lattice-smoke
@@ -176,6 +183,31 @@ lattice-smoke: build
 	wait $$pid
 	rm -rf $(LATTICE_DIR)
 	@echo "== lattice smoke OK =="
+
+PARENT ?= HEAD
+PAIRS ?= 10
+
+# Odd pairs run the parent first, even pairs this tree first, so a drift in
+# host speed does not favour either side.
+perf-pairs:
+	@set -e; \
+	tmp=$$(mktemp -d /tmp/pta-perf-pairs.XXXXXX); wt=$$tmp/parent; \
+	git worktree add --detach $$wt $(PARENT) > /dev/null; \
+	trap 'git worktree remove --force '"$$wt"'; git worktree prune; rm -rf '"$$tmp" EXIT; \
+	for w in suite-batch daemon-edit; do \
+	  for i in $$(seq 1 $(PAIRS)); do \
+	    if [ $$((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi; \
+	    for side in $$order; do \
+	      if [ $$side = parent ]; then dir=$$wt; else dir=.; fi; \
+	      echo "== $$w pair $$i/$(PAIRS): $$side (seed $$i)"; \
+	      python3 $$dir/perfbench/run.py --workload $$w --seed $$i \
+	        --out $$tmp/$$side.json > $$tmp/run.log 2>&1 \
+	        || { cat $$tmp/run.log; exit 1; }; \
+	      tail -1 $$tmp/run.log; \
+	    done; \
+	  done; \
+	done; \
+	python3 perfbench/run.py compare $$tmp/parent.json $$tmp/change.json
 
 clean:
 	$(DUNE) clean

@@ -85,23 +85,26 @@ let analyze file analysis scheduler pre queries dump_ir dump_svfg dot_file
             (Prog.name prog o) (Svfg.pp_node svfg) m)
     done
   end;
-  (* Flow-sensitive analyses consult the final-results artifact first: a hit
-     skips the solve (and, transitively, everything the store already
-     covered). *)
-  let cached_or solver run pt_of =
+  (* Flow-sensitive analyses answer from a final-results artifact: loaded
+     from the store when it has one (a hit skips the solve and, transitively,
+     everything the store already covered), otherwise extracted from the
+     solve in one pass and saved. *)
+  let solved solver run points_to =
+    let answers r =
+      ( (fun v -> r.Pta_store.Artifact.top.(v)),
+        fun v -> r.Pta_store.Artifact.obj.(v) )
+    in
     match store with
-    | None ->
-      let r = run None in
-      pt_of r
+    | None -> answers (points_to (run ()))
     | Some store -> (
       match Pipeline.load_points_to ~store b ~solver with
       | Some r ->
         Format.printf "cache: %s results hit@." solver;
-        ((fun v -> r.Pta_store.Artifact.top.(v)),
-         fun v -> r.Pta_store.Artifact.obj.(v))
+        answers r
       | None ->
-        let r = run (Some store) in
-        pt_of r)
+        let r = points_to (run ()) in
+        Pipeline.save_points_to ~store ~label:file b ~solver r;
+        answers r)
   in
   let top_pt, obj_pt, label =
     match analysis with
@@ -114,32 +117,17 @@ let analyze file analysis scheduler pre queries dump_ir dump_svfg dot_file
       let r = Pta_sfs.Dense.solve ~strategy:scheduler prog aux in
       (Pta_sfs.Dense.pt r, Pta_sfs.Dense.pt r, "dense")
     | `Sfs ->
-      let run st =
-        let r, _ = Pipeline.run_sfs ~ctx b in
-        (match st with
-        | None -> ()
-        | Some store ->
-          Pipeline.save_points_to ~store ~label:file b ~solver:"sfs"
-            (Pipeline.points_to_of_sfs b r));
-        r
-      in
       let top, obj =
-        cached_or "sfs" run (fun r -> (Pta_sfs.Sfs.pt r, Pta_sfs.Sfs.object_pt r))
+        solved "sfs"
+          (fun () -> fst (Pipeline.run_sfs ~ctx b))
+          (Pipeline.points_to_of_sfs b)
       in
       (top, obj, "sfs")
     | `Vsfs ->
-      let run st =
-        let r, _ = Pipeline.run_vsfs ~ctx b in
-        (match st with
-        | None -> ()
-        | Some store ->
-          Pipeline.save_points_to ~store ~label:file b ~solver:"vsfs"
-            (Pipeline.points_to_of_vsfs b r));
-        r
-      in
       let top, obj =
-        cached_or "vsfs" run (fun r ->
-            (Vsfs_core.Vsfs.pt r, Vsfs_core.Vsfs.object_pt r))
+        solved "vsfs"
+          (fun () -> fst (Pipeline.run_vsfs ~ctx b))
+          (Pipeline.points_to_of_vsfs b)
       in
       (top, obj, "vsfs")
   in

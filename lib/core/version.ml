@@ -13,7 +13,7 @@ type t = int
 
 type table = {
   mutable hc : HC.t;
-  meld_memo : (int * int, int) Hashtbl.t;
+  meld_memo : int Pair_key.Tbl.t;  (* Pair_key.pack (min a b) (max a b) *)
   mutable next_label : int;
   mutable label_names : string list;  (* reversed; diagnostics only *)
   mutable n_sealed : int;  (* version count snapshot taken at seal time *)
@@ -25,7 +25,7 @@ let create () =
   (* ε is the empty label set and must get id 0. *)
   let eps = HC.intern hc (Bitset.create ()) in
   assert (eps = 0);
-  { hc; meld_memo = Hashtbl.create 256; next_label = 0; label_names = [];
+  { hc; meld_memo = Pair_key.Tbl.create 256; next_label = 0; label_names = [];
     n_sealed = 0; sealed = false }
 
 let epsilon = 0
@@ -43,8 +43,8 @@ let meld t a b =
   else if a = epsilon then b
   else if b = epsilon then a
   else begin
-    let key = (min a b, max a b) in
-    match Hashtbl.find_opt t.meld_memo key with
+    let key = Pair_key.pack (Int.min a b) (Int.max a b) in
+    match Pair_key.Tbl.find_opt t.meld_memo key with
     | Some v -> v
     | None ->
       Stats.incr "version.melds";
@@ -56,7 +56,7 @@ let meld t a b =
         else if Bitset.subset sb sa then a
         else HC.intern t.hc (Bitset.union sa sb)
       in
-      Hashtbl.add t.meld_memo key v;
+      Pair_key.Tbl.add t.meld_memo key v;
       v
   end
 
@@ -76,7 +76,7 @@ let seal t =
     t.n_sealed <- HC.count t.hc;
     t.sealed <- true;
     t.hc <- HC.create 1;
-    Hashtbl.reset t.meld_memo
+    Pair_key.Tbl.reset t.meld_memo
   end
 let n_prelabels t = t.next_label
 
@@ -90,7 +90,7 @@ let import_sealed ~n_prelabels ~n_versions =
   t
 
 let words t =
-  let total = ref (3 * Hashtbl.length t.meld_memo) in
+  let total = ref (3 * Pair_key.Tbl.length t.meld_memo) in
   HC.iter (fun _ s -> total := !total + Bitset.words s) t.hc;
   !total
 

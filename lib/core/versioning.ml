@@ -2,30 +2,26 @@ open Pta_ds
 open Pta_ir
 module Svfg = Pta_svfg.Svfg
 
+module Tbl = Pair_key.Tbl
+
 type t = {
   svfg : Svfg.t;
   vt : Version.table;
-  (* all keys are packed as [a lsl 31 lor b] to avoid tuple allocation;
-     the width is checked, mirroring [Ptset.pack] *)
-  consume : (int, Version.t) Hashtbl.t;  (* (node, obj) -> C *)
-  store_yield : (int, Version.t) Hashtbl.t;  (* store prelabels *)
+  (* every key is a checked [Pair_key.pack]: no tuple per lookup *)
+  consume : Version.t Tbl.t;  (* (node, obj) -> C *)
+  store_yield : Version.t Tbl.t;  (* store prelabels *)
   delta : Bitset.t;
-  reliance : (int, Bitset.t) Hashtbl.t;  (* (obj, κ) -> κ' set *)
-  subscribers : (int, Bitset.t) Hashtbl.t;  (* (obj, κ) -> nodes *)
+  reliance : Bitset.t Tbl.t;  (* (obj, κ) -> κ' set *)
+  subscribers : Bitset.t Tbl.t;  (* (obj, κ) -> nodes *)
   mutable n_reliances : int;
   mutable duration : float;
 }
-
-let key a b =
-  if a < 0 || b < 0 || a >= Ptset.key_limit || b >= Ptset.key_limit then
-    invalid_arg "Versioning: node or object exceeds the 31-bit packed-key range";
-  (a lsl Ptset.key_bits) lor b
 
 let table t = t.vt
 let svfg t = t.svfg
 
 let consume t n o =
-  match Hashtbl.find_opt t.consume (key n o) with
+  match Tbl.find_opt t.consume (Pair_key.pack n o) with
   | Some v -> v
   | None -> Version.epsilon
 
@@ -36,7 +32,7 @@ let is_store_node svfg n =
 
 let yield t n o =
   if is_store_node t.svfg n then
-    match Hashtbl.find_opt t.store_yield (key n o) with
+    match Tbl.find_opt t.store_yield (Pair_key.pack n o) with
     | Some v -> v
     | None -> Version.epsilon
   else consume t n o
@@ -44,13 +40,13 @@ let yield t n o =
 let is_delta t n = Bitset.mem t.delta n
 
 let add_reliance t o y c =
-  let k = key o y in
+  let k = Pair_key.pack o y in
   let set =
-    match Hashtbl.find_opt t.reliance k with
+    match Tbl.find_opt t.reliance k with
     | Some s -> s
     | None ->
       let s = Bitset.create () in
-      Hashtbl.add t.reliance k s;
+      Tbl.add t.reliance k s;
       s
   in
   if Bitset.add set c then begin
@@ -68,24 +64,24 @@ let add_dynamic_edge t src o dst =
   end
 
 let iter_relied t o v f =
-  match Hashtbl.find_opt t.reliance (key o v) with
+  match Tbl.find_opt t.reliance (Pair_key.pack o v) with
   | Some s -> Bitset.iter f s
   | None -> ()
 
 let iter_subscribers t o v f =
-  match Hashtbl.find_opt t.subscribers (key o v) with
+  match Tbl.find_opt t.subscribers (Pair_key.pack o v) with
   | Some s -> Bitset.iter f s
   | None -> ()
 
 let subscribe t o v n =
   if not (Version.is_epsilon v) then begin
-    let k = key o v in
+    let k = Pair_key.pack o v in
     let set =
-      match Hashtbl.find_opt t.subscribers k with
+      match Tbl.find_opt t.subscribers k with
       | Some s -> s
       | None ->
         let s = Bitset.create () in
-        Hashtbl.add t.subscribers k s;
+        Tbl.add t.subscribers k s;
         s
     in
     ignore (Bitset.add set n)
@@ -97,28 +93,27 @@ let n_versions t = Version.n_versions t.vt
 let sharing_factor t =
   (* consume-points per distinct (object, version) pair: how many SVFG
      node/object states share one points-to set. SFS is by definition 1.0. *)
-  let distinct = Hashtbl.create 256 in
+  let distinct = Tbl.create 256 in
   let points = ref 0 in
-  Hashtbl.iter
+  Tbl.iter
     (fun k v ->
       if not (Version.is_epsilon v) then begin
         incr points;
-        let o = k land ((1 lsl 31) - 1) in
-        Hashtbl.replace distinct (o, v) ()
+        Tbl.replace distinct (Pair_key.pack (Pair_key.lo k) v) ()
       end)
     t.consume;
-  if Hashtbl.length distinct = 0 then 1.0
-  else float !points /. float (Hashtbl.length distinct)
+  if Tbl.length distinct = 0 then 1.0
+  else float !points /. float (Tbl.length distinct)
 
 let n_reliances t = t.n_reliances
 
 let words t =
   let acc = ref (Version.words t.vt) in
-  let add_tbl tbl = acc := !acc + (4 * Hashtbl.length tbl) in
+  let add_tbl tbl = acc := !acc + (4 * Tbl.length tbl) in
   add_tbl t.consume;
   add_tbl t.store_yield;
-  Hashtbl.iter (fun _ s -> acc := !acc + Bitset.words s) t.reliance;
-  Hashtbl.iter (fun _ s -> acc := !acc + Bitset.words s) t.subscribers;
+  Tbl.iter (fun _ s -> acc := !acc + Bitset.words s) t.reliance;
+  Tbl.iter (fun _ s -> acc := !acc + Bitset.words s) t.subscribers;
   !acc + Bitset.words t.delta
 
 (* ---------- serialization (Pta_store) ---------- *)
@@ -134,7 +129,7 @@ type raw = {
 }
 
 let sorted_bindings tbl =
-  let l = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
+  let l = Tbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
   Array.of_list (List.sort (fun (a, _) (b, _) -> Int.compare a b) l)
 
 let export t =
@@ -155,24 +150,22 @@ let import svfg raw =
       vt =
         Version.import_sealed ~n_prelabels:raw.raw_n_prelabels
           ~n_versions:raw.raw_n_versions;
-      consume = Hashtbl.create (max 16 (Array.length raw.raw_consume));
-      store_yield = Hashtbl.create (max 16 (Array.length raw.raw_store_yield));
+      consume = Tbl.create (max 16 (Array.length raw.raw_consume));
+      store_yield = Tbl.create (max 16 (Array.length raw.raw_store_yield));
       delta = Bitset.copy raw.raw_delta;
-      reliance = Hashtbl.create (max 16 (Array.length raw.raw_reliance));
-      subscribers = Hashtbl.create 1024;
+      reliance = Tbl.create (max 16 (Array.length raw.raw_reliance));
+      subscribers = Tbl.create 1024;
       n_reliances = raw.raw_n_reliances;
       duration = 0.;
     }
   in
-  Array.iter (fun (k, v) -> Hashtbl.replace t.consume k v) raw.raw_consume;
-  Array.iter
-    (fun (k, v) -> Hashtbl.replace t.store_yield k v)
-    raw.raw_store_yield;
+  Array.iter (fun (k, v) -> Tbl.replace t.consume k v) raw.raw_consume;
+  Array.iter (fun (k, v) -> Tbl.replace t.store_yield k v) raw.raw_store_yield;
   (* The solver grows reliance sets on-the-fly (dynamic call edges), so each
      import must own fresh copies. Subscribers are solver-side state and
      always start empty (export happens before solving). *)
   Array.iter
-    (fun (k, s) -> Hashtbl.replace t.reliance k (Bitset.copy s))
+    (fun (k, s) -> Tbl.replace t.reliance k (Bitset.copy s))
     raw.raw_reliance;
   t
 
@@ -184,11 +177,11 @@ let compute ?(release_labels = true) ?(order = `Fifo) svfg =
     {
       svfg;
       vt = Version.create ();
-      consume = Hashtbl.create 1024;
-      store_yield = Hashtbl.create 256;
+      consume = Tbl.create 1024;
+      store_yield = Tbl.create 256;
       delta = Bitset.create ();
-      reliance = Hashtbl.create 1024;
-      subscribers = Hashtbl.create 1024;
+      reliance = Tbl.create 1024;
+      subscribers = Tbl.create 1024;
       n_reliances = 0;
       duration = 0.;
     }
@@ -221,7 +214,7 @@ let compute ?(release_labels = true) ?(order = `Fifo) svfg =
       | Inst.Store _ ->
         Bitset.iter
           (fun o ->
-            Hashtbl.replace t.store_yield (key n o)
+            Tbl.replace t.store_yield (Pair_key.pack n o)
               (Version.fresh t.vt ~table_label:"store");
             wl_push n)
           (Pta_memssa.Annot.chi (Svfg.annot svfg) f i)
@@ -230,7 +223,7 @@ let compute ?(release_labels = true) ?(order = `Fifo) svfg =
       (* δ: functions that may be the target of an indirect call. *)
       if Callgraph.is_indirect_target aux.Pta_memssa.Modref.cg f then begin
         ignore (Bitset.add t.delta n);
-        Hashtbl.replace t.consume (key n obj)
+        Tbl.replace t.consume (Pair_key.pack n obj)
           (Version.fresh t.vt ~table_label:"delta-fin");
         wl_push n
       end
@@ -239,7 +232,7 @@ let compute ?(release_labels = true) ?(order = `Fifo) svfg =
       match Prog.inst (Prog.func prog f) call with
       | Inst.Call { callee = Inst.Indirect _; _ } ->
         ignore (Bitset.add t.delta n);
-        Hashtbl.replace t.consume (key n obj)
+        Tbl.replace t.consume (Pair_key.pack n obj)
           (Version.fresh t.vt ~table_label:"delta-aout");
         wl_push n
       | _ -> ())
@@ -258,7 +251,7 @@ let compute ?(release_labels = true) ?(order = `Fifo) svfg =
             let c = consume t m o in
             let merged = Version.meld t.vt c y in
             if merged <> c then begin
-              Hashtbl.replace t.consume (key m o) merged;
+              Tbl.replace t.consume (Pair_key.pack m o) merged;
               (* Non-store nodes yield what they consume, so successors of m
                  must be revisited; stores yield a fixed prelabel but are
                  pushed harmlessly (their outgoing yields are unchanged). *)

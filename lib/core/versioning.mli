@@ -42,12 +42,6 @@ val yield : t -> int -> Inst.var -> Version.t
 
 val is_delta : t -> int -> bool
 
-val key : int -> int -> int
-(** The packed [(a lsl key_bits) lor b] key behind every (node, object)
-    table, mirroring {!Pta_ds.Ptset.key_limit}: operands at or beyond the
-    31-bit half-width raise [Invalid_argument] instead of silently
-    colliding. Exposed for the overflow regression test. *)
-
 val add_dynamic_edge : t -> int -> Inst.var -> int -> (Version.t * Version.t) option
 (** Registers the version reliance of an interprocedural edge discovered by
     on-the-fly call-graph resolution. Returns [Some (y, c)] when propagation
@@ -79,11 +73,11 @@ val words : t -> int
 
 type raw = {
   raw_consume : (int * Version.t) array;
-      (** packed [(node lsl 31 lor obj, C)] bindings, sorted by key *)
+      (** [(Pta_ds.Pair_key.pack node obj, C)] bindings, sorted by key *)
   raw_store_yield : (int * Version.t) array;  (** store prelabels, sorted *)
   raw_delta : Pta_ds.Bitset.t;  (** δ node ids *)
   raw_reliance : (int * Pta_ds.Bitset.t) array;
-      (** packed [(obj lsl 31 lor κ, κ' set)] bindings, sorted *)
+      (** [(Pta_ds.Pair_key.pack obj κ, κ' set)] bindings, sorted *)
   raw_n_reliances : int;
   raw_n_prelabels : int;
   raw_n_versions : int;

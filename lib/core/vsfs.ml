@@ -6,36 +6,29 @@ module Engine = Pta_engine.Engine
 module Scheduler = Pta_engine.Scheduler
 module Telemetry = Pta_engine.Telemetry
 
+module Tbl = Pair_key.Tbl
+
 type result = {
   c : Solver_common.t;
   ver : Versioning.t;
-  ptk : (int, Ptset.t) Hashtbl.t;  (* key (obj lsl 31 lor κ) -> pt_κ(o) *)
+  ptk : Ptset.t Tbl.t;  (* Pair_key.pack obj κ -> pt_κ(o) *)
 }
 
 type paused = { res : result; eng : Engine.t }
 type outcome = Done of result | Paused of paused
 
-(* Checked packing: an object or version id at or above 2^31 would silently
-   collide with another key, corrupting results — fail loudly instead. *)
-let key o v =
-  if o < 0 || v < 0 || o >= 1 lsl 31 || v >= 1 lsl 31 then
-    invalid_arg "Vsfs.key: object or version id exceeds the 31-bit packed range";
-  (o lsl 31) lor v
-
-let key_obj k = k lsr 31
-
 (* Entry presence matters (cf. [pt_version]/[consumed_pt] returning
    [option]): reads materialise an explicit empty entry, as the mutable
    version materialised a fresh bitset. *)
 let ptk_id t o v =
-  let k = key o v in
-  match Hashtbl.find_opt t.ptk k with
+  let k = Pair_key.pack o v in
+  match Tbl.find_opt t.ptk k with
   | Some id -> id
   | None ->
-    Hashtbl.add t.ptk k Ptset.empty;
+    Tbl.add t.ptk k Ptset.empty;
     Ptset.empty
 
-let ptk_opt t o v = Hashtbl.find_opt t.ptk (key o v)
+let ptk_opt t o v = Tbl.find_opt t.ptk (Pair_key.pack o v)
 
 (* Build the solver state and its engine, seed the instruction nodes, but do
    not run: [solve] drives it to fixpoint, [solve_budgeted]/[resume] in
@@ -48,7 +41,7 @@ let start ?(strategy = `Fifo) ?strong_updates ?versioning svfg =
     Telemetry.phase ~name:"vsfs.solve" ~scheduler:(Scheduler.name strategy) ()
   in
   let c = Solver_common.create ?strong_updates ~tel svfg in
-  let t = { c; ver; ptk = Hashtbl.create 1024 } in
+  let t = { c; ver; ptk = Tbl.create 1024 } in
   let props = c.Solver_common.props in
   (* [process] collects the nodes to (re)visit in [buf]; the engine owns
      scheduling and deduplication. *)
@@ -72,7 +65,7 @@ let start ?(strategy = `Fifo) ?strong_updates ?versioning svfg =
             let cur = ptk_id t o v' in
             let cur', d' = Ptset.union_delta cur d in
             if not (Ptset.equal cur' cur) then begin
-              Hashtbl.replace t.ptk (key o v') cur';
+              Tbl.replace t.ptk (Pair_key.pack o v') cur';
               Queue.push (v', d') q
             end)
       done
@@ -87,7 +80,7 @@ let start ?(strategy = `Fifo) ?strong_updates ?versioning svfg =
           let cur = ptk_id t o c' in
           let cur', d = Ptset.union_delta cur (ptk_id t o y) in
           if not (Ptset.equal cur' cur) then begin
-            Hashtbl.replace t.ptk (key o c') cur';
+            Tbl.replace t.ptk (Pair_key.pack o c') cur';
             propagate_version o c' d
           end
         | None -> ())
@@ -136,14 +129,14 @@ let start ?(strategy = `Fifo) ?strong_updates ?versioning svfg =
                 else (out1, Ptset.empty)
               in
               if not (Ptset.equal out2 out0) then begin
-                Hashtbl.replace t.ptk (key o y) out2;
+                Tbl.replace t.ptk (Pair_key.pack o y) out2;
                 propagate_version o y (Ptset.union d1 d2)
               end
             end
             else if (not (Version.is_epsilon cv)) && not su then begin
               let out1, d = Ptset.union_delta out0 (ptk_id t o cv) in
               if not (Ptset.equal out1 out0) then begin
-                Hashtbl.replace t.ptk (key o y) out1;
+                Tbl.replace t.ptk (Pair_key.pack o y) out1;
                 propagate_version o y d
               end
             end)
@@ -191,12 +184,30 @@ let consumed_pt t n o =
   Option.map Ptset.view (ptk_opt t o cv)
 
 (* Flow-insensitive collapse of an object's contents: the union of all its
-   versions' points-to sets ("may contain anywhere"). *)
+   versions' points-to sets ("may contain anywhere"). Scans the whole
+   table. *)
 let object_pt t o =
   let acc = Bitset.create () in
-  Hashtbl.iter
+  Tbl.iter
     (fun k id ->
-      if key_obj k = o then ignore (Bitset.union_into ~into:acc (Ptset.view id)))
+      if Pair_key.hi k = o then
+        ignore (Bitset.union_into ~into:acc (Ptset.view id)))
+    t.ptk;
+  acc
+
+(* Every object's collapse in one pass over the table; a set equal to the
+   object's previous one is skipped. *)
+let object_pts t =
+  let n = Prog.n_vars (Svfg.prog t.c.Solver_common.svfg) in
+  let acc = Array.init n (fun _ -> Bitset.create ()) in
+  let last = Array.make n Ptset.empty in
+  Tbl.iter
+    (fun k id ->
+      let o = Pair_key.hi k in
+      if not (Ptset.equal id last.(o)) then begin
+        last.(o) <- id;
+        ignore (Bitset.union_into ~into:acc.(o) (Ptset.view id))
+      end)
     t.ptk;
   acc
 
@@ -208,30 +219,30 @@ let object_pt t o =
    With interned sets, equal sets share an id, so a per-object id set is the
    whole computation. *)
 let collapsible_versions t =
-  let per_obj = Hashtbl.create 256 in
+  let per_obj = Tbl.create 256 in
   let collapsible = ref 0 in
-  Hashtbl.iter
+  Tbl.iter
     (fun k id ->
-      let o = key_obj k in
+      let o = Pair_key.hi k in
       let seen =
-        match Hashtbl.find_opt per_obj o with
+        match Tbl.find_opt per_obj o with
         | Some s -> s
         | None ->
           let s = Bitset.create () in
-          Hashtbl.add per_obj o s;
+          Tbl.add per_obj o s;
           s
       in
       if not (Bitset.add seen (Ptset.hash id)) then incr collapsible)
     t.ptk;
-  (!collapsible, Hashtbl.length t.ptk)
+  (!collapsible, Tbl.length t.ptk)
 
 let callgraph t = t.c.Solver_common.cg_fs
 let versioning t = t.ver
-let n_sets t = Hashtbl.length t.ptk
+let n_sets t = Tbl.length t.ptk
 
 let tally t =
   let tl = Ptset.Tally.create () in
-  Hashtbl.iter (fun _ id -> Ptset.Tally.visit tl id) t.ptk;
+  Tbl.iter (fun _ id -> Ptset.Tally.visit tl id) t.ptk;
   tl
 
 let words t = Versioning.words t.ver + Ptset.Tally.shared_words (tally t)

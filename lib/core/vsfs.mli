@@ -60,7 +60,13 @@ val consumed_pt : result -> int -> Inst.var -> Pta_ds.Bitset.t option
 
 val object_pt : result -> Inst.var -> Pta_ds.Bitset.t
 (** Flow-insensitive collapse: the union of the object's points-to sets over
-    all its versions — "what may this object ever contain". *)
+    all its versions — "what may this object ever contain". Scans the whole
+    (object, version) table, so it suits one-off questions; for every
+    object use {!object_pts}. *)
+
+val object_pts : result -> Pta_ds.Bitset.t array
+(** [object_pt] for every variable at once, indexed by variable id (empty
+    for non-objects), in one pass over the table. The sets are fresh. *)
 
 val callgraph : result -> Callgraph.t
 val versioning : result -> Versioning.t

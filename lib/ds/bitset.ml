@@ -168,8 +168,13 @@ let intersects a b =
   in
   go 0 0
 
+(* Cached per domain: a name lookup per call would cost more than a small
+   union. *)
+let union_into_calls =
+  Domain.DLS.new_key (fun () -> Stats.counter "bitset.union_into")
+
 let union_into ~into src =
-  Stats.incr "bitset.union_into";
+  incr (Domain.DLS.get union_into_calls);
   if src.len = 0 then false
   else begin
     (* One counting pass: result length and whether anything is new. *)

@@ -7,13 +7,14 @@
    once. On top of the pool sit memo caches for the hot operations —
    [add], [union], [union_delta] and [diff] — keyed by operand ids: once a
    union of two interned sets has been computed, every later occurrence on
-   the same domain is a single hash-table probe. [union_delta] additionally
+   the same domain is a single probe of a packed-int table
+   ([Pair_key.Tbl]). [union_delta] additionally
    returns the interned set of elements actually added, which is what makes
    difference propagation in the flow-sensitive solvers fall out for free.
 
    All ids and elements must stay below 2^31 so that an (id, id) or
-   (id, element) pair packs into one OCaml int; the packing is checked, not
-   assumed (cf. the silent collision the unchecked VSFS key had). *)
+   (id, element) pair packs into one OCaml int; [Pair_key.pack] checks it
+   rather than assuming it. *)
 
 module HC = Hashcons.Make (struct
   type t = Bitset.t
@@ -24,24 +25,47 @@ end)
 
 type t = int
 
+module Tbl = Pair_key.Tbl
+
 type state = {
   pool : HC.t;
-  add_memo : (int, int) Hashtbl.t;
-  union_memo : (int, int) Hashtbl.t;
-  delta_memo : (int, int * int) Hashtbl.t;
-  diff_memo : (int, int) Hashtbl.t;
+  add_memo : int Tbl.t;
+  union_memo : int Tbl.t;
+  delta_memo : (int * int) Tbl.t;
+  diff_memo : int Tbl.t;
+  (* [Stats] counters, looked up once per state: a memo hit is a single
+     probe, and a by-name increment would cost more than the probe. *)
+  interned : int ref;
+  add_hits : int ref;
+  add_misses : int ref;
+  union_hits : int ref;
+  union_misses : int ref;
+  delta_hits : int ref;
+  delta_misses : int ref;
+  diff_hits : int ref;
+  diff_misses : int ref;
 }
 
 let fresh_state () =
   let pool = HC.create 4096 in
   let eps = HC.intern pool (Bitset.create ()) in
   assert (eps = 0);
+  let c name = Stats.counter ("ptset." ^ name) in
   {
     pool;
-    add_memo = Hashtbl.create 4096;
-    union_memo = Hashtbl.create 4096;
-    delta_memo = Hashtbl.create 4096;
-    diff_memo = Hashtbl.create 1024;
+    add_memo = Tbl.create 4096;
+    union_memo = Tbl.create 4096;
+    delta_memo = Tbl.create 4096;
+    diff_memo = Tbl.create 1024;
+    interned = c "interned";
+    add_hits = c "add_hits";
+    add_misses = c "add_misses";
+    union_hits = c "union_hits";
+    union_misses = c "union_misses";
+    delta_hits = c "delta_hits";
+    delta_misses = c "delta_misses";
+    diff_hits = c "diff_hits";
+    diff_misses = c "diff_misses";
   }
 
 (* The pool and memo tables are confined to the domain that uses them
@@ -62,17 +86,12 @@ let hash (id : t) = id
 let compare_id : t -> t -> int = Int.compare
 
 (* Memo keys pack two ids (or an id and an element) into one OCaml int, so
-   both halves are bounded by a *named, checked* width — large enough for
-   ~2·10^9 interned sets or abstract objects. *)
-let key_bits = 31
-let key_limit = 1 lsl key_bits
-
-let pack a b =
-  if a < 0 || b < 0 || a >= key_limit || b >= key_limit then
-    invalid_arg "Ptset: id or element exceeds the 31-bit packed-key range";
-  (a lsl key_bits) lor b
-
-let unpack key = (key lsr key_bits, key land (key_limit - 1))
+   both halves are bounded by a named, checked width: enough for ~2·10^9
+   interned sets or abstract objects. *)
+let key_bits = Pair_key.bits
+let key_limit = Pair_key.limit
+let pack = Pair_key.pack
+let unpack = Pair_key.unpack
 let view id = HC.get (state ()).pool id
 
 (* Intern a set the caller owns (and will never mutate again). *)
@@ -81,7 +100,7 @@ let intern_owned s =
   match HC.find_opt st.pool s with
   | Some id -> id
   | None ->
-    Stats.incr "ptset.interned";
+    incr st.interned;
     HC.intern st.pool s
 
 let of_bitset s =
@@ -97,16 +116,16 @@ let add id x =
   else begin
     let st = state () in
     let key = pack id x in
-    match Hashtbl.find_opt st.add_memo key with
+    match Tbl.find_opt st.add_memo key with
     | Some r ->
-      Stats.incr "ptset.add_hits";
+      incr st.add_hits;
       r
     | None ->
-      Stats.incr "ptset.add_misses";
+      incr st.add_misses;
       let s = Bitset.copy (view id) in
       ignore (Bitset.add s x);
       let r = intern_owned s in
-      Hashtbl.add st.add_memo key r;
+      Tbl.add st.add_memo key r;
       r
   end
 
@@ -117,13 +136,13 @@ let union a b =
   else if a = empty then b
   else begin
     let st = state () in
-    let key = pack (min a b) (max a b) in
-    match Hashtbl.find_opt st.union_memo key with
+    let key = pack (Int.min a b) (Int.max a b) in
+    match Tbl.find_opt st.union_memo key with
     | Some r ->
-      Stats.incr "ptset.union_hits";
+      incr st.union_hits;
       r
     | None ->
-      Stats.incr "ptset.union_misses";
+      incr st.union_misses;
       let sa = view a and sb = view b in
       (* Subset fast paths return an existing id without allocating. *)
       let r =
@@ -131,7 +150,7 @@ let union a b =
         else if Bitset.subset sa sb then b
         else intern_owned (Bitset.union sa sb)
       in
-      Hashtbl.add st.union_memo key r;
+      Tbl.add st.union_memo key r;
       r
   end
 
@@ -141,17 +160,17 @@ let union_delta a b =
   else begin
     let st = state () in
     let key = pack a b in
-    match Hashtbl.find_opt st.delta_memo key with
+    match Tbl.find_opt st.delta_memo key with
     | Some r ->
-      Stats.incr "ptset.delta_hits";
+      incr st.delta_hits;
       r
     | None ->
-      Stats.incr "ptset.delta_misses";
+      incr st.delta_misses;
       let d = Bitset.diff (view b) (view a) in
       let r =
         if Bitset.is_empty d then (a, empty) else (union a b, intern_owned d)
       in
-      Hashtbl.add st.delta_memo key r;
+      Tbl.add st.delta_memo key r;
       r
   end
 
@@ -161,14 +180,14 @@ let diff a b =
   else begin
     let st = state () in
     let key = pack a b in
-    match Hashtbl.find_opt st.diff_memo key with
+    match Tbl.find_opt st.diff_memo key with
     | Some r ->
-      Stats.incr "ptset.diff_hits";
+      incr st.diff_hits;
       r
     | None ->
-      Stats.incr "ptset.diff_misses";
+      incr st.diff_misses;
       let r = intern_owned (Bitset.diff (view a) (view b)) in
-      Hashtbl.add st.diff_memo key r;
+      Tbl.add st.diff_memo key r;
       r
   end
 
@@ -225,7 +244,7 @@ let check_pool () =
     if live a && live b then k (HC.get st.pool a) (HC.get st.pool b)
     else fail "%s memo: operand (%d, %d) outside the pool" what a b
   in
-  Hashtbl.iter
+  Tbl.iter
     (fun key r ->
       let a, x = unpack key in
       if not (live a) then fail "add memo: set %d outside the pool" a
@@ -235,18 +254,18 @@ let check_pool () =
         same "add" key r s
       end)
     st.add_memo;
-  Hashtbl.iter
+  Tbl.iter
     (fun key r ->
       operands "union" key (fun sa sb ->
           same "union" key r (Bitset.union sa sb)))
     st.union_memo;
-  Hashtbl.iter
+  Tbl.iter
     (fun key (u, d) ->
       operands "union_delta" key (fun sa sb ->
           same "union_delta" key u (Bitset.union sa sb);
           same "union_delta" key d (Bitset.diff sb sa)))
     st.delta_memo;
-  Hashtbl.iter
+  Tbl.iter
     (fun key r ->
       operands "diff" key (fun sa sb -> same "diff" key r (Bitset.diff sa sb)))
     st.diff_memo;

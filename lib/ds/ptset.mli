@@ -81,7 +81,7 @@ val choose : t -> int option
 (** {2 Packed memo keys} *)
 
 val key_bits : int
-(** Width of each half of a packed memo key (31). *)
+(** Width of each half of a packed memo key ({!Pair_key.bits}, 31). *)
 
 val key_limit : int
 (** [2^key_bits]. Ids and elements at or above this are rejected with

@@ -22,18 +22,16 @@ let incr name = Stdlib.incr (counter name)
 let add name n = counter name := !(counter name) + n
 let get name = !(counter name)
 
-(* Zero every registered counter *and* drop the registrations: counters only
-   reappear in [snapshot]/[pp] once they are touched again, so a dump after a
-   reset never reports stale names from earlier runs. The refs are zeroed
-   before being dropped so holders of a pre-reset [counter] ref observe the
-   reset rather than a stale count. *)
-let reset_all () =
-  let table = table () in
-  Hashtbl.iter (fun _ r -> r := 0) table;
-  Hashtbl.reset table
+(* Zero every registered counter but keep the registrations, so a ref
+   taken with [counter] before the reset keeps counting into the table.
+   [snapshot] skips zero counters, so a dump after a reset still lists only
+   counters touched since. *)
+let reset_all () = Hashtbl.iter (fun _ r -> r := 0) (table ())
 
 let snapshot () =
-  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) (table ()) []
+  Hashtbl.fold
+    (fun name r acc -> if !r = 0 then acc else (name, !r) :: acc)
+    (table ()) []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let merge snap = List.iter (fun (name, n) -> add name n) snap

@@ -12,25 +12,23 @@
 
 val counter : string -> int ref
 (** [counter name] returns the (shared) counter registered under [name],
-    creating it at 0 on first use. The ref stays live until the next
-    {!reset_all}; after a reset it is detached — it is zeroed, but further
-    increments through it are no longer observed by {!get}/{!snapshot}, so
-    long-lived code should call {!incr}/{!add} by name rather than cache the
-    ref across resets (no code in this repository caches refs). *)
+    creating it at 0 on first use. Registrations live as long as the
+    domain: the ref stays the one {!get} and {!snapshot} read, across
+    {!reset_all} too, so hot loops may cache it instead of looking the name
+    up on every increment. *)
 
 val incr : string -> unit
 val add : string -> int -> unit
 val get : string -> int
 
 val reset_all : unit -> unit
-(** Zeroes and unregisters every counter. Counters touched after the reset
-    re-register from zero, and {!snapshot}/{!pp} afterwards report only
-    counters touched since the reset — not stale zero-valued names from
-    before it (consumers that snapshot around a measured region rely on
-    this). *)
+(** Zeroes every counter. Registrations (and refs held by callers) survive;
+    since {!snapshot}/{!pp} omit zero counters, a dump after a reset still
+    reports only counters touched since it (consumers that snapshot around
+    a measured region rely on this). *)
 
 val snapshot : unit -> (string * int) list
-(** All counters touched since the last {!reset_all}, sorted by name. *)
+(** Every non-zero counter, sorted by name. *)
 
 val merge : (string * int) list -> unit
 (** Add a snapshot (typically taken on a worker domain at the end of a

@@ -1,10 +1,39 @@
-module Fifo = struct
-  type t = { queue : int Queue.t; queued : Bitset.t }
+(* "On the list" flags over dense ids, one byte each, grown on demand. A
+   sparse [Bitset] would binary-search its words on every push and pop and
+   shift them whenever a word fills up or empties. *)
+module Flags = struct
+  type t = { mutable bytes : Bytes.t }
 
-  let create () = { queue = Queue.create (); queued = Bitset.create () }
+  let create () = { bytes = Bytes.make 64 '\000' }
+
+  let mem t x =
+    if x < 0 then invalid_arg "Worklist: negative item";
+    x < Bytes.length t.bytes && Bytes.unsafe_get t.bytes x <> '\000'
+
+  (* true iff [x] was not set *)
+  let add t x =
+    if mem t x then false
+    else begin
+      let n = Bytes.length t.bytes in
+      if x >= n then begin
+        let bytes = Bytes.make (max (2 * n) (x + 1)) '\000' in
+        Bytes.blit t.bytes 0 bytes 0 n;
+        t.bytes <- bytes
+      end;
+      Bytes.unsafe_set t.bytes x '\001';
+      true
+    end
+
+  let remove t x = if mem t x then Bytes.unsafe_set t.bytes x '\000'
+end
+
+module Fifo = struct
+  type t = { queue : int Queue.t; queued : Flags.t }
+
+  let create () = { queue = Queue.create (); queued = Flags.create () }
 
   let push t x =
-    if Bitset.add t.queued x then begin
+    if Flags.add t.queued x then begin
       Queue.push x t.queue;
       true
     end
@@ -13,7 +42,7 @@ module Fifo = struct
   let pop t =
     match Queue.pop t.queue with
     | x ->
-      ignore (Bitset.remove t.queued x);
+      Flags.remove t.queued x;
       Some x
     | exception Queue.Empty -> None
 
@@ -22,12 +51,12 @@ module Fifo = struct
 end
 
 module Lifo = struct
-  type t = { mutable stack : int list; mutable count : int; queued : Bitset.t }
+  type t = { mutable stack : int list; mutable count : int; queued : Flags.t }
 
-  let create () = { stack = []; count = 0; queued = Bitset.create () }
+  let create () = { stack = []; count = 0; queued = Flags.create () }
 
   let push t x =
-    if Bitset.add t.queued x then begin
+    if Flags.add t.queued x then begin
       t.stack <- x :: t.stack;
       t.count <- t.count + 1;
       true
@@ -40,7 +69,7 @@ module Lifo = struct
     | x :: rest ->
       t.stack <- rest;
       t.count <- t.count - 1;
-      ignore (Bitset.remove t.queued x);
+      Flags.remove t.queued x;
       Some x
 
   let is_empty t = t.stack = []
@@ -68,14 +97,14 @@ module Prio = struct
   type t = {
     mutable heap : (int * int) array;
     mutable len : int;
-    queued : Bitset.t;
+    queued : Flags.t;
     mutable n_queued : int;
     best : (int, int) Hashtbl.t;  (* item -> best (smallest) stored rank *)
     priority : int -> int;
   }
 
   let create ~priority () =
-    { heap = Array.make 16 (0, 0); len = 0; queued = Bitset.create ();
+    { heap = Array.make 16 (0, 0); len = 0; queued = Flags.create ();
       n_queued = 0; best = Hashtbl.create 64; priority }
 
   let swap t i j =
@@ -114,7 +143,7 @@ module Prio = struct
 
   let push t x =
     let k = t.priority x in
-    if Bitset.add t.queued x then begin
+    if Flags.add t.queued x then begin
       t.n_queued <- t.n_queued + 1;
       Hashtbl.replace t.best x k;
       insert t (k, x);
@@ -140,7 +169,7 @@ module Prio = struct
     if t.len = 0 then None
     else begin
       let k, x = t.heap.(0) in
-      if not (Bitset.mem t.queued x) then begin
+      if not (Flags.mem t.queued x) then begin
         (* stale duplicate of an already-delivered item *)
         drop_root t;
         pop t
@@ -155,7 +184,7 @@ module Prio = struct
         end
         else begin
           drop_root t;
-          ignore (Bitset.remove t.queued x);
+          Flags.remove t.queued x;
           t.n_queued <- t.n_queued - 1;
           Hashtbl.remove t.best x;
           Some x

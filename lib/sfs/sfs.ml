@@ -5,13 +5,14 @@ module Engine = Pta_engine.Engine
 module Scheduler = Pta_engine.Scheduler
 module Telemetry = Pta_engine.Telemetry
 
+module Tbl = Pair_key.Tbl
+
 type result = {
   c : Solver_common.t;
-  (* keys are [node lsl 31 lor obj] — avoids tuple allocation on the hot
-     path; the packing is checked at creation (cf. [key]) *)
-  ins : (int, Ptset.t) Hashtbl.t;
-  outs : (int, Ptset.t) Hashtbl.t;
-  node_objs : (int, Bitset.t) Hashtbl.t;
+  (* keyed by [Pair_key.pack node obj]: no tuple per lookup *)
+  ins : Ptset.t Tbl.t;
+  outs : Ptset.t Tbl.t;
+  node_objs : Bitset.t Tbl.t;
       (* per node: objects with a materialised IN set — a store must pass
          these through to OUT when it does not actually define them *)
 }
@@ -19,28 +20,29 @@ type result = {
 type paused = { res : result; eng : Engine.t }
 type outcome = Done of result | Paused of paused
 
-let key n o =
-  if n < 0 || o < 0 || n >= 1 lsl 31 || o >= 1 lsl 31 then
-    invalid_arg "Sfs.key: node or object id exceeds the 31-bit packed range";
-  (n lsl 31) lor o
-
 (* IN/OUT tables hold interned ids; an absent entry and an explicit [empty]
    entry differ — stores pass through exactly the *materialised* INs, so
-   reading a set must record its existence, as before. *)
+   reading a set must record its existence. *)
 let find_or_empty tbl k =
-  match Hashtbl.find_opt tbl k with
+  match Tbl.find_opt tbl k with
   | Some id -> id
   | None ->
-    Hashtbl.add tbl k Ptset.empty;
+    Tbl.add tbl k Ptset.empty;
     Ptset.empty
 
+(* Only the read that materialises an IN can add an object to [node_objs],
+   so a hit costs one probe. *)
 let in_id t n o =
-  (match Hashtbl.find_opt t.node_objs n with
-  | Some s -> ignore (Bitset.add s o)
-  | None -> Hashtbl.add t.node_objs n (Bitset.singleton o));
-  find_or_empty t.ins (key n o)
+  let k = Pair_key.pack n o in
+  match Tbl.find_opt t.ins k with
+  | Some id -> id
+  | None ->
+    (match Tbl.find_opt t.node_objs n with
+    | Some s -> ignore (Bitset.add s o)
+    | None -> Tbl.add t.node_objs n (Bitset.singleton o));
+    find_or_empty t.ins k
 
-let out_id t n o = find_or_empty t.outs (key n o)
+let out_id t n o = find_or_empty t.outs (Pair_key.pack n o)
 
 (* Union [src] into the IN set of [(n, o)]; true iff it grew. *)
 let union_in t n o src =
@@ -48,7 +50,7 @@ let union_in t n o src =
   let s' = Ptset.union s src in
   if Ptset.equal s' s then false
   else begin
-    Hashtbl.replace t.ins (key n o) s';
+    Tbl.replace t.ins (Pair_key.pack n o) s';
     true
   end
 
@@ -76,8 +78,8 @@ let start ?(strategy = `Fifo) ?strong_updates ?seed svfg =
   in
   let c = Solver_common.create ?strong_updates ~tel svfg in
   let t =
-    { c; ins = Hashtbl.create 1024; outs = Hashtbl.create 256;
-      node_objs = Hashtbl.create 256 }
+    { c; ins = Tbl.create 1024; outs = Tbl.create 256;
+      node_objs = Tbl.create 256 }
   in
   let annot = Svfg.annot svfg in
   let props = c.Solver_common.props in
@@ -133,7 +135,7 @@ let start ?(strategy = `Fifo) ?strong_updates ?seed svfg =
                 else Ptset.union_delta out1 (in_id t n o)
               in
               if not (Ptset.equal out2 out0) then begin
-                Hashtbl.replace t.outs (key n o) out2;
+                Tbl.replace t.outs (Pair_key.pack n o) out2;
                 propagate n o (Ptset.union d1 d2)
               end
             end)
@@ -143,7 +145,7 @@ let start ?(strategy = `Fifo) ?strong_updates ?seed svfg =
            node, but flow-sensitively the store does not write them): pass
            IN through to OUT unchanged — except for a statically strong-
            updated object, which is killed here no matter what. *)
-        (match Hashtbl.find_opt t.node_objs n with
+        (match Tbl.find_opt t.node_objs n with
         | Some objs ->
           Bitset.iter
             (fun o ->
@@ -154,7 +156,7 @@ let start ?(strategy = `Fifo) ?strong_updates ?seed svfg =
                 let out0 = out_id t n o in
                 let out1, d = Ptset.union_delta out0 (in_id t n o) in
                 if not (Ptset.equal out1 out0) then begin
-                  Hashtbl.replace t.outs (key n o) out1;
+                  Tbl.replace t.outs (Pair_key.pack n o) out1;
                   propagate n o d
                 end
               end)
@@ -194,7 +196,7 @@ let start ?(strategy = `Fifo) ?strong_updates ?seed svfg =
       s.seed_ins;
     List.iter
       (fun (n, o, set) ->
-        Hashtbl.replace t.outs (key n o) (Ptset.of_bitset set))
+        Tbl.replace t.outs (Pair_key.pack n o) (Ptset.of_bitset set))
       s.seed_outs;
     List.iter (Engine.push eng) s.schedule);
   { res = t; eng }
@@ -215,34 +217,33 @@ let solve_budgeted ?strategy ?strong_updates ~budget svfg =
 let resume ~budget p = continue_ (Some budget) p
 
 let pt t v = Solver_common.pt_of t.c v
-let in_set t n o = Option.map Ptset.view (Hashtbl.find_opt t.ins (key n o))
-let out_set t n o = Option.map Ptset.view (Hashtbl.find_opt t.outs (key n o))
+let in_set t n o = Option.map Ptset.view (Tbl.find_opt t.ins (Pair_key.pack n o))
+let out_set t n o = Option.map Ptset.view (Tbl.find_opt t.outs (Pair_key.pack n o))
 
 (* Deterministic sweep over the materialised non-empty entries (sorted by
    packed key, i.e. by (node, object)) — what the per-function result
    artifacts are built from. *)
 let iter_nonempty tbl f =
-  let keys =
-    Hashtbl.fold (fun k id acc -> if Ptset.is_empty id then acc else k :: acc)
+  let entries =
+    Tbl.fold
+      (fun k id acc -> if Ptset.is_empty id then acc else (k, id) :: acc)
       tbl []
   in
-  let mask = (1 lsl 31) - 1 in
   List.iter
-    (fun k -> f (k lsr 31) (k land mask) (Ptset.view (Hashtbl.find tbl k)))
-    (List.sort compare keys)
+    (fun (k, id) -> f (Pair_key.hi k) (Pair_key.lo k) (Ptset.view id))
+    (List.sort (fun (a, _) (b, _) -> Int.compare a b) entries)
 
 let iter_ins t f = iter_nonempty t.ins f
 let iter_outs t f = iter_nonempty t.outs f
 
-(* Flow-insensitive collapse of an object's contents over all program
-   points. *)
+(* Flow-insensitive collapse of one object's contents over all program
+   points: a scan of both whole tables. *)
 let object_pt t o =
-  let mask = (1 lsl 31) - 1 in
   let acc = Bitset.create () in
   let scan tbl =
-    Hashtbl.iter
+    Tbl.iter
       (fun k id ->
-        if k land mask = o then
+        if Pair_key.lo k = o then
           ignore (Bitset.union_into ~into:acc (Ptset.view id)))
       tbl
   in
@@ -250,14 +251,32 @@ let object_pt t o =
   scan t.outs;
   acc
 
+(* Every object's collapse in one pass over each table. Slots of one object
+   often repeat its previous set, so a set equal to the object's last one
+   is skipped. *)
+let object_pts t =
+  let n = Prog.n_vars (Svfg.prog t.c.Solver_common.svfg) in
+  let acc = Array.init n (fun _ -> Bitset.create ()) in
+  let last = Array.make n Ptset.empty in
+  let add k id =
+    let o = Pair_key.lo k in
+    if not (Ptset.equal id last.(o)) then begin
+      last.(o) <- id;
+      ignore (Bitset.union_into ~into:acc.(o) (Ptset.view id))
+    end
+  in
+  Tbl.iter add t.ins;
+  Tbl.iter add t.outs;
+  acc
+
 let callgraph t = t.c.Solver_common.cg_fs
 
-let n_sets t = Hashtbl.length t.ins + Hashtbl.length t.outs
+let n_sets t = Tbl.length t.ins + Tbl.length t.outs
 
 let tally t =
   let tl = Ptset.Tally.create () in
-  Hashtbl.iter (fun _ id -> Ptset.Tally.visit tl id) t.ins;
-  Hashtbl.iter (fun _ id -> Ptset.Tally.visit tl id) t.outs;
+  Tbl.iter (fun _ id -> Ptset.Tally.visit tl id) t.ins;
+  Tbl.iter (fun _ id -> Ptset.Tally.visit tl id) t.outs;
   tl
 
 let words t = Ptset.Tally.shared_words (tally t)

@@ -84,7 +84,12 @@ val out_set : result -> int -> Inst.var -> Pta_ds.Bitset.t option
 
 val object_pt : result -> Inst.var -> Pta_ds.Bitset.t
 (** Flow-insensitive collapse: union of the object's IN/OUT sets over all
-    program points. *)
+    program points. Scans both whole tables, so it suits one-off questions;
+    for every object use {!object_pts}. *)
+
+val object_pts : result -> Pta_ds.Bitset.t array
+(** [object_pt] for every variable at once, indexed by variable id (empty
+    for non-objects), in one pass over each table. The sets are fresh. *)
 
 val callgraph : result -> Callgraph.t
 (** Flow-sensitively resolved call graph (subset of the auxiliary one). *)

@@ -21,7 +21,7 @@ type t = {
   formal_outs : (int * int, int) Hashtbl.t;
   actual_ins : (int * int * int, int) Hashtbl.t;  (* (f, call, obj) -> node *)
   actual_outs : (int * int * int, int) Hashtbl.t;
-  ind_out : (int * int, Bitset.t) Hashtbl.t;  (* (src, obj) -> dsts *)
+  ind_out : Bitset.t Pair_key.Tbl.t;  (* packed (src, obj) -> dsts *)
   mutable n_ind_edges : int;
   def_nodes : int Vec.t;  (* var -> defining node or -1 *)
   user_lists : int list Vec.t;  (* var -> instruction nodes using it *)
@@ -62,13 +62,13 @@ let actual_out t (cs : Callgraph.callsite) o =
   Hashtbl.find_opt t.actual_outs (cs.Callgraph.cs_func, cs.Callgraph.cs_inst, o)
 
 let add_indirect_edge t src o dst =
-  let key = (src, o) in
+  let key = Pair_key.pack src o in
   let set =
-    match Hashtbl.find_opt t.ind_out key with
+    match Pair_key.Tbl.find_opt t.ind_out key with
     | Some s -> s
     | None ->
       let s = Bitset.create () in
-      Hashtbl.add t.ind_out key s;
+      Pair_key.Tbl.add t.ind_out key s;
       s
   in
   if Bitset.add set dst then begin
@@ -78,7 +78,7 @@ let add_indirect_edge t src o dst =
   else false
 
 let iter_ind_succs t n o f =
-  match Hashtbl.find_opt t.ind_out (n, o) with
+  match Pair_key.Tbl.find_opt t.ind_out (Pair_key.pack n o) with
   | Some s -> Bitset.iter f s
   | None -> ()
 
@@ -140,8 +140,9 @@ let n_direct_edges t = t.n_dir_edges
 
 let to_digraph t =
   let g = Pta_graph.Digraph.create ~n:(n_nodes t) () in
-  Hashtbl.iter
-    (fun (src, _) dsts ->
+  Pair_key.Tbl.iter
+    (fun key dsts ->
+      let src = Pair_key.hi key in
       Bitset.iter (fun dst -> ignore (Pta_graph.Digraph.add_edge g src dst)) dsts)
     t.ind_out;
   for v = 0 to Vec.length t.def_nodes - 1 do
@@ -362,18 +363,18 @@ type raw = {
 let export t =
   let raw_kinds = Array.init (n_nodes t) (fun n -> kind t n) in
   let edges =
-    Hashtbl.fold
-      (fun (src, o) dsts acc ->
-        (src, o, Array.of_list (Bitset.elements dsts)) :: acc)
+    Pair_key.Tbl.fold
+      (fun key dsts acc -> (key, dsts) :: acc)
       t.ind_out []
   in
-  (* Hashtbl order is nondeterministic; sort so identical graphs encode to
-     identical bytes (stable content hashes). *)
+  (* Table order is arbitrary; sort so identical graphs encode to identical
+     bytes (stable content hashes). Packed keys sort by (src, obj). *)
   let raw_ind =
     Array.of_list
-      (List.sort
-         (fun (a, b, _) (c, d, _) -> compare (a, b) (c, d))
-         edges)
+      (List.map
+         (fun (key, dsts) ->
+           (Pair_key.hi key, Pair_key.lo key, Array.of_list (Bitset.elements dsts)))
+         (List.sort (fun (a, _) (b, _) -> Int.compare a b) edges))
   in
   let raw_mods, raw_refs = Modref.export t.mr in
   let raw_mu, raw_chi, raw_entry_chis, raw_exit_mus = Annot.export t.annot in
@@ -399,7 +400,7 @@ let import prog (aux : Modref.aux) raw =
       formal_outs = Hashtbl.create 64;
       actual_ins = Hashtbl.create 64;
       actual_outs = Hashtbl.create 64;
-      ind_out = Hashtbl.create (max 16 (Array.length raw.raw_ind));
+      ind_out = Pair_key.Tbl.create (max 16 (Array.length raw.raw_ind));
       n_ind_edges = 0;
       def_nodes = Vec.create ~dummy:(-1) ();
       user_lists = Vec.create ~dummy:[] ();
@@ -454,7 +455,7 @@ let build prog (aux : Modref.aux) =
       formal_outs = Hashtbl.create 64;
       actual_ins = Hashtbl.create 64;
       actual_outs = Hashtbl.create 64;
-      ind_out = Hashtbl.create 1024;
+      ind_out = Pair_key.Tbl.create 1024;
       n_ind_edges = 0;
       def_nodes = Vec.create ~dummy:(-1) ();
       user_lists = Vec.create ~dummy:[] ();

@@ -393,24 +393,26 @@ let json_of_run (r : solver_run) =
 
 (* Final-result artifacts ------------------------------------------------- *)
 
-let points_to_of ~prog ~pt ~object_pt =
+(* [object_pts] is the solver's one-pass collapse of every object, indexed
+   by variable. *)
+let points_to_of ~prog ~pt ~object_pts =
   let n = Pta_ir.Prog.n_vars prog in
   {
     Artifact.top = Array.init n pt;
     obj =
       Array.init n (fun v ->
           if Pta_ir.Prog.is_object prog v && not (Pta_ir.Prog.is_dead prog v)
-          then object_pt v
+          then object_pts.(v)
           else Pta_ds.Bitset.create ());
   }
 
 let points_to_of_sfs b r =
   points_to_of ~prog:b.prog ~pt:(Pta_sfs.Sfs.pt r)
-    ~object_pt:(Pta_sfs.Sfs.object_pt r)
+    ~object_pts:(Pta_sfs.Sfs.object_pts r)
 
 let points_to_of_vsfs b r =
   points_to_of ~prog:b.prog ~pt:(Vsfs_core.Vsfs.pt r)
-    ~object_pt:(Vsfs_core.Vsfs.object_pt r)
+    ~object_pts:(Vsfs_core.Vsfs.object_pts r)
 
 let results_stage solver = "results-" ^ solver
 

@@ -180,9 +180,13 @@ val json_of_run : solver_run -> string
 
 val points_to_of_sfs :
   built -> Pta_sfs.Sfs.result -> Pta_store.Artifact.points_to
+(** Every variable's final answer: [pt] for top-level variables and the
+    flow-insensitive collapse for live objects, extracted in one pass over
+    the solver's tables ({!Pta_sfs.Sfs.object_pts}). *)
 
 val points_to_of_vsfs :
   built -> Vsfs_core.Vsfs.result -> Pta_store.Artifact.points_to
+(** The same from a VSFS solve ({!Vsfs_core.Vsfs.object_pts}). *)
 
 val save_points_to :
   store:Pta_store.Store.t -> ?label:string -> built -> solver:string ->

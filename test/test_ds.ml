@@ -739,6 +739,87 @@ let test_stats () =
   Stats.reset_all ();
   Alcotest.(check int) "reset" 0 (Stats.get "test.counter")
 
+(* A ref taken before [reset_all] must keep counting into the table that
+   [get] and [snapshot] read: hot loops cache their counters. *)
+let test_stats_cached_ref () =
+  let r = Stats.counter "test.cached" in
+  Stats.reset_all ();
+  Alcotest.(check (list (pair string int))) "zero counters omitted" []
+    (List.filter (fun (k, _) -> k = "test.cached") (Stats.snapshot ()));
+  incr r;
+  incr r;
+  Alcotest.(check int) "get sees the cached ref" 2 (Stats.get "test.cached");
+  Alcotest.(check (option int)) "snapshot sees the cached ref" (Some 2)
+    (List.assoc_opt "test.cached" (Stats.snapshot ()));
+  Stats.reset_all ();
+  Alcotest.(check int) "reset zeroes the ref" 0 !r
+
+(* ---------- pair keys ---------- *)
+
+let half = QCheck2.Gen.(oneof [ 0 -- 1000; 0 -- (Pair_key.limit - 1) ])
+
+let prop_pair_key_roundtrip =
+  QCheck2.Test.make ~name:"pair_key unpack (pack a b) = (a, b)" ~count:1000
+    QCheck2.Gen.(pair half half)
+    (fun (a, b) ->
+      let k = Pair_key.pack a b in
+      Pair_key.unpack k = (a, b)
+      && Pair_key.hi k = a && Pair_key.lo k = b && k >= 0)
+
+let test_pair_key_range () =
+  let raises a b =
+    match Pair_key.pack a b with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  let lim = Pair_key.limit in
+  Alcotest.(check int) "limit = 2^bits" (1 lsl Pair_key.bits) lim;
+  Alcotest.(check bool) "negative high half" true (raises (-1) 0);
+  Alcotest.(check bool) "negative low half" true (raises 0 (-1));
+  Alcotest.(check bool) "high half at 2^31" true (raises lim 0);
+  Alcotest.(check bool) "low half at 2^31" true (raises 0 lim);
+  Alcotest.(check bool) "largest halves pack" false (raises (lim - 1) (lim - 1))
+
+(* [Tbl] against a polymorphic [Hashtbl] model: after every operation the
+   two agree on the probed key and on the size. *)
+let prop_pair_key_tbl_model =
+  let op =
+    QCheck2.Gen.(triple (0 -- 2) (pair (0 -- 40) (0 -- 40)) (0 -- 1000))
+  in
+  QCheck2.Test.make ~name:"pair_key Tbl matches a Hashtbl model" ~count:300
+    QCheck2.Gen.(list_size (0 -- 200) op)
+    (fun ops ->
+      let t = Pair_key.Tbl.create 8 and m = Hashtbl.create 8 in
+      List.for_all
+        (fun (kind, (a, b), v) ->
+          let k = Pair_key.pack a b in
+          (match kind with
+          | 0 ->
+            Pair_key.Tbl.add t k v;
+            Hashtbl.add m (a, b) v
+          | 1 ->
+            Pair_key.Tbl.replace t k v;
+            Hashtbl.replace m (a, b) v
+          | _ -> ());
+          Pair_key.Tbl.find_opt t k = Hashtbl.find_opt m (a, b)
+          && Pair_key.Tbl.find_all t k = Hashtbl.find_all m (a, b)
+          && Pair_key.Tbl.length t = Hashtbl.length m)
+        ops)
+
+(* Keys differing only in the high half must not share a bucket: their
+   low 31 bits are all equal. *)
+let test_pair_key_spread () =
+  let t = Pair_key.Tbl.create 16 in
+  for i = 0 to 4095 do
+    Pair_key.Tbl.replace t (Pair_key.pack i 0) i
+  done;
+  let st = Pair_key.Tbl.stats t in
+  Alcotest.(check int) "all keys present" 4096 st.Hashtbl.num_bindings;
+  Alcotest.(check bool)
+    (Printf.sprintf "max bucket length %d <= 8" st.Hashtbl.max_bucket_length)
+    true
+    (st.Hashtbl.max_bucket_length <= 8)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -781,6 +862,13 @@ let () =
             test_ptset_key_overflow;
           Alcotest.test_case "check_pool" `Quick test_ptset_check_pool;
         ] );
+      ( "pair_key",
+        [
+          Alcotest.test_case "range checks" `Quick test_pair_key_range;
+          Alcotest.test_case "bucket spread" `Quick test_pair_key_spread;
+          QCheck_alcotest.to_alcotest prop_pair_key_roundtrip;
+          QCheck_alcotest.to_alcotest prop_pair_key_tbl_model;
+        ] );
       qsuite "ptset-props"
         [
           prop_ptset_op_sequences;
@@ -820,5 +908,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_prio_sorted;
           QCheck_alcotest.to_alcotest prop_prio_rank_churn;
         ] );
-      ("stats", [ Alcotest.test_case "counters" `Quick test_stats ]);
+      ( "stats",
+        [
+          Alcotest.test_case "counters" `Quick test_stats;
+          Alcotest.test_case "cached ref survives reset" `Quick
+            test_stats_cached_ref;
+        ] );
     ]

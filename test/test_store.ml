@@ -604,6 +604,52 @@ let test_corrupt_blocks_rejected () =
   | _ -> ()
   | exception Codec.Corrupt _ -> ())
 
+(* ---------- golden digests: table layout never reaches stored bytes ------ *)
+
+(* Digests of the encoded artifacts for [gen du --scale 0.15], recorded
+   before the solver tables moved from polymorphic [Hashtbl]s to packed-int
+   ones. Every exported or encoded value is sorted or order-free, so a change
+   in a table's hash or iteration order must not move a single byte. *)
+let golden_du_015 =
+  [
+    ("svfg", "34930a111f6caa70d7cd7d420a891b0a");
+    ("to_digraph", "08af92d774bbb23a9c5891a5eaf6dfd0");
+    ("versioning", "7f3335eeedd15dedf746a532b353d6e4");
+    ("results-sfs", "f5349c4b5475a252eb3eefed1bb6fc67");
+    ("results-vsfs", "f5349c4b5475a252eb3eefed1bb6fc67");
+  ]
+
+let digraph_bytes g =
+  let b = Buffer.create 4096 in
+  Pta_graph.Digraph.iter_edges g (fun u v ->
+      Codec.add_uint b u;
+      Codec.add_uint b v);
+  Buffer.contents b
+
+let test_golden_digests () =
+  let e = Option.get (Pta_workload.Suite.find ~scale:0.15 "du") in
+  let b = Pipeline.build_source (Pta_workload.Gen.source e.Pta_workload.Suite.cfg) in
+  let svfg = Pipeline.fresh_svfg b in
+  let ver = Vsfs_core.Versioning.compute svfg in
+  let sfs, _ = Pipeline.run_sfs b in
+  let vsfs, _ = Pipeline.run_vsfs b in
+  let actual =
+    [
+      ("svfg", Artifact.encode_svfg (Pta_svfg.Svfg.export svfg));
+      ("to_digraph", digraph_bytes (Pta_svfg.Svfg.to_digraph svfg));
+      ("versioning", Artifact.encode_versioning (Vsfs_core.Versioning.export ver));
+      ( "results-sfs",
+        Artifact.encode_points_to (Pipeline.points_to_of_sfs b sfs) );
+      ( "results-vsfs",
+        Artifact.encode_points_to (Pipeline.points_to_of_vsfs b vsfs) );
+    ]
+  in
+  List.iter
+    (fun (what, expected) ->
+      Alcotest.(check string) what expected
+        (Pta_store.Digest.hex (List.assoc what actual)))
+    golden_du_015
+
 let () =
   Alcotest.run "store"
     [
@@ -647,5 +693,7 @@ let () =
             test_source_edit_invalidates;
           Alcotest.test_case "corrupt entries recomputed" `Quick
             test_corrupt_entry_recomputed;
+          Alcotest.test_case "golden digests (du 0.15)" `Quick
+            test_golden_digests;
         ] );
     ]

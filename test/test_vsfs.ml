@@ -301,21 +301,21 @@ let test_sharing_factor () =
   Alcotest.(check bool) "sharing >= 1" true (Versioning.sharing_factor ver >= 1.0)
 
 let test_key_overflow () =
-  (* The (node, object) packed keys share [Ptset]'s checked 31-bit half
-     width; the seed packed them unchecked, silently colliding beyond it. *)
-  let lim = Pta_ds.Ptset.key_limit in
-  Alcotest.(check int) "packs in order" ((3 lsl Pta_ds.Ptset.key_bits) lor 5)
-    (Versioning.key 3 5);
-  let raises a b =
-    match Versioning.key a b with
-    | exception Invalid_argument _ -> true
-    | _ -> false
+  (* Every (node, object) table is keyed by the shared checked packer: an
+     operand beyond the 31-bit half width must raise, not collide. *)
+  let lim = Pta_ds.Pair_key.limit in
+  let _, _, ver = versioning_of redundancy_src in
+  let raises f =
+    match f () with exception Invalid_argument _ -> true | _ -> false
   in
-  Alcotest.(check bool) "node at limit rejected" true (raises lim 0);
-  Alcotest.(check bool) "object at limit rejected" true (raises 0 lim);
-  Alcotest.(check bool) "negative rejected" true (raises (-1) 0);
-  Alcotest.(check bool) "just below the limit packs" false
-    (raises (lim - 1) (lim - 1))
+  Alcotest.(check bool) "node at limit rejected" true
+    (raises (fun () -> Versioning.consume ver lim 0));
+  Alcotest.(check bool) "object at limit rejected" true
+    (raises (fun () -> Versioning.consume ver 0 lim));
+  Alcotest.(check bool) "negative rejected" true
+    (raises (fun () -> Versioning.consume ver (-1) 0));
+  Alcotest.(check bool) "just below the limit is a plain miss" true
+    (Vsfs_core.Version.is_epsilon (Versioning.consume ver (lim - 1) (lim - 1)))
 
 (* ---------- VSFS precision equality ---------- *)
 

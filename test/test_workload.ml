@@ -294,6 +294,37 @@ let test_pre_bit_identity_suite () =
         (same (P.points_to_of_vsfs b0 vsfs0) (P.points_to_of_vsfs b1 vsfs1)))
     [ "du"; "dpkg" ]
 
+(* The one-pass extraction must equal the per-object table scan it
+   replaced, for every variable, under both solvers. *)
+let check_object_pts what n object_pts object_pt =
+  let all = object_pts () in
+  Alcotest.(check int) (what ^ ": one entry per variable") n (Array.length all);
+  Array.iteri
+    (fun v s ->
+      if not (Pta_ds.Bitset.equal s (object_pt v)) then
+        Alcotest.failf "%s: object_pts differs from object_pt at %d" what v)
+    all
+
+let check_extraction what b =
+  let n = Pta_ir.Prog.n_vars b.P.prog in
+  let sfs, _ = P.run_sfs b and vsfs, _ = P.run_vsfs b in
+  check_object_pts (what ^ "/sfs") n
+    (fun () -> Pta_sfs.Sfs.object_pts sfs)
+    (Pta_sfs.Sfs.object_pt sfs);
+  check_object_pts (what ^ "/vsfs") n
+    (fun () -> Vsfs_core.Vsfs.object_pts vsfs)
+    (Vsfs_core.Vsfs.object_pt vsfs)
+
+let test_extraction_one_pass () =
+  List.iter
+    (fun name ->
+      let e = Option.get (Pta_workload.Suite.find ~scale:0.05 name) in
+      check_extraction name (P.build e.Pta_workload.Suite.cfg))
+    [ "psql"; "mruby"; "astyle"; "bash"; "hyriseConsole"; "lynx" ];
+  List.iter
+    (fun (name, src) -> check_extraction name (P.build_source src))
+    Pta_workload.Corpus.programs
+
 let () =
   Alcotest.run "pta_workload"
     [
@@ -319,6 +350,8 @@ let () =
           Alcotest.test_case "metrics" `Quick test_pipeline_metrics;
           Alcotest.test_case "dense agrees on benchmark" `Slow
             test_dense_on_benchmark;
+          Alcotest.test_case "one-pass extraction = per-object" `Quick
+            test_extraction_one_pass;
         ] );
       ( "stages",
         [
