@@ -4,7 +4,8 @@
 #   test   — the full alcotest/qcheck suite
 #   smoke  — end-to-end check of the persistent analysis store: analyze the
 #            same file twice through a fresh cache and require the second
-#            run to be a warm start with a results hit
+#            run to be a warm start with a results hit; the cold run's
+#            --stats must carry the call-wiring and versioning counters
 #   bench-smoke — scale-0.1 Table III run with --json; checks the
 #            machine-readable output carries the interning metrics
 #   fuzz-smoke — bounded differential-fuzzing run (fixed seed, all
@@ -60,7 +61,10 @@ test:
 smoke: build
 	@echo "== store smoke test (cache dir: $(SMOKE_DIR)) =="
 	$(DUNE) exec bin/vsfs_cli.exe -- gen --bench du --scale 0.2 -o $(SMOKE_DIR)/du.c
-	$(DUNE) exec bin/vsfs_cli.exe -- analyze $(SMOKE_DIR)/du.c --cache-dir $(SMOKE_DIR) --stats | grep -q "cache: build cold"
+	$(DUNE) exec bin/vsfs_cli.exe -- analyze $(SMOKE_DIR)/du.c --cache-dir $(SMOKE_DIR) --stats > $(SMOKE_DIR)/cold.out
+	grep -q "cache: build cold" $(SMOKE_DIR)/cold.out
+	grep -q "call_edges=" $(SMOKE_DIR)/cold.out
+	grep -q "vsfs.version_objects" $(SMOKE_DIR)/cold.out
 	$(DUNE) exec bin/vsfs_cli.exe -- analyze $(SMOKE_DIR)/du.c --cache-dir $(SMOKE_DIR) --stats > $(SMOKE_DIR)/warm.out
 	grep -q "cache: build warm" $(SMOKE_DIR)/warm.out
 	grep -q "cache: vsfs results hit" $(SMOKE_DIR)/warm.out

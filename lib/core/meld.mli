@@ -7,8 +7,9 @@
     store yields); the plain Fig. 3 process passes [frozen = fun _ -> false].
 
     This module is the abstract algorithm used in the paper's Fig. 4 example
-    and in property tests; {!Versioning} reimplements the same propagation
-    specialised to the SVFG's per-object labelled edges. *)
+    and in property tests; {!Versioning} computes the same fixpoint on the
+    SVFG one object at a time, in a single pass over each object's SCC
+    condensation. *)
 
 val run :
   ?frozen:(int -> bool) ->

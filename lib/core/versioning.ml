@@ -169,7 +169,113 @@ let import svfg raw =
     raw.raw_reliance;
   t
 
-let compute ?(release_labels = true) ?(order = `Fifo) svfg =
+(* Meld labelling (Fig. 8), one object at a time. The labels of [o] flow
+   only along o-labelled edges and meld is a join, so [o]'s part of the
+   least fixpoint is computed on its own subgraph. Stores (fixed yield) and
+   δ nodes (frozen consume) are constants there; every other node is
+   transparent (it yields what it consumes), so an SCC of transparent nodes
+   shares one label: the meld of its external inputs, assigned in one
+   topological pass over the condensation. A store consumes the meld of its
+   predecessors. The static reliances of [o]'s edges fall out of the same
+   pass. [o]'s edges are [esrc.(e) -> edst.(e)] for [e] in [lo .. hi - 1];
+   [role] marks each SVFG node transparent, [store] or [delta];
+   [loc], [glob], [lsrc] and [ldst] are scratch space shared by all objects
+   ([loc] all [-1]). *)
+let transparent = '\000'
+let store = '\001'
+let delta = '\002'
+
+let label_object t o ~lo ~hi ~esrc ~edst ~role ~loc ~glob ~lsrc ~ldst
+    ~(sccs : int ref) ~(max_scc : int ref) =
+  let k = ref 0 in
+  let local g =
+    let l = loc.(g) in
+    if l >= 0 then l
+    else begin
+      let l = !k in
+      loc.(g) <- l;
+      glob.(l) <- g;
+      incr k;
+      l
+    end
+  in
+  let n_e = hi - lo in
+  for i = 0 to n_e - 1 do
+    lsrc.(i) <- local esrc.(lo + i);
+    ldst.(i) <- local edst.(lo + i)
+  done;
+  let k = !k in
+  let role l = Bytes.get role glob.(l) in
+  (* [cons.(l)]: C_l(o); [yv.(l)]: Y_l(o). Constants first. *)
+  let cons = Array.make k Version.epsilon in
+  let yv = Array.make k Version.epsilon in
+  let find tbl l =
+    Option.value ~default:Version.epsilon
+      (Tbl.find_opt tbl (Pair_key.pack glob.(l) o))
+  in
+  for l = 0 to k - 1 do
+    if role l = store then yv.(l) <- find t.store_yield l
+    else if role l = delta then begin
+      cons.(l) <- find t.consume l;
+      yv.(l) <- cons.(l)
+    end
+  done;
+  (* Predecessors of every node, and the transparent-only successor graph
+     whose condensation orders the pass; lists in edge order. *)
+  let preds = Array.make k [] and succs = Array.make k [] in
+  for i = n_e - 1 downto 0 do
+    let s = lsrc.(i) and d = ldst.(i) in
+    preds.(d) <- s :: preds.(d);
+    if role s = transparent && role d = transparent then
+      succs.(s) <- d :: succs.(s)
+  done;
+  let scc = Pta_graph.Scc.compute_succs ~n:k (Array.get succs) in
+  let comp = scc.Pta_graph.Scc.comp and n_comps = scc.Pta_graph.Scc.n_comps in
+  let members = Array.make n_comps [] in
+  for l = k - 1 downto 0 do
+    members.(comp.(l)) <- l :: members.(comp.(l))
+  done;
+  (* Tarjan emits components sinks first: walk them backwards. Constants
+     are components of their own and are skipped. *)
+  for c = n_comps - 1 downto 0 do
+    match members.(c) with
+    | first :: rest when role first = transparent ->
+      let acc = ref Version.epsilon and self_loop = ref false in
+      List.iter
+        (fun m ->
+          List.iter
+            (fun p ->
+              if comp.(p) <> c then acc := Version.meld t.vt !acc yv.(p)
+              else if p = m then self_loop := true)
+            preds.(m))
+        members.(c);
+      if rest <> [] || !self_loop then begin
+        incr sccs;
+        max_scc := max !max_scc (List.length members.(c))
+      end;
+      List.iter
+        (fun m ->
+          cons.(m) <- !acc;
+          yv.(m) <- !acc)
+        members.(c)
+    | _ -> ()
+  done;
+  for l = 0 to k - 1 do
+    if role l = store then
+      List.iter
+        (fun p -> cons.(l) <- Version.meld t.vt cons.(l) yv.(p))
+        preds.(l);
+    if role l <> delta && not (Version.is_epsilon cons.(l)) then
+      Tbl.replace t.consume (Pair_key.pack glob.(l) o) cons.(l);
+    loc.(glob.(l)) <- -1
+  done;
+  (* Static version reliances ([A-PROP] with differing versions). *)
+  for i = 0 to n_e - 1 do
+    let y = yv.(lsrc.(i)) and c = cons.(ldst.(i)) in
+    if (not (Version.is_epsilon y)) && y <> c then ignore (add_reliance t o y c)
+  done
+
+let compute ?(release_labels = true) svfg =
   let start = Unix.gettimeofday () in
   let prog = Svfg.prog svfg in
   let aux = Svfg.aux svfg in
@@ -177,7 +283,8 @@ let compute ?(release_labels = true) ?(order = `Fifo) svfg =
     {
       svfg;
       vt = Version.create ();
-      consume = Tbl.create 1024;
+      (* sized for about one entry per edge target: the fill seldom rehashes *)
+      consume = Tbl.create (max 1024 (Svfg.n_indirect_edges svfg / 2));
       store_yield = Tbl.create 256;
       delta = Bitset.create ();
       reliance = Tbl.create 1024;
@@ -186,91 +293,75 @@ let compute ?(release_labels = true) ?(order = `Fifo) svfg =
       duration = 0.;
     }
   in
-  (* Meld labelling converges fastest when nodes are visited in topological
-     order of the SVFG's SCC condensation (labels only flow forward); FIFO
-     is kept for the ablation. *)
-  let wl =
-    match order with
-    | `Fifo -> `F (Worklist.Fifo.create ())
-    | `Topo ->
-      let rank = Svfg.topo_rank svfg in
-      let priority n = if n < Array.length rank then rank.(n) else max_int in
-      `P (Worklist.Prio.create ~priority ())
-  in
-  let wl_push n =
-    ignore
-      (match wl with
-      | `F w -> Worklist.Fifo.push w n
-      | `P w -> Worklist.Prio.push w n)
-  in
-  let wl_pop () =
-    match wl with `F w -> Worklist.Fifo.pop w | `P w -> Worklist.Prio.pop w
-  in
+  let n_nodes = Svfg.n_nodes svfg in
+  let role = Bytes.make n_nodes transparent in
   (* Prelabelling (Fig. 6). *)
-  for n = 0 to Svfg.n_nodes svfg - 1 do
+  for n = 0 to n_nodes - 1 do
     match Svfg.kind svfg n with
     | Svfg.NInst { f; i } -> (
       match Prog.inst (Prog.func prog f) i with
       | Inst.Store _ ->
+        Bytes.set role n store;
         Bitset.iter
           (fun o ->
             Tbl.replace t.store_yield (Pair_key.pack n o)
-              (Version.fresh t.vt ~table_label:"store");
-            wl_push n)
+              (Version.fresh t.vt ~table_label:"store"))
           (Pta_memssa.Annot.chi (Svfg.annot svfg) f i)
       | _ -> ())
     | Svfg.NFormalIn { f; obj } ->
       (* δ: functions that may be the target of an indirect call. *)
       if Callgraph.is_indirect_target aux.Pta_memssa.Modref.cg f then begin
         ignore (Bitset.add t.delta n);
+        Bytes.set role n delta;
         Tbl.replace t.consume (Pair_key.pack n obj)
-          (Version.fresh t.vt ~table_label:"delta-fin");
-        wl_push n
+          (Version.fresh t.vt ~table_label:"delta-fin")
       end
     | Svfg.NActualOut { f; call; obj } -> (
       (* δ: return targets of indirect calls. *)
       match Prog.inst (Prog.func prog f) call with
       | Inst.Call { callee = Inst.Indirect _; _ } ->
         ignore (Bitset.add t.delta n);
+        Bytes.set role n delta;
         Tbl.replace t.consume (Pair_key.pack n obj)
-          (Version.fresh t.vt ~table_label:"delta-aout");
-        wl_push n
+          (Version.fresh t.vt ~table_label:"delta-aout")
       | _ -> ())
     | _ -> ()
   done;
   Stats.add "vsfs.prelabels" (Version.n_prelabels t.vt);
-  (* Meld labelling (Fig. 8): [EXTERNAL] melds Y of the source into C of the
-     destination (unless δ); [INTERNAL] is folded into [yield]. *)
-  let rec loop () =
-    match wl_pop () with
-    | None -> ()
-    | Some n ->
-      Svfg.iter_ind_all svfg n (fun o m ->
-          let y = yield t n o in
-          if (not (Version.is_epsilon y)) && not (is_delta t m) then begin
-            let c = consume t m o in
-            let merged = Version.meld t.vt c y in
-            if merged <> c then begin
-              Tbl.replace t.consume (Pair_key.pack m o) merged;
-              (* Non-store nodes yield what they consume, so successors of m
-                 must be revisited; stores yield a fixed prelabel but are
-                 pushed harmlessly (their outgoing yields are unchanged). *)
-              if not (is_store_node svfg m) then wl_push m
-            end
-          end);
-      loop ()
-  in
-  loop ();
-  (* Static version reliances ([A-PROP] with differing versions). *)
-  for n = 0 to Svfg.n_nodes svfg - 1 do
+  (* Group the indirect edges by object, each group in source order (a
+     counting sort over two passes), then label each object's subgraph. *)
+  let n_objs = Prog.n_vars prog in
+  let first = Array.make (n_objs + 1) 0 in
+  for n = 0 to n_nodes - 1 do
+    Svfg.iter_ind_all svfg n (fun o _ -> first.(o + 1) <- first.(o + 1) + 1)
+  done;
+  for o = 0 to n_objs - 1 do
+    first.(o + 1) <- first.(o + 1) + first.(o)
+  done;
+  let n_edges = first.(n_objs) in
+  let esrc = Array.make n_edges 0 and edst = Array.make n_edges 0 in
+  let fill = Array.sub first 0 n_objs in
+  for n = 0 to n_nodes - 1 do
     Svfg.iter_ind_all svfg n (fun o m ->
-        let y = yield t n o in
-        if not (Version.is_epsilon y) then begin
-          let c = consume t m o in
-          if y <> c then ignore (add_reliance t o y c)
-        end)
+        esrc.(fill.(o)) <- n;
+        edst.(fill.(o)) <- m;
+        fill.(o) <- fill.(o) + 1)
+  done;
+  let loc = Array.make n_nodes (-1) and glob = Array.make n_nodes 0 in
+  let lsrc = Array.make n_edges 0 and ldst = Array.make n_edges 0 in
+  let objects = ref 0 and sccs = ref 0 and max_scc = ref 0 in
+  for o = 0 to n_objs - 1 do
+    if first.(o + 1) > first.(o) then begin
+      incr objects;
+      label_object t o ~lo:first.(o) ~hi:first.(o + 1) ~esrc ~edst
+        ~role ~loc ~glob ~lsrc ~ldst ~sccs ~max_scc
+    end
   done;
   if release_labels then Version.seal t.vt;
   t.duration <- Unix.gettimeofday () -. start;
   Stats.add "vsfs.versions" (Version.n_versions t.vt);
+  Stats.add "vsfs.version_objects" !objects;
+  Stats.add "vsfs.version_sccs" !sccs;
+  let m = Stats.counter "vsfs.version_max_scc" in
+  m := max !m !max_scc;
   t

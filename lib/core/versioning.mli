@@ -7,15 +7,23 @@
     indirect-call targets and the ActualOut nodes of indirect call sites —
     consumes a fresh version.
 
-    Meld labelling (Fig. 8) then propagates versions along object-labelled
+    Meld labelling (Fig. 8) propagates versions along object-labelled
     indirect edges: [EXTERNAL] melds a yielded version into the successor's
     consumed version (δ nodes excluded — their prelabels are frozen), and
-    [INTERNAL] makes every non-store node yield what it consumes.
+    [INTERNAL] makes every non-store node yield what it consumes. Its least
+    fixpoint is computed one object at a time: the labels of [o] flow only
+    along o-labelled edges and meld is a join, so on [o]'s subgraph the
+    stores (fixed yield) and δ nodes (frozen consume) are constants, each
+    SCC of the remaining nodes (one iterative Tarjan, {!Pta_graph.Scc})
+    receives the meld of its external inputs in one topological pass over
+    the condensation, and each store consumes the meld of its
+    predecessors. No node is visited twice.
 
     The result is exposed both as the consume/yield maps (C_ℓ(o), Y_ℓ(o))
     and as the two precomputed relations the solver runs on:
     - version reliance: (o, κ) → consumed versions κ' ≠ κ that must receive
-      κ's points-to set ([A-PROP] where versions differ);
+      κ's points-to set ([A-PROP] where versions differ), computed in the
+      same per-object pass;
     - statement reliance: (o, κ) → LOAD/STORE nodes consuming (o, κ) that
       must be re-processed when pt_κ(o) grows. *)
 
@@ -23,13 +31,17 @@ open Pta_ir
 
 type t
 
-val compute :
-  ?release_labels:bool -> ?order:[ `Topo | `Fifo ] -> Pta_svfg.Svfg.t -> t
+val compute : ?release_labels:bool -> Pta_svfg.Svfg.t -> t
 (** Requires direct-call interprocedural edges to be present
     ({!Pta_svfg.Svfg.connect_direct_calls}). [release_labels] (default
     [true]) seals the version table after the fixpoint — the solver only
     compares version ids — reclaiming the label sets; pass [false] to keep
-    them inspectable ({!Version.labels}). *)
+    them inspectable ({!Version.labels}). Adds the [vsfs.prelabels],
+    [vsfs.versions], [vsfs.version_objects] (objects with an indirect
+    edge), [vsfs.version_sccs] (non-trivial SCCs of the per-object
+    subgraphs) and [vsfs.version_max_scc] (largest such SCC, kept as a
+    maximum within one domain; merged snapshots add it up like every
+    counter) counters to {!Pta_ds.Stats}. *)
 
 val table : t -> Version.table
 val svfg : t -> Pta_svfg.Svfg.t

@@ -110,6 +110,7 @@ let start ?(strategy = `Fifo) ?strong_updates ?versioning svfg =
         let chi = Pta_memssa.Annot.chi annot f i in
         let ptr_pts = Solver_common.pt_of c ptr in
         let rhs_id = Solver_common.pt_id c rhs in
+        let ptr_single = Solver_common.strong_update_ptr c ptr in
         (* Iterate the χ objects: those the store may define flow-sensitively
            get GEN (+ weak/strong); the spuriously-annotated rest pass their
            consumed version through to the yielded one (identity), because
@@ -120,7 +121,7 @@ let start ?(strategy = `Fifo) ?strong_updates ?versioning svfg =
             let out0 = ptk_id t o y in
             let cv = Versioning.consume ver n o in
             Versioning.subscribe ver o cv n;
-            let su = Solver_common.strong_update_ok c ~ptr o in
+            let su = Solver_common.strong_update_ok c ~ptr_single o in
             if Bitset.mem ptr_pts o then begin
               let out1, d1 = Ptset.union_delta out0 rhs_id in
               let out2, d2 =

@@ -7,8 +7,7 @@ type result = {
 
 (* Iterative Tarjan. Components are emitted successors-first, so emission
    order is reverse-topological; we invert it to get [topo_rank]. *)
-let compute g =
-  let n = Digraph.n_nodes g in
+let compute_succs ~n succs =
   let index = Array.make n (-1) in
   let lowlink = Array.make n 0 in
   let on_stack = Array.make n false in
@@ -25,7 +24,7 @@ let compute g =
       incr next_index;
       Stack.push v stack;
       on_stack.(v) <- true;
-      Stack.push (v, ref (Pta_ds.Bitset.elements (Digraph.succs g v))) call
+      Stack.push (v, ref (succs v)) call
     in
     start root;
     while not (Stack.is_empty call) do
@@ -63,6 +62,10 @@ let compute g =
   let sizes = Array.make n_comps 0 in
   Array.iter (fun c -> sizes.(c) <- sizes.(c) + 1) comp;
   { comp; n_comps; topo_rank; sizes }
+
+let compute g =
+  compute_succs ~n:(Digraph.n_nodes g) (fun v ->
+      Pta_ds.Bitset.elements (Digraph.succs g v))
 
 let rank_of_node r v = r.topo_rank.(r.comp.(v))
 

@@ -17,6 +17,11 @@ type result = {
 
 val compute : Digraph.t -> result
 
+val compute_succs : n:int -> (int -> int list) -> result
+(** The same over nodes [0 .. n - 1] whose successors [succs v] lists, in
+    visiting order; [succs] is called once per node. {!compute} is this
+    over the digraph's ascending successor sets. *)
+
 val rank_of_node : result -> int -> int
 (** [rank_of_node r v] is [r.topo_rank.(r.comp.(v))]. *)
 

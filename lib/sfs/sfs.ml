@@ -125,13 +125,15 @@ let start ?(strategy = `Fifo) ?strong_updates ?seed svfg =
         let chi = Pta_memssa.Annot.chi annot f i in
         let ptr_pts = Solver_common.pt_of c ptr in
         let rhs_id = Solver_common.pt_id c rhs in
+        let ptr_single = Solver_common.strong_update_ptr c ptr in
         Bitset.iter
           (fun o ->
             if Bitset.mem chi o then begin
               let out0 = out_id t n o in
               let out1, d1 = Ptset.union_delta out0 rhs_id in
               let out2, d2 =
-                if Solver_common.strong_update_ok c ~ptr o then (out1, Ptset.empty)
+                if Solver_common.strong_update_ok c ~ptr_single o then
+                  (out1, Ptset.empty)
                 else Ptset.union_delta out1 (in_id t n o)
               in
               if not (Ptset.equal out2 out0) then begin
@@ -151,7 +153,7 @@ let start ?(strategy = `Fifo) ?strong_updates ?seed svfg =
             (fun o ->
               if
                 (not (Bitset.mem ptr_pts o))
-                && not (Solver_common.strong_update_ok c ~ptr o)
+                && not (Solver_common.strong_update_ok c ~ptr_single o)
               then begin
                 let out0 = out_id t n o in
                 let out1, d = Ptset.union_delta out0 (in_id t n o) in

@@ -12,6 +12,7 @@ type t = {
   top_adds : int ref;  (* cached telemetry extras — no hashing per event *)
   top_unions : int ref;
   props : int ref;
+  call_edges : int ref;
 }
 
 let create ?(strong_updates = true) ~tel svfg =
@@ -22,7 +23,8 @@ let create ?(strong_updates = true) ~tel svfg =
     su_enabled = strong_updates; tel;
     top_adds = Telemetry.counter tel "top_adds";
     top_unions = Telemetry.counter tel "top_unions";
-    props = Telemetry.counter tel "props" }
+    props = Telemetry.counter tel "props";
+    call_edges = Telemetry.counter tel "call_edges" }
 
 (* Both sparse solvers schedule SVFG nodes; `Topo ranks them by the SCC
    condensation of the SVFG snapshot (late on-the-fly edges make this a
@@ -70,13 +72,12 @@ let union_pt t v src =
    its IN through, polluting OUT irrevocably. The static condition is sound
    (pt_fs ⊆ pt_aux), deterministic, and applied identically by SFS, VSFS and
    the dense reference, preserving their precision equality. *)
-let strong_update_ok t ~ptr o =
+let strong_update_ptr t ptr =
   t.su_enabled
-  &&
-  let prog = Pta_svfg.Svfg.prog t.svfg in
-  let aux = Pta_svfg.Svfg.aux t.svfg in
-  Prog.is_singleton prog o
-  && Bitset.cardinal (aux.Pta_memssa.Modref.pt ptr) = 1
+  && Bitset.cardinal ((Pta_svfg.Svfg.aux t.svfg).Pta_memssa.Modref.pt ptr) = 1
+
+let strong_update_ok t ~ptr_single o =
+  ptr_single && Prog.is_singleton (Pta_svfg.Svfg.prog t.svfg) o
 
 let resolve_targets t = function
   | Inst.Direct f -> [ f ]
@@ -120,15 +121,17 @@ let process_top_level t ~push_users ~on_call_edge ~node ins =
       (fun g ->
         if Callgraph.add t.cg_fs cs g then begin
           (* First discovery of this call edge: register the return
-             subscription. *)
+             subscription and wire its memory edges. Those depend only on
+             static mod/ref and χ/μ, so a later pop would find none new. *)
           (match Hashtbl.find_opt t.callers g with
           | Some l -> l := (cs, lhs) :: !l
           | None -> Hashtbl.add t.callers g (ref [ (cs, lhs) ]));
           (match callee with
           | Inst.Indirect _ -> Callgraph.mark_indirect_target t.cg_fs g
-          | Inst.Direct _ -> ())
+          | Inst.Direct _ -> ());
+          incr t.call_edges;
+          on_call_edge cs g
         end;
-        on_call_edge cs g;
         let callee_fn = Prog.func prog g in
         (* parameter passing *)
         let rec zip args params =

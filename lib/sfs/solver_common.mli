@@ -7,7 +7,7 @@
 
     Both solvers run on {!Pta_engine.Engine}; [create] takes the solve's
     telemetry phase and caches the hot extras ([top_adds], [top_unions],
-    [props]) as refs. *)
+    [props], [call_edges]) as refs. *)
 
 open Pta_ir
 
@@ -21,6 +21,7 @@ type t = {
   top_adds : int ref;
   top_unions : int ref;
   props : int ref;  (** sparse-edge propagations (the solver bumps it) *)
+  call_edges : int ref;  (** call edges wired, one per first discovery *)
 }
 
 val create :
@@ -44,9 +45,15 @@ val pt_of : t -> Inst.var -> Pta_ds.Bitset.t
 val add_pt : t -> Inst.var -> Inst.var -> bool
 val union_pt : t -> Inst.var -> Pta_ds.Ptset.t -> bool
 
-val strong_update_ok : t -> ptr:Inst.var -> Inst.var -> bool
-(** [strong_update_ok t ~ptr o]: the store [*ptr = _] may strongly update
-    [o], i.e. [pt(ptr) = {o}] and [o ∈ SN]. *)
+val strong_update_ptr : t -> Inst.var -> bool
+(** [strong_update_ptr t ptr]: strong updates are enabled and the auxiliary
+    [pt(ptr)] is a singleton. Depends on the pointer only: compute it once
+    per store pop. *)
+
+val strong_update_ok : t -> ptr_single:bool -> Inst.var -> bool
+(** [strong_update_ok t ~ptr_single:(strong_update_ptr t ptr) o]: the store
+    [*ptr = _] may strongly update [o], i.e. [pt(ptr) = {o}] and
+    [o ∈ SN]. *)
 
 val process_top_level :
   t ->
@@ -56,10 +63,9 @@ val process_top_level :
   Inst.t ->
   unit
 (** Applies the top-level rules for one instruction node. [push_users v] is
-    invoked whenever [pt v] changed; [on_call_edge] whenever the node is a
-    call and one of its (current) targets is seen — idempotent work such as
-    SVFG edge insertion must be guarded by the callee. Loads and stores are
-    ignored here (solver-specific). *)
+    invoked whenever [pt v] changed; [on_call_edge] once per call edge, when
+    the node is a call and first resolves to that target. Loads and stores
+    are ignored here (solver-specific). *)
 
 val resolve_targets : t -> Inst.callee -> Inst.func_id list
 (** Current flow-sensitive targets of a callee expression. *)

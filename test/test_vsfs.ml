@@ -317,6 +317,145 @@ let test_key_overflow () =
   Alcotest.(check bool) "just below the limit is a plain miss" true
     (Vsfs_core.Version.is_epsilon (Versioning.consume ver (lim - 1) (lim - 1)))
 
+(* ---------- per-object labelling vs. the Fig. 8 worklist ---------- *)
+
+(* Test-only reference for [Versioning.compute]: the same prelabelling, then
+   Fig. 8's rules run to their fixpoint by a FIFO worklist over (node,
+   object) pairs, then the static reliances. Versions are compared as label
+   sets, so the two numberings may differ. *)
+let reference_labelling svfg =
+  let module Tbl = Pta_ds.Pair_key.Tbl in
+  let pack = Pta_ds.Pair_key.pack in
+  let prog = Svfg.prog svfg and annot = Svfg.annot svfg in
+  let cg = (Svfg.aux svfg).Pta_memssa.Modref.cg in
+  let vt = V.create () in
+  let consume = Tbl.create 256 and store_yield = Tbl.create 256 in
+  let delta = Hashtbl.create 16 and wl = Queue.create () in
+  let fresh tbl n o =
+    Tbl.replace tbl (pack n o) (V.fresh vt ~table_label:"p");
+    Queue.push (n, o) wl
+  in
+  let is_store n =
+    match Svfg.kind svfg n with
+    | Svfg.NInst _ -> Inst.is_store (Svfg.inst_of svfg n)
+    | _ -> false
+  in
+  for n = 0 to Svfg.n_nodes svfg - 1 do
+    match Svfg.kind svfg n with
+    | Svfg.NInst { f; i } when is_store n ->
+      Pta_ds.Bitset.iter (fresh store_yield n) (Pta_memssa.Annot.chi annot f i)
+    | Svfg.NFormalIn { f; obj } when Callgraph.is_indirect_target cg f ->
+      Hashtbl.replace delta n ();
+      fresh consume n obj
+    | Svfg.NActualOut { f; call; obj } -> (
+      match Prog.inst (Prog.func prog f) call with
+      | Inst.Call { callee = Inst.Indirect _; _ } ->
+        Hashtbl.replace delta n ();
+        fresh consume n obj
+      | _ -> ())
+    | _ -> ()
+  done;
+  let get tbl n o =
+    Option.value ~default:V.epsilon (Tbl.find_opt tbl (pack n o))
+  in
+  let yield n o = if is_store n then get store_yield n o else get consume n o in
+  while not (Queue.is_empty wl) do
+    let n, o = Queue.pop wl in
+    let y = yield n o in
+    Svfg.iter_ind_succs svfg n o (fun m ->
+        if not (Hashtbl.mem delta m) then begin
+          let c = get consume m o in
+          let c' = V.meld vt c y in
+          if c' <> c then begin
+            Tbl.replace consume (pack m o) c';
+            if not (is_store m) then Queue.push (m, o) wl
+          end
+        end)
+  done;
+  let reliance = Hashtbl.create 256 in
+  for n = 0 to Svfg.n_nodes svfg - 1 do
+    Svfg.iter_ind_all svfg n (fun o m ->
+        let y = yield n o and c = get consume m o in
+        if (not (V.is_epsilon y)) && y <> c then
+          Hashtbl.replace reliance (o, V.labels vt y, V.labels vt c) ())
+  done;
+  let bindings tbl =
+    List.sort compare
+      (Tbl.fold (fun k v acc -> (k, V.labels vt v) :: acc) tbl [])
+  in
+  ( bindings consume,
+    bindings store_yield,
+    List.sort compare (Hashtbl.fold (fun r () acc -> r :: acc) reliance []),
+    V.n_prelabels vt,
+    V.n_versions vt )
+
+(* The per-object labelling must assign every (node, object) the label set
+   the worklist fixpoint does, with the same reliances. Both intern some
+   transient melds besides the final labels, in different orders: on the
+   fixed programs below the per-object pass interns fewer versions, but on
+   about five random programs in a thousand it interns a few more, so the
+   random property leaves the version count out. *)
+let labelling_matches_reference ?(check_versions = true) svfg =
+  let ver = Versioning.compute ~release_labels:false svfg in
+  let r_consume, r_yield, r_reliance, r_prelabels, r_versions =
+    reference_labelling svfg
+  in
+  let vt = Versioning.table ver and raw = Versioning.export ver in
+  let labelled =
+    Array.fold_right (fun (k, v) acc -> (k, V.labels vt v) :: acc)
+  in
+  let reliance =
+    Array.fold_right
+      (fun (k, cs) acc ->
+        let o = Pta_ds.Pair_key.hi k and y = Pta_ds.Pair_key.lo k in
+        Pta_ds.Bitset.fold
+          (fun c acc -> (o, V.labels vt y, V.labels vt c) :: acc)
+          cs acc)
+      raw.Versioning.raw_reliance []
+  in
+  labelled raw.Versioning.raw_consume [] = r_consume
+  && labelled raw.Versioning.raw_store_yield [] = r_yield
+  && List.sort compare reliance = r_reliance
+  && raw.Versioning.raw_n_reliances = List.length r_reliance
+  && raw.Versioning.raw_n_prelabels = r_prelabels
+  && ((not check_versions) || Versioning.n_versions ver <= r_versions)
+
+let check_labelling what src =
+  Alcotest.(check bool) what true
+    (labelling_matches_reference (fresh_svfg (prepare src)))
+
+(* Every suite program has cycles in some object's subgraph, so these runs
+   take the condensation path, not only chains. *)
+let test_labelling_suite () =
+  List.iter
+    (fun (name, scale) ->
+      let e = Option.get (Pta_workload.Suite.find ~scale name) in
+      let what = Printf.sprintf "%s %.1f" name scale in
+      let sccs = Pta_ds.Stats.get "vsfs.version_sccs" in
+      check_labelling what (Pta_workload.Gen.source e.Pta_workload.Suite.cfg);
+      Alcotest.(check bool) (what ^ " has non-trivial SCCs") true
+        (Pta_ds.Stats.get "vsfs.version_sccs" > sccs))
+    [ ("psql", 0.2); ("mruby", 0.2); ("astyle", 0.2); ("bash", 0.2);
+      ("hyriseConsole", 0.2); ("lynx", 0.2); ("lynx", 0.4) ]
+
+let test_labelling_corpus () =
+  List.iter (fun (name, src) -> check_labelling name src)
+    Pta_workload.Corpus.programs
+
+let prop_labelling_random =
+  QCheck2.Test.make ~name:"per-object labelling = Fig. 8 worklist" ~count:40
+    ~print:QCheck2.Print.(pair int int)
+    QCheck2.Gen.(pair (50_000 -- 60_000) (1 -- 3))
+    (fun (seed, depth) ->
+      let cfg =
+        { (Pta_workload.Gen.small_random seed) with
+          Pta_workload.Gen.max_depth = depth;
+          recursion_ratio = 0.3;
+          mutual_recursion_ratio = 0.2 }
+      in
+      labelling_matches_reference ~check_versions:false
+        (fresh_svfg (prepare (Pta_workload.Gen.source cfg))))
+
 (* ---------- VSFS precision equality ---------- *)
 
 let equal_on src =
@@ -568,6 +707,32 @@ let test_strategies_agree () =
         if not (Pta_ds.Bitset.equal (Vsfs.pt a v) (Vsfs.pt b v)) then ok := false);
   Alcotest.(check bool) "fifo = topo" true !ok
 
+(* Both solvers wire a call edge's memory edges once, on its first
+   discovery: the [call_edges] counter must equal the flow-sensitive call
+   graph's edge count. A solver that rescans the callee's mod/ref on every
+   pop of the call node counts more. *)
+let test_call_edges_wired_once () =
+  let e = Option.get (Pta_workload.Suite.find ~scale:0.2 "bash") in
+  let pa = prepare (Pta_workload.Gen.source e.Pta_workload.Suite.cfg) in
+  let check what cg tel =
+    let n = Callgraph.n_edges cg in
+    Alcotest.(check bool) (what ^ " has call edges") true (n > 0);
+    Alcotest.(check int) (what ^ " call_edges") n
+      (Pta_engine.Telemetry.extra tel "call_edges")
+  in
+  let sfs = Pta_sfs.Sfs.solve (fresh_svfg pa) in
+  check "sfs" (Pta_sfs.Sfs.callgraph sfs) (Pta_sfs.Sfs.telemetry sfs);
+  let vsfs = Vsfs.solve (fresh_svfg pa) in
+  check "vsfs" (Vsfs.callgraph vsfs) (Vsfs.telemetry vsfs);
+  let indirect = ref false in
+  Prog.iter_funcs (fst pa) (fun fn ->
+      for i = 0 to Prog.n_insts fn - 1 do
+        match Prog.inst fn i with
+        | Inst.Call { callee = Inst.Indirect _; _ } -> indirect := true
+        | _ -> ()
+      done);
+  Alcotest.(check bool) "program has indirect calls" true !indirect
+
 let () =
   Alcotest.run "vsfs"
     [
@@ -593,6 +758,11 @@ let () =
             test_static_reliance_acyclic;
           Alcotest.test_case "sharing factor" `Quick test_sharing_factor;
           Alcotest.test_case "packed-key overflow" `Quick test_key_overflow;
+          Alcotest.test_case "labelling = reference (suite)" `Slow
+            test_labelling_suite;
+          Alcotest.test_case "labelling = reference (corpus)" `Quick
+            test_labelling_corpus;
+          QCheck_alcotest.to_alcotest prop_labelling_random;
         ] );
       ( "precision-equality",
         [
@@ -619,5 +789,7 @@ let () =
             test_collapsible_versions;
           Alcotest.test_case "dynamic reliance" `Quick
             test_dynamic_reliance_registered;
+          Alcotest.test_case "call edges wired once" `Quick
+            test_call_edges_wired_once;
         ] );
     ]
