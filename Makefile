@@ -5,7 +5,8 @@
 #   smoke  — end-to-end check of the persistent analysis store: analyze the
 #            same file twice through a fresh cache and require the second
 #            run to be a warm start with a results hit; the cold run's
-#            --stats must carry the call-wiring and versioning counters
+#            --stats must carry the call-wiring, versioning and SVFG slot
+#            counters
 #   bench-smoke — scale-0.1 Table III run with --json; checks the
 #            machine-readable output carries the interning metrics
 #   fuzz-smoke — bounded differential-fuzzing run (fixed seed, all
@@ -65,6 +66,7 @@ smoke: build
 	grep -q "cache: build cold" $(SMOKE_DIR)/cold.out
 	grep -q "call_edges=" $(SMOKE_DIR)/cold.out
 	grep -q "vsfs.version_objects" $(SMOKE_DIR)/cold.out
+	grep -q "svfg.slots" $(SMOKE_DIR)/cold.out
 	$(DUNE) exec bin/vsfs_cli.exe -- analyze $(SMOKE_DIR)/du.c --cache-dir $(SMOKE_DIR) --stats > $(SMOKE_DIR)/warm.out
 	grep -q "cache: build warm" $(SMOKE_DIR)/warm.out
 	grep -q "cache: vsfs results hit" $(SMOKE_DIR)/warm.out

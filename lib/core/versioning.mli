@@ -32,16 +32,16 @@ open Pta_ir
 type t
 
 val compute : ?release_labels:bool -> Pta_svfg.Svfg.t -> t
-(** Requires direct-call interprocedural edges to be present
-    ({!Pta_svfg.Svfg.connect_direct_calls}). [release_labels] (default
-    [true]) seals the version table after the fixpoint — the solver only
-    compares version ids — reclaiming the label sets; pass [false] to keep
-    them inspectable ({!Version.labels}). Adds the [vsfs.prelabels],
-    [vsfs.versions], [vsfs.version_objects] (objects with an indirect
-    edge), [vsfs.version_sccs] (non-trivial SCCs of the per-object
-    subgraphs) and [vsfs.version_max_scc] (largest such SCC, kept as a
-    maximum within one domain; merged snapshots add it up like every
-    counter) counters to {!Pta_ds.Stats}. *)
+(** Requires direct-call interprocedural edges to be present, as
+    {!Pta_svfg.Svfg.build} and {!Pta_svfg.Svfg.import} leave them.
+    [release_labels] (default [true]) seals the version table after the
+    fixpoint — the solver only compares version ids — reclaiming the label
+    sets; pass [false] to keep them inspectable ({!Version.labels}). Adds
+    the [vsfs.prelabels], [vsfs.versions], [vsfs.version_objects] (objects
+    with an indirect edge), [vsfs.version_sccs] (non-trivial SCCs of the
+    per-object subgraphs) and [vsfs.version_max_scc] (largest such SCC,
+    kept as a maximum within one domain; merged snapshots add it up like
+    every counter) counters to {!Pta_ds.Stats}. *)
 
 val table : t -> Version.table
 val svfg : t -> Pta_svfg.Svfg.t

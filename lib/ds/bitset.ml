@@ -323,15 +323,38 @@ let diff a b =
   done;
   r
 
+(* Position of the lowest set bit of a non-zero word: a fixed binary split
+   in six steps, covering bits 0 .. bpw - 1. *)
+let lowest_bit w =
+  let n = ref 0 and w = ref w in
+  if !w land 0xFFFFFFFF = 0 then begin
+    n := 32;
+    w := !w lsr 32
+  end;
+  if !w land 0xFFFF = 0 then begin
+    n := !n + 16;
+    w := !w lsr 16
+  end;
+  if !w land 0xFF = 0 then begin
+    n := !n + 8;
+    w := !w lsr 8
+  end;
+  if !w land 0xF = 0 then begin
+    n := !n + 4;
+    w := !w lsr 4
+  end;
+  if !w land 0x3 = 0 then begin
+    n := !n + 2;
+    w := !w lsr 2
+  end;
+  if !w land 0x1 = 0 then !n + 1 else !n
+
 let iter f s =
   for i = 0 to s.len - 1 do
     let base = s.idx.(i) * bpw in
     let w = ref s.bits.(i) in
     while !w <> 0 do
-      let low = !w land -(!w) in
-      (* position of the lowest set bit *)
-      let rec bitpos b acc = if b = 1 then acc else bitpos (b lsr 1) (acc + 1) in
-      f (base + bitpos low 0);
+      f (base + lowest_bit !w);
       w := !w land (!w - 1)
     done
   done
@@ -345,12 +368,7 @@ let elements s = List.rev (fold (fun x acc -> x :: acc) s [])
 
 let choose s =
   if s.len = 0 then None
-  else begin
-    let base = s.idx.(0) * bpw in
-    let w = s.bits.(0) in
-    let rec bitpos b acc = if b land 1 = 1 then acc else bitpos (b lsr 1) (acc + 1) in
-    Some (base + bitpos w 0)
-  end
+  else Some ((s.idx.(0) * bpw) + lowest_bit s.bits.(0))
 
 let iter_words f s =
   for i = 0 to s.len - 1 do

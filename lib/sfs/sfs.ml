@@ -5,62 +5,47 @@ module Engine = Pta_engine.Engine
 module Scheduler = Pta_engine.Scheduler
 module Telemetry = Pta_engine.Telemetry
 
-module Tbl = Pair_key.Tbl
-
+(* IN and OUT per SVFG slot (a (node, object) pair, see {!Svfg}), with a
+   flag byte each: an absent entry and an explicit [empty] one differ —
+   stores pass through exactly the *materialised* INs, and only
+   materialised entries count as sets — so reading a set records its
+   existence. *)
 type result = {
   c : Solver_common.t;
-  (* keyed by [Pair_key.pack node obj]: no tuple per lookup *)
-  ins : Ptset.t Tbl.t;
-  outs : Ptset.t Tbl.t;
-  node_objs : Bitset.t Tbl.t;
-      (* per node: objects with a materialised IN set — a store must pass
-         these through to OUT when it does not actually define them *)
+  ins : Ptset.t array;
+  outs : Ptset.t array;
+  in_made : Bytes.t;
+  out_made : Bytes.t;
 }
 
 type paused = { res : result; eng : Engine.t }
 type outcome = Done of result | Paused of paused
 
-(* IN/OUT tables hold interned ids; an absent entry and an explicit [empty]
-   entry differ — stores pass through exactly the *materialised* INs, so
-   reading a set must record its existence. *)
-let find_or_empty tbl k =
-  match Tbl.find_opt tbl k with
-  | Some id -> id
-  | None ->
-    Tbl.add tbl k Ptset.empty;
-    Ptset.empty
+let in_id t s =
+  Bytes.set t.in_made s '\001';
+  t.ins.(s)
 
-(* Only the read that materialises an IN can add an object to [node_objs],
-   so a hit costs one probe. *)
-let in_id t n o =
-  let k = Pair_key.pack n o in
-  match Tbl.find_opt t.ins k with
-  | Some id -> id
-  | None ->
-    (match Tbl.find_opt t.node_objs n with
-    | Some s -> ignore (Bitset.add s o)
-    | None -> Tbl.add t.node_objs n (Bitset.singleton o));
-    find_or_empty t.ins k
+let out_id t s =
+  Bytes.set t.out_made s '\001';
+  t.outs.(s)
 
-let out_id t n o = find_or_empty t.outs (Pair_key.pack n o)
-
-(* Union [src] into the IN set of [(n, o)]; true iff it grew. *)
-let union_in t n o src =
-  let s = in_id t n o in
-  let s' = Ptset.union s src in
-  if Ptset.equal s' s then false
+(* Union [src] into the IN set of slot [s]; true iff it grew. *)
+let union_in t s src =
+  let cur = in_id t s in
+  let s' = Ptset.union cur src in
+  if Ptset.equal s' cur then false
   else begin
-    Tbl.replace t.ins (Pair_key.pack n o) s';
+    t.ins.(s) <- s';
     true
   end
 
-(* The set a node exposes to its successors for [o]: stores expose OUT,
-   everything else passes its IN through. *)
-let out_for_id t n o =
+(* The set node [n] exposes to its successors through its slot [s]: stores
+   expose OUT, everything else passes its IN through. *)
+let out_for_id t n s =
   match Svfg.kind t.c.Solver_common.svfg n with
   | Svfg.NInst _ when Inst.is_store (Svfg.inst_of t.c.Solver_common.svfg n) ->
-    out_id t n o
-  | _ -> in_id t n o
+    out_id t s
+  | _ -> in_id t s
 
 type seed = {
   seed_pt : (Inst.var * Bitset.t) list;
@@ -77,26 +62,26 @@ let start ?(strategy = `Fifo) ?strong_updates ?seed svfg =
     Telemetry.phase ~name:"sfs.solve" ~scheduler:(Scheduler.name strategy) ()
   in
   let c = Solver_common.create ?strong_updates ~tel svfg in
+  let ns = Svfg.n_slots svfg in
   let t =
-    { c; ins = Tbl.create 1024; outs = Tbl.create 256;
-      node_objs = Tbl.create 256 }
+    { c; ins = Array.make ns Ptset.empty; outs = Array.make ns Ptset.empty;
+      in_made = Bytes.make ns '\000'; out_made = Bytes.make ns '\000' }
   in
-  let annot = Svfg.annot svfg in
   let props = c.Solver_common.props in
   (* [process] collects the nodes to (re)visit in [buf]; the engine owns
      scheduling and deduplication. *)
   let buf = ref [] in
   let push n = buf := n :: !buf in
   let push_users v = List.iter push (Svfg.users svfg v) in
-  (* Propagate [set] along every outgoing [o]-edge of [n]. Callers pass
+  (* Propagate [set] along every outgoing edge of slot [s]. Callers pass
      either a full exposed set (phi-like pass-through nodes, where the
      memoized union makes re-propagation cheap) or just the delta a store
      added, which is what makes this difference propagation. *)
-  let propagate n o set =
+  let propagate s set =
     if not (Ptset.is_empty set) then
-      Svfg.iter_ind_succs svfg n o (fun m ->
+      Svfg.iter_slot_succs svfg s (fun d ->
           incr props;
-          if union_in t m o set then push m)
+          if union_in t d set then push (Svfg.slot_node svfg d))
   in
   let on_call_edge cs g =
     List.iter
@@ -104,73 +89,77 @@ let start ?(strategy = `Fifo) ?strong_updates ?seed svfg =
         incr props;
         (* A late edge needs a full sync: the destination missed every delta
            propagated before the edge existed. *)
-        if union_in t dst o (out_for_id t src o) then push dst)
+        if
+          union_in t (Svfg.slot_of svfg dst o)
+            (out_for_id t src (Svfg.slot_of svfg src o))
+        then push dst)
       (Svfg.add_call_edges svfg cs g)
   in
   let process n =
     buf := [];
     (match Svfg.kind svfg n with
-    | Svfg.NInst { f; i } -> (
+    | Svfg.NInst _ -> (
+      (* a load's slots are its μ objects, a store's its χ objects *)
       match Svfg.inst_of svfg n with
       | Inst.Load { lhs; ptr } ->
-        let mu = Pta_memssa.Annot.mu annot f i in
         let changed = ref false in
         Bitset.iter
           (fun o ->
-            if Bitset.mem mu o then
-              if Solver_common.union_pt c lhs (in_id t n o) then changed := true)
+            let s = Svfg.slot_of svfg n o in
+            if s >= 0 then
+              if Solver_common.union_pt c lhs (in_id t s) then changed := true)
           (Solver_common.pt_of c ptr);
         if !changed then push_users lhs
       | Inst.Store { ptr; rhs } ->
-        let chi = Pta_memssa.Annot.chi annot f i in
         let ptr_pts = Solver_common.pt_of c ptr in
         let rhs_id = Solver_common.pt_id c rhs in
         let ptr_single = Solver_common.strong_update_ptr c ptr in
         Bitset.iter
           (fun o ->
-            if Bitset.mem chi o then begin
-              let out0 = out_id t n o in
+            let s = Svfg.slot_of svfg n o in
+            if s >= 0 then begin
+              let out0 = out_id t s in
               let out1, d1 = Ptset.union_delta out0 rhs_id in
               let out2, d2 =
                 if Solver_common.strong_update_ok c ~ptr_single o then
                   (out1, Ptset.empty)
-                else Ptset.union_delta out1 (in_id t n o)
+                else Ptset.union_delta out1 (in_id t s)
               in
               if not (Ptset.equal out2 out0) then begin
-                Tbl.replace t.outs (Pair_key.pack n o) out2;
-                propagate n o (Ptset.union d1 d2)
+                t.outs.(s) <- out2;
+                propagate s (Ptset.union d1 d2)
               end
             end)
           ptr_pts;
         (* Spurious χ objects (the auxiliary analysis thought this store may
            define them, so the SVFG routes their def-use chain through this
            node, but flow-sensitively the store does not write them): pass
-           IN through to OUT unchanged — except for a statically strong-
-           updated object, which is killed here no matter what. *)
-        (match Tbl.find_opt t.node_objs n with
-        | Some objs ->
-          Bitset.iter
-            (fun o ->
-              if
-                (not (Bitset.mem ptr_pts o))
-                && not (Solver_common.strong_update_ok c ~ptr_single o)
-              then begin
-                let out0 = out_id t n o in
-                let out1, d = Ptset.union_delta out0 (in_id t n o) in
-                if not (Ptset.equal out1 out0) then begin
-                  Tbl.replace t.outs (Pair_key.pack n o) out1;
-                  propagate n o d
-                end
-              end)
-            objs
-        | None -> ())
+           materialised INs through to OUT unchanged — except for a
+           statically strong-updated object, which is killed here no matter
+           what. *)
+        for s = Svfg.first_slot svfg n to Svfg.first_slot svfg (n + 1) - 1 do
+          let o = Svfg.slot_obj svfg s in
+          if
+            Bytes.get t.in_made s <> '\000'
+            && (not (Bitset.mem ptr_pts o))
+            && not (Solver_common.strong_update_ok c ~ptr_single o)
+          then begin
+            let out0 = out_id t s in
+            let out1, d = Ptset.union_delta out0 t.ins.(s) in
+            if not (Ptset.equal out1 out0) then begin
+              t.outs.(s) <- out1;
+              propagate s d
+            end
+          end
+        done
       | ins -> Solver_common.process_top_level c ~push_users ~on_call_edge ~node:n ins)
-    | Svfg.NMemPhi { obj; _ }
-    | Svfg.NFormalIn { obj; _ }
-    | Svfg.NFormalOut { obj; _ }
-    | Svfg.NActualIn { obj; _ }
-    | Svfg.NActualOut { obj; _ } ->
-      propagate n obj (in_id t n obj));
+    | Svfg.NMemPhi _
+    | Svfg.NFormalIn _
+    | Svfg.NFormalOut _
+    | Svfg.NActualIn _
+    | Svfg.NActualOut _ ->
+      let s = Svfg.first_slot svfg n in
+      propagate s (in_id t s));
     !buf
   in
   let eng =
@@ -193,12 +182,19 @@ let start ?(strategy = `Fifo) ?strong_updates ?seed svfg =
       (fun (v, set) ->
         ignore (Solver_common.union_pt c v (Ptset.of_bitset set)))
       s.seed_pt;
+    let slot n o =
+      let s = Svfg.slot_of svfg n o in
+      if s < 0 then invalid_arg "Sfs.solve: seed entry is not an SVFG slot";
+      s
+    in
     List.iter
-      (fun (n, o, set) -> ignore (union_in t n o (Ptset.of_bitset set)))
+      (fun (n, o, set) -> ignore (union_in t (slot n o) (Ptset.of_bitset set)))
       s.seed_ins;
     List.iter
       (fun (n, o, set) ->
-        Tbl.replace t.outs (Pair_key.pack n o) (Ptset.of_bitset set))
+        let s = slot n o in
+        ignore (out_id t s);
+        t.outs.(s) <- Ptset.of_bitset set)
       s.seed_outs;
     List.iter (Engine.push eng) s.schedule);
   { res = t; eng }
@@ -219,66 +215,70 @@ let solve_budgeted ?strategy ?strong_updates ~budget svfg =
 let resume ~budget p = continue_ (Some budget) p
 
 let pt t v = Solver_common.pt_of t.c v
-let in_set t n o = Option.map Ptset.view (Tbl.find_opt t.ins (Pair_key.pack n o))
-let out_set t n o = Option.map Ptset.view (Tbl.find_opt t.outs (Pair_key.pack n o))
 
-(* Deterministic sweep over the materialised non-empty entries (sorted by
-   packed key, i.e. by (node, object)) — what the per-function result
+let find made sets t n o =
+  let s = Svfg.slot_of t.c.Solver_common.svfg n o in
+  if s >= 0 && Bytes.get made s <> '\000' then Some (Ptset.view sets.(s))
+  else None
+
+let in_set t n o = find t.in_made t.ins t n o
+let out_set t n o = find t.out_made t.outs t n o
+
+(* Every materialised entry as (slot, set), in slot order. *)
+let iter_made made sets f =
+  Array.iteri (fun s id -> if Bytes.get made s <> '\000' then f s id) sets
+
+let iter_all t f =
+  iter_made t.in_made t.ins f;
+  iter_made t.out_made t.outs f
+
+(* Slot order is (node, object) order — what the per-function result
    artifacts are built from. *)
-let iter_nonempty tbl f =
-  let entries =
-    Tbl.fold
-      (fun k id acc -> if Ptset.is_empty id then acc else (k, id) :: acc)
-      tbl []
-  in
-  List.iter
-    (fun (k, id) -> f (Pair_key.hi k) (Pair_key.lo k) (Ptset.view id))
-    (List.sort (fun (a, _) (b, _) -> Int.compare a b) entries)
+let iter_nonempty t made sets f =
+  let svfg = t.c.Solver_common.svfg in
+  iter_made made sets (fun s id ->
+      if not (Ptset.is_empty id) then
+        f (Svfg.slot_node svfg s) (Svfg.slot_obj svfg s) (Ptset.view id))
 
-let iter_ins t f = iter_nonempty t.ins f
-let iter_outs t f = iter_nonempty t.outs f
+let iter_ins t f = iter_nonempty t t.in_made t.ins f
+let iter_outs t f = iter_nonempty t t.out_made t.outs f
 
 (* Flow-insensitive collapse of one object's contents over all program
-   points: a scan of both whole tables. *)
+   points: a scan of every slot. *)
 let object_pt t o =
+  let svfg = t.c.Solver_common.svfg in
   let acc = Bitset.create () in
-  let scan tbl =
-    Tbl.iter
-      (fun k id ->
-        if Pair_key.lo k = o then
-          ignore (Bitset.union_into ~into:acc (Ptset.view id)))
-      tbl
-  in
-  scan t.ins;
-  scan t.outs;
+  iter_all t (fun s id ->
+      if Svfg.slot_obj svfg s = o then
+        ignore (Bitset.union_into ~into:acc (Ptset.view id)));
   acc
 
-(* Every object's collapse in one pass over each table. Slots of one object
+(* Every object's collapse in one pass over the slots. Slots of one object
    often repeat its previous set, so a set equal to the object's last one
    is skipped. *)
 let object_pts t =
-  let n = Prog.n_vars (Svfg.prog t.c.Solver_common.svfg) in
+  let svfg = t.c.Solver_common.svfg in
+  let n = Prog.n_vars (Svfg.prog svfg) in
   let acc = Array.init n (fun _ -> Bitset.create ()) in
   let last = Array.make n Ptset.empty in
-  let add k id =
-    let o = Pair_key.lo k in
-    if not (Ptset.equal id last.(o)) then begin
-      last.(o) <- id;
-      ignore (Bitset.union_into ~into:acc.(o) (Ptset.view id))
-    end
-  in
-  Tbl.iter add t.ins;
-  Tbl.iter add t.outs;
+  iter_all t (fun s id ->
+      let o = Svfg.slot_obj svfg s in
+      if not (Ptset.equal id last.(o)) then begin
+        last.(o) <- id;
+        ignore (Bitset.union_into ~into:acc.(o) (Ptset.view id))
+      end);
   acc
 
 let callgraph t = t.c.Solver_common.cg_fs
 
-let n_sets t = Tbl.length t.ins + Tbl.length t.outs
+let n_sets t =
+  let k = ref 0 in
+  iter_all t (fun _ _ -> incr k);
+  !k
 
 let tally t =
   let tl = Ptset.Tally.create () in
-  Tbl.iter (fun _ id -> Ptset.Tally.visit tl id) t.ins;
-  Tbl.iter (fun _ id -> Ptset.Tally.visit tl id) t.outs;
+  iter_all t (fun _ id -> Ptset.Tally.visit tl id);
   tl
 
 let words t = Ptset.Tally.shared_words (tally t)

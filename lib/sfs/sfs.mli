@@ -7,6 +7,12 @@
     set for [o] into the destination's IN set — the per-node duplication of
     identical sets is the redundancy VSFS removes.
 
+    IN and OUT are interned-set arrays indexed by the SVFG's slots (one per
+    (node, object) with indirect edges, see {!Pta_svfg.Svfg}), with a byte
+    per slot recording whether the entry was materialised: only
+    materialised entries count as sets, and a store passes exactly its
+    materialised INs through to OUT.
+
     The call graph is resolved on the fly from the flow-sensitive points-to
     sets; newly discovered call edges add interprocedural SVFG edges (the
     gray parts of Fig. 10).
@@ -49,7 +55,9 @@ val solve :
     only [seed.schedule]. With sound seeds (see {!seed}) the result is
     bit-identical to an unseeded solve on the same graph; the caller
     ({!Pta_workload.Incr}) is responsible for seed soundness. An empty
-    schedule returns immediately (0 engine pops). *)
+    schedule returns immediately (0 engine pops).
+    @raise Invalid_argument if a seed entry's [(node, object)] is not an
+    SVFG slot. *)
 
 type paused
 (** A budgeted solve stopped short of fixpoint: partial state plus the
@@ -84,12 +92,12 @@ val out_set : result -> int -> Inst.var -> Pta_ds.Bitset.t option
 
 val object_pt : result -> Inst.var -> Pta_ds.Bitset.t
 (** Flow-insensitive collapse: union of the object's IN/OUT sets over all
-    program points. Scans both whole tables, so it suits one-off questions;
+    program points. Scans every slot, so it suits one-off questions;
     for every object use {!object_pts}. *)
 
 val object_pts : result -> Pta_ds.Bitset.t array
 (** [object_pt] for every variable at once, indexed by variable id (empty
-    for non-objects), in one pass over each table. The sets are fresh. *)
+    for non-objects), in one pass over the slots. The sets are fresh. *)
 
 val callgraph : result -> Callgraph.t
 (** Flow-sensitively resolved call graph (subset of the auxiliary one). *)

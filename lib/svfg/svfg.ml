@@ -17,11 +17,22 @@ type t = {
   annot : Annot.t;
   kinds : nkind Vec.t;
   inst_nodes : int array array;  (* f -> inst -> node id or -1 *)
-  formal_ins : (int * int, int) Hashtbl.t;  (* (f, obj) -> node *)
-  formal_outs : (int * int, int) Hashtbl.t;
-  actual_ins : (int * int * int, int) Hashtbl.t;  (* (f, call, obj) -> node *)
-  actual_outs : (int * int * int, int) Hashtbl.t;
-  ind_out : Bitset.t Pair_key.Tbl.t;  (* packed (src, obj) -> dsts *)
+  formal_ins : int Pair_key.Tbl.t;  (* packed (f, obj) -> node *)
+  formal_outs : int Pair_key.Tbl.t;
+  actual_ins : int Pair_key.Tbl.t;  (* packed (call node, obj) -> node *)
+  actual_outs : int Pair_key.Tbl.t;
+  (* Slots, set by [seal]: one per (node, object) the node carries indirect
+     edges for, numbered by node, then by ascending object. *)
+  mutable slot_start : int array;  (* node -> first slot; [n_nodes] -> n_slots *)
+  mutable slot_obj : int array;
+  mutable slot_node : int array;
+  (* Indirect edges between slots in CSR form: slot [s]'s successors are
+     [succ.(succ_start.(s)) .. succ.(succ_start.(s + 1) - 1)], ascending. *)
+  mutable succ_start : int array;
+  mutable succ : int array;
+  mutable late : int array array;
+      (* slot -> ascending successors added after sealing (call edges the
+         solvers discover); [||] for almost every slot *)
   mutable n_ind_edges : int;
   def_nodes : int Vec.t;  (* var -> defining node or -1 *)
   user_lists : int list Vec.t;  (* var -> instruction nodes using it *)
@@ -52,83 +63,224 @@ let exit_node t f =
   let fn = Prog.func t.prog f in
   t.inst_nodes.(f).(fn.Prog.exit_inst)
 
-let formal_in t f o = Hashtbl.find_opt t.formal_ins (f, o)
-let formal_out t f o = Hashtbl.find_opt t.formal_outs (f, o)
+let formal_in t f o = Pair_key.Tbl.find_opt t.formal_ins (Pair_key.pack f o)
+let formal_out t f o = Pair_key.Tbl.find_opt t.formal_outs (Pair_key.pack f o)
 
-let actual_in t (cs : Callgraph.callsite) o =
-  Hashtbl.find_opt t.actual_ins (cs.Callgraph.cs_func, cs.Callgraph.cs_inst, o)
+let call_key t (cs : Callgraph.callsite) o =
+  Pair_key.pack t.inst_nodes.(cs.Callgraph.cs_func).(cs.Callgraph.cs_inst) o
 
-let actual_out t (cs : Callgraph.callsite) o =
-  Hashtbl.find_opt t.actual_outs (cs.Callgraph.cs_func, cs.Callgraph.cs_inst, o)
+let actual_in t cs o = Pair_key.Tbl.find_opt t.actual_ins (call_key t cs o)
+let actual_out t cs o = Pair_key.Tbl.find_opt t.actual_outs (call_key t cs o)
 
-let add_indirect_edge t src o dst =
-  let key = Pair_key.pack src o in
-  let set =
-    match Pair_key.Tbl.find_opt t.ind_out key with
-    | Some s -> s
-    | None ->
-      let s = Bitset.create () in
-      Pair_key.Tbl.add t.ind_out key s;
-      s
+(* Append a node and register it in the lookup tables. A call-boundary node
+   names its call instruction, whose node must already exist. *)
+let add_node t k =
+  let n = Vec.push t.kinds k in
+  let inst f i =
+    if f < 0 || f >= Array.length t.inst_nodes || i < 0
+       || i >= Array.length t.inst_nodes.(f)
+    then invalid_arg "Svfg: node names an instruction out of range";
+    { Callgraph.cs_func = f; cs_inst = i }
   in
-  if Bitset.add set dst then begin
+  (match k with
+  | NInst { f; i } ->
+    ignore (inst f i);
+    t.inst_nodes.(f).(i) <- n
+  | NMemPhi _ -> ()
+  | NFormalIn { f; obj } -> Pair_key.Tbl.replace t.formal_ins (Pair_key.pack f obj) n
+  | NFormalOut { f; obj } ->
+    Pair_key.Tbl.replace t.formal_outs (Pair_key.pack f obj) n
+  | NActualIn { f; call; obj } ->
+    Pair_key.Tbl.replace t.actual_ins (call_key t (inst f call) obj) n
+  | NActualOut { f; call; obj } ->
+    Pair_key.Tbl.replace t.actual_outs (call_key t (inst f call) obj) n);
+  n
+
+(* ---------- slots and indirect edges ---------- *)
+
+let n_slots t = Array.length t.slot_obj
+let first_slot t n = t.slot_start.(n)
+let slot_obj t s = t.slot_obj.(s)
+let slot_node t s = t.slot_node.(s)
+
+(* Position of [x] in the ascending run [a.(lo) .. a.(hi - 1)], or -1. *)
+let rec find_sorted a lo hi x =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    if a.(mid) = x then mid
+    else if a.(mid) < x then find_sorted a (mid + 1) hi x
+    else find_sorted a lo mid x
+
+let slot_of t n o =
+  if n < 0 || n >= Array.length t.slot_start - 1 then -1
+  else find_sorted t.slot_obj t.slot_start.(n) t.slot_start.(n + 1) o
+
+let iter_slot_succs t s f =
+  let late = t.late.(s) and hi = t.succ_start.(s + 1) in
+  if Array.length late = 0 then
+    for j = t.succ_start.(s) to hi - 1 do
+      f t.succ.(j)
+    done
+  else begin
+    (* the late row is disjoint from the sealed one: merge the two *)
+    let j = ref t.succ_start.(s) in
+    Array.iter
+      (fun d ->
+        while !j < hi && t.succ.(!j) < d do
+          f t.succ.(!j);
+          incr j
+        done;
+        f d)
+      late;
+    for j = !j to hi - 1 do
+      f t.succ.(j)
+    done
+  end
+
+let iter_ind_succs t n o f =
+  let s = slot_of t n o in
+  if s >= 0 then iter_slot_succs t s (fun d -> f t.slot_node.(d))
+
+let iter_ind_all t n f =
+  for s = t.slot_start.(n) to t.slot_start.(n + 1) - 1 do
+    let o = t.slot_obj.(s) in
+    iter_slot_succs t s (fun d -> f o t.slot_node.(d))
+  done
+
+(* Add a slot edge after sealing; [true] iff new. *)
+let add_late t s d =
+  let late = t.late.(s) in
+  if
+    find_sorted t.succ t.succ_start.(s) t.succ_start.(s + 1) d >= 0
+    || find_sorted late 0 (Array.length late) d >= 0
+  then false
+  else begin
+    t.late.(s) <- Array.of_list (List.merge Int.compare [ d ] (Array.to_list late));
     t.n_ind_edges <- t.n_ind_edges + 1;
     true
   end
-  else false
 
-let iter_ind_succs t n o f =
-  match Pair_key.Tbl.find_opt t.ind_out (Pair_key.pack n o) with
-  | Some s -> Bitset.iter f s
-  | None -> ()
+(* The objects a node has slots for: a load's μ, a store's χ, a memory
+   node's own object. *)
+let iter_slot_objs t k f =
+  match k with
+  | NInst { f = fid; i } -> (
+    match Prog.inst (Prog.func t.prog fid) i with
+    | Inst.Load _ -> Bitset.iter f (Annot.mu t.annot fid i)
+    | Inst.Store _ -> Bitset.iter f (Annot.chi t.annot fid i)
+    | _ -> ())
+  | NMemPhi { obj; _ }
+  | NFormalIn { obj; _ }
+  | NFormalOut { obj; _ }
+  | NActualIn { obj; _ }
+  | NActualOut { obj; _ } ->
+    f obj
 
-let iter_objs_defined t n f =
-  match kind t n with
-  | NInst { f = fid; i } -> Bitset.iter f (Annot.chi t.annot fid i)
-  | NMemPhi { obj; _ } | NFormalIn { obj; _ } | NActualOut { obj; _ } -> f obj
-  | NFormalOut _ | NActualIn _ -> ()
+(* Stable counting sort of the ids in [visit] by [key.(id)] in [0, ns):
+   the sorted ids and each key's first position. *)
+let bucket ns key visit =
+  let first = Array.make (ns + 1) 0 in
+  Array.iter (fun k -> first.(k + 1) <- first.(k + 1) + 1) key;
+  for s = 1 to ns do
+    first.(s) <- first.(s) + first.(s - 1)
+  done;
+  let next = Array.sub first 0 ns in
+  let out = Array.make (Array.length visit) 0 in
+  Array.iter
+    (fun e ->
+      let k = key.(e) in
+      out.(next.(k)) <- e;
+      next.(k) <- next.(k) + 1)
+    visit;
+  (out, first)
 
-let iter_ind_all t n f =
-  iter_objs_defined t n (fun o -> iter_ind_succs t n o (fun dst -> f o dst));
-  match kind t n with
-  | NActualIn { obj; _ } | NFormalOut { obj; _ } ->
-    iter_ind_succs t n obj (fun dst -> f obj dst)
-  | _ -> ()
+(* Edges before sealing: (src, obj, dst) triples in a flat buffer. *)
+let push_edge buf src o dst =
+  ignore (Vec.push buf src);
+  ignore (Vec.push buf o);
+  ignore (Vec.push buf dst)
 
-let add_call_edges t (cs : Callgraph.callsite) g =
-  let added = ref [] in
+(* Number the slots, then turn [buf]'s (src, obj, dst) triples into sorted,
+   de-duplicated CSR rows. Everything but the CSR arrays is garbage when
+   this returns. *)
+let seal t (buf : int Vec.t) =
+  let nn = n_nodes t in
+  let start = Array.make (nn + 1) 0 in
+  let objs = Vec.create ~dummy:0 () and nodes = Vec.create ~dummy:0 () in
+  for n = 0 to nn - 1 do
+    iter_slot_objs t (kind t n) (fun o ->
+        ignore (Vec.push objs o);
+        ignore (Vec.push nodes n));
+    start.(n + 1) <- Vec.length objs
+  done;
+  let ns = Vec.length objs in
+  t.slot_start <- start;
+  t.slot_obj <- Array.init ns (Vec.get objs);
+  t.slot_node <- Array.init ns (Vec.get nodes);
+  let ne = Vec.length buf / 3 in
+  let src = Array.make ne 0 and dst = Array.make ne 0 in
+  for e = 0 to ne - 1 do
+    let o = Vec.get buf ((3 * e) + 1) in
+    src.(e) <- slot_of t (Vec.get buf (3 * e)) o;
+    dst.(e) <- slot_of t (Vec.get buf ((3 * e) + 2)) o;
+    if src.(e) < 0 || dst.(e) < 0 then
+      invalid_arg "Svfg: indirect edge endpoint is not a slot"
+  done;
+  (* By destination, then stably by source: each row comes out ascending,
+     with duplicates adjacent. *)
+  let by_dst, _ = bucket ns dst (Array.init ne Fun.id) in
+  let by_src, first = bucket ns src by_dst in
+  let succ = Array.make ne 0 and succ_start = Array.make (ns + 1) 0 in
+  let k = ref 0 in
+  for s = 0 to ns - 1 do
+    succ_start.(s) <- !k;
+    for j = first.(s) to first.(s + 1) - 1 do
+      let d = dst.(by_src.(j)) in
+      if !k = succ_start.(s) || succ.(!k - 1) <> d then begin
+        succ.(!k) <- d;
+        incr k
+      end
+    done
+  done;
+  succ_start.(ns) <- !k;
+  t.succ_start <- succ_start;
+  t.succ <- (if !k = ne then succ else Array.sub succ 0 !k);
+  t.late <- Array.make ns [||];
+  t.n_ind_edges <- !k;
+  Stats.add "svfg.slots" ns;
+  Stats.add "svfg.indirect_edges" !k
+
+(* The interprocedural edges of the call edge [cs -> g]: ActualIn -> FormalIn
+   for each object [g] may read that the call passes in, FormalOut ->
+   ActualOut for each object [g] may modify that the call passes back. *)
+let iter_call_edges t (cs : Callgraph.callsite) g f =
   let mu = Annot.mu t.annot cs.Callgraph.cs_func cs.Callgraph.cs_inst in
   let chi = Annot.chi t.annot cs.Callgraph.cs_func cs.Callgraph.cs_inst in
   Bitset.iter
     (fun o ->
       if Bitset.mem mu o then
         match (actual_in t cs o, formal_in t g o) with
-        | Some src, Some dst ->
-          if add_indirect_edge t src o dst then added := (src, o, dst) :: !added
+        | Some src, Some dst -> f src o dst
         | _ -> ())
     (Modref.inflow t.mr g);
   Bitset.iter
     (fun o ->
       if Bitset.mem chi o then
         match (formal_out t g o, actual_out t cs o) with
-        | Some src, Some dst ->
-          if add_indirect_edge t src o dst then added := (src, o, dst) :: !added
+        | Some src, Some dst -> f src o dst
         | _ -> ())
-    (Modref.mods t.mr g);
+    (Modref.mods t.mr g)
+
+let add_call_edges t cs g =
+  let added = ref [] in
+  iter_call_edges t cs g (fun src o dst ->
+      if add_late t (slot_of t src o) (slot_of t dst o) then
+        added := (src, o, dst) :: !added);
   !added
 
 let connect_callgraph t cg =
   Callgraph.iter_edges cg (fun cs g -> ignore (add_call_edges t cs g))
-
-let connect_direct_calls t =
-  Prog.iter_funcs t.prog (fun fn ->
-      for i = 0 to Prog.n_insts fn - 1 do
-        match Prog.inst fn i with
-        | Inst.Call { callee = Inst.Direct g; _ } ->
-          ignore
-            (add_call_edges t { Callgraph.cs_func = fn.Prog.id; cs_inst = i } g)
-        | _ -> ()
-      done)
 
 let def_node t v = if v < Vec.length t.def_nodes then Vec.get t.def_nodes v else -1
 
@@ -140,11 +292,10 @@ let n_direct_edges t = t.n_dir_edges
 
 let to_digraph t =
   let g = Pta_graph.Digraph.create ~n:(n_nodes t) () in
-  Pair_key.Tbl.iter
-    (fun key dsts ->
-      let src = Pair_key.hi key in
-      Bitset.iter (fun dst -> ignore (Pta_graph.Digraph.add_edge g src dst)) dsts)
-    t.ind_out;
+  for s = 0 to n_slots t - 1 do
+    iter_slot_succs t s (fun d ->
+        ignore (Pta_graph.Digraph.add_edge g t.slot_node.(s) t.slot_node.(d)))
+  done;
   for v = 0 to Vec.length t.def_nodes - 1 do
     let d = Vec.get t.def_nodes v in
     if d >= 0 then
@@ -192,8 +343,8 @@ let pp_node t ppf n =
 (* Memory-SSA renaming of one function: places MEMPHIs at iterated dominance
    frontiers of definition sites and walks the dominator tree keeping a
    stack of reaching definitions per object; every use found emits an
-   indirect def-use edge. *)
-let rename_function t fn =
+   indirect def-use edge through [edge src o dst]. *)
+let rename_function t ~edge fn =
   let f = fn.Prog.id in
   let cfg = fn.Prog.cfg in
   let entry = fn.Prog.entry_inst in
@@ -220,7 +371,7 @@ let rename_function t fn =
         let joins = Pta_graph.Dom.iterated_frontier df !sites in
         Bitset.iter
           (fun j ->
-            let node = Vec.push t.kinds (NMemPhi { f; at = j; obj = o }) in
+            let node = add_node t (NMemPhi { f; at = j; obj = o }) in
             match Hashtbl.find_opt memphis j with
             | Some l -> l := (o, node) :: !l
             | None -> Hashtbl.add memphis j (ref [ (o, node) ]))
@@ -249,7 +400,6 @@ let rename_function t fn =
               %s (missing FormalIn — annotation inflow out of sync)"
              (Prog.name t.prog o) fn.Prog.fname)
     in
-    let edge src o dst = ignore (add_indirect_edge t src o dst) in
     let rec walk i =
       let pushed = ref [] in
       let push o d =
@@ -282,14 +432,15 @@ let rename_function t fn =
             push o node)
           (Annot.chi t.annot f i)
       | Inst.Call _ ->
+        let call = t.inst_nodes.(f).(i) in
         Bitset.iter
           (fun o ->
             edge (top o) o
-              (Hashtbl.find t.actual_ins (f, i, o)))
+              (Pair_key.Tbl.find t.actual_ins (Pair_key.pack call o)))
           (Annot.mu t.annot f i);
         Bitset.iter
           (fun o ->
-            let ao = Hashtbl.find t.actual_outs (f, i, o) in
+            let ao = Pair_key.Tbl.find t.actual_outs (Pair_key.pack call o) in
             (* the call's χ also consumes the previous definition (weak) *)
             edge (top o) o ao;
             push o ao)
@@ -362,24 +513,51 @@ type raw = {
 
 let export t =
   let raw_kinds = Array.init (n_nodes t) (fun n -> kind t n) in
-  let edges =
-    Pair_key.Tbl.fold
-      (fun key dsts acc -> (key, dsts) :: acc)
-      t.ind_out []
-  in
-  (* Table order is arbitrary; sort so identical graphs encode to identical
-     bytes (stable content hashes). Packed keys sort by (src, obj). *)
-  let raw_ind =
-    Array.of_list
-      (List.map
-         (fun (key, dsts) ->
-           (Pair_key.hi key, Pair_key.lo key, Array.of_list (Bitset.elements dsts)))
-         (List.sort (fun (a, _) (b, _) -> Int.compare a b) edges))
-  in
+  (* Slot order is (src, obj) order, and each row is ascending: identical
+     graphs encode to identical bytes (stable content hashes). *)
+  let rows = ref [] in
+  for s = n_slots t - 1 downto 0 do
+    let dsts = ref [] in
+    iter_slot_succs t s (fun d -> dsts := t.slot_node.(d) :: !dsts);
+    if !dsts <> [] then
+      rows :=
+        (t.slot_node.(s), t.slot_obj.(s), Array.of_list (List.rev !dsts))
+        :: !rows
+  done;
   let raw_mods, raw_refs = Modref.export t.mr in
   let raw_mu, raw_chi, raw_entry_chis, raw_exit_mus = Annot.export t.annot in
-  { raw_kinds; raw_ind; raw_mods; raw_refs; raw_mu; raw_chi; raw_entry_chis;
-    raw_exit_mus }
+  { raw_kinds; raw_ind = Array.of_list !rows; raw_mods; raw_refs; raw_mu;
+    raw_chi; raw_entry_chis; raw_exit_mus }
+
+let create prog aux mr annot =
+  let t =
+    {
+      prog;
+      aux;
+      mr;
+      annot;
+      kinds = Vec.create ~dummy:(NInst { f = -1; i = -1 }) ();
+      inst_nodes = Array.make (Prog.n_funcs prog) [||];
+      formal_ins = Pair_key.Tbl.create 64;
+      formal_outs = Pair_key.Tbl.create 64;
+      actual_ins = Pair_key.Tbl.create 64;
+      actual_outs = Pair_key.Tbl.create 64;
+      slot_start = [||];
+      slot_obj = [||];
+      slot_node = [||];
+      succ_start = [||];
+      succ = [||];
+      late = [||];
+      n_ind_edges = 0;
+      def_nodes = Vec.create ~dummy:(-1) ();
+      user_lists = Vec.create ~dummy:[] ();
+      n_dir_edges = 0;
+      topo_cache = None;
+    }
+  in
+  Vec.grow_to t.def_nodes (Prog.n_vars prog);
+  Vec.grow_to t.user_lists (Prog.n_vars prog);
+  t
 
 let import prog (aux : Modref.aux) raw =
   let mr = Modref.import ~mods:raw.raw_mods ~refs:raw.raw_refs in
@@ -387,123 +565,62 @@ let import prog (aux : Modref.aux) raw =
     Annot.import ~mu:raw.raw_mu ~chi:raw.raw_chi
       ~entry_chis:raw.raw_entry_chis ~exit_mus:raw.raw_exit_mus
   in
-  let nf = Prog.n_funcs prog in
-  let t =
-    {
-      prog;
-      aux;
-      mr;
-      annot;
-      kinds = Vec.create ~dummy:(NInst { f = -1; i = -1 }) ();
-      inst_nodes = Array.make nf [||];
-      formal_ins = Hashtbl.create 64;
-      formal_outs = Hashtbl.create 64;
-      actual_ins = Hashtbl.create 64;
-      actual_outs = Hashtbl.create 64;
-      ind_out = Pair_key.Tbl.create (max 16 (Array.length raw.raw_ind));
-      n_ind_edges = 0;
-      def_nodes = Vec.create ~dummy:(-1) ();
-      user_lists = Vec.create ~dummy:[] ();
-      n_dir_edges = 0;
-      topo_cache = None;
-    }
-  in
-  Vec.grow_to t.def_nodes (Prog.n_vars prog);
-  Vec.grow_to t.user_lists (Prog.n_vars prog);
+  let t = create prog aux mr annot in
   Prog.iter_funcs prog (fun fn ->
       t.inst_nodes.(fn.Prog.id) <- Array.make (Prog.n_insts fn) (-1));
   (* Node tables are derivable from the kind array alone. *)
-  Array.iteri
-    (fun n k ->
-      let n' = Vec.push t.kinds k in
-      if n' <> n then invalid_arg "Svfg.import: kind array corrupt";
-      match k with
-      | NInst { f; i } ->
-        if f < 0 || f >= nf || i < 0 || i >= Array.length t.inst_nodes.(f) then
-          invalid_arg "Svfg.import: instruction node out of range";
-        t.inst_nodes.(f).(i) <- n
-      | NMemPhi _ -> ()
-      | NFormalIn { f; obj } -> Hashtbl.replace t.formal_ins (f, obj) n
-      | NFormalOut { f; obj } -> Hashtbl.replace t.formal_outs (f, obj) n
-      | NActualIn { f; call; obj } ->
-        Hashtbl.replace t.actual_ins (f, call, obj) n
-      | NActualOut { f; call; obj } ->
-        Hashtbl.replace t.actual_outs (f, call, obj) n)
-    raw.raw_kinds;
-  (* Fresh edge sets per import: solvers mutate them (on-the-fly call-graph
-     edges), so two imports of the same raw value must not share state. *)
-  Array.iter
-    (fun (src, o, dsts) ->
-      Array.iter (fun dst -> ignore (add_indirect_edge t src o dst)) dsts)
-    raw.raw_ind;
+  Array.iter (fun k -> ignore (add_node t k)) raw.raw_kinds;
+  (* Fresh edge arrays per import: solvers add late edges, so two imports of
+     the same raw value must not share state. *)
+  let buf = Vec.create ~dummy:0 () in
+  Array.iter (fun (src, o, dsts) -> Array.iter (push_edge buf src o) dsts) raw.raw_ind;
+  seal t buf;
   build_direct t;
   t
 
 let build prog (aux : Modref.aux) =
   let mr = Modref.compute prog aux in
   let annot = Annot.compute prog aux mr in
-  let nf = Prog.n_funcs prog in
-  let t =
-    {
-      prog;
-      aux;
-      mr;
-      annot;
-      kinds = Vec.create ~dummy:(NInst { f = -1; i = -1 }) ();
-      inst_nodes = Array.make nf [||];
-      formal_ins = Hashtbl.create 64;
-      formal_outs = Hashtbl.create 64;
-      actual_ins = Hashtbl.create 64;
-      actual_outs = Hashtbl.create 64;
-      ind_out = Pair_key.Tbl.create 1024;
-      n_ind_edges = 0;
-      def_nodes = Vec.create ~dummy:(-1) ();
-      user_lists = Vec.create ~dummy:[] ();
-      n_dir_edges = 0;
-      topo_cache = None;
-    }
-  in
-  Vec.grow_to t.def_nodes (Prog.n_vars prog);
-  Vec.grow_to t.user_lists (Prog.n_vars prog);
+  let t = create prog aux mr annot in
   (* 1. Instruction nodes (all but pure control flow). *)
   Prog.iter_funcs prog (fun fn ->
       let f = fn.Prog.id in
-      let n = Prog.n_insts fn in
-      t.inst_nodes.(f) <- Array.make n (-1);
-      for i = 0 to n - 1 do
+      t.inst_nodes.(f) <- Array.make (Prog.n_insts fn) (-1);
+      for i = 0 to Prog.n_insts fn - 1 do
         match Prog.inst fn i with
         | Inst.Branch -> ()
-        | _ -> t.inst_nodes.(f).(i) <- Vec.push t.kinds (NInst { f; i })
+        | _ -> ignore (add_node t (NInst { f; i }))
       done);
   (* 2. Call-boundary and function-boundary memory nodes. *)
   Prog.iter_funcs prog (fun fn ->
       let f = fn.Prog.id in
-      Bitset.iter
-        (fun o ->
-          Hashtbl.replace t.formal_ins (f, o)
-            (Vec.push t.kinds (NFormalIn { f; obj = o })))
-        (Annot.entry_chi annot f);
-      Bitset.iter
-        (fun o ->
-          Hashtbl.replace t.formal_outs (f, o)
-            (Vec.push t.kinds (NFormalOut { f; obj = o })))
-        (Annot.exit_mu annot f);
+      let add k = ignore (add_node t k) in
+      Bitset.iter (fun o -> add (NFormalIn { f; obj = o })) (Annot.entry_chi annot f);
+      Bitset.iter (fun o -> add (NFormalOut { f; obj = o })) (Annot.exit_mu annot f);
       for i = 0 to Prog.n_insts fn - 1 do
         if Inst.is_call (Prog.inst fn i) then begin
           Bitset.iter
-            (fun o ->
-              Hashtbl.replace t.actual_ins (f, i, o)
-                (Vec.push t.kinds (NActualIn { f; call = i; obj = o })))
+            (fun o -> add (NActualIn { f; call = i; obj = o }))
             (Annot.mu annot f i);
           Bitset.iter
-            (fun o ->
-              Hashtbl.replace t.actual_outs (f, i, o)
-                (Vec.push t.kinds (NActualOut { f; call = i; obj = o })))
+            (fun o -> add (NActualOut { f; call = i; obj = o }))
             (Annot.chi annot f i)
         end
       done);
-  (* 3. Memory-SSA renaming: MEMPHIs + intraprocedural indirect edges. *)
-  Prog.iter_funcs prog (fun fn -> rename_function t fn);
+  (* 3. Memory-SSA renaming (MEMPHIs + intraprocedural indirect edges) and
+     the interprocedural edges of direct calls, whose targets are static,
+     into one buffer of (src, obj, dst) triples; then seal it. *)
+  let buf = Vec.create ~capacity:4096 ~dummy:0 () in
+  let edge = push_edge buf in
+  Prog.iter_funcs prog (fun fn -> rename_function t ~edge fn);
+  Prog.iter_funcs prog (fun fn ->
+      for i = 0 to Prog.n_insts fn - 1 do
+        match Prog.inst fn i with
+        | Inst.Call { callee = Inst.Direct g; _ } ->
+          iter_call_edges t { Callgraph.cs_func = fn.Prog.id; cs_inst = i } g edge
+        | _ -> ()
+      done);
+  seal t buf;
   (* 4. Direct def-use edges. *)
   build_direct t;
   t

@@ -13,9 +13,18 @@
     its uses.
 
     Interprocedural indirect edges (ActualIn → FormalIn, FormalOut →
-    ActualOut) are added either statically from the auxiliary call graph
+    ActualOut) of direct calls are added by {!build}; those of indirect
+    calls are added either statically from the auxiliary call graph
     ({!connect_callgraph}) or one call edge at a time by the flow-sensitive
-    solvers' on-the-fly call-graph resolution ({!add_call_edges}). *)
+    solvers' on-the-fly call-graph resolution ({!add_call_edges}).
+
+    Each node owns a contiguous run of {e slots}, one per object it carries
+    indirect edges for (a load's μ, a store's χ, a memory node's own
+    object), numbered by node, then by ascending object; an edge
+    [ℓ --o--> ℓ'] joins slot [(ℓ, o)] to slot [(ℓ', o)]. {!build} and
+    {!import} seal the edges into sorted per-slot successor arrays; edges
+    added later go to a small sorted per-slot overflow. Solvers index their
+    per-(node, object) state by slot. *)
 
 type nkind =
   | NInst of { f : Pta_ir.Inst.func_id; i : int }
@@ -28,8 +37,10 @@ type nkind =
 type t
 
 val build : Pta_ir.Prog.t -> Pta_memssa.Modref.aux -> t
-(** Builds nodes, all intraprocedural indirect edges, and all direct edges.
-    Interprocedural indirect edges are not added (see above). *)
+(** Builds nodes, all intraprocedural indirect edges, the interprocedural
+    indirect edges of direct calls, and all direct edges. Indirect-call
+    edges are not added (see above): they arrive during solving, which is
+    what the paper's δ nodes account for. *)
 
 (* Structure access ------------------------------------------------------- *)
 
@@ -55,16 +66,13 @@ val actual_out : t -> Pta_ir.Callgraph.callsite -> Pta_ir.Inst.var -> int option
 
 (* Indirect edges --------------------------------------------------------- *)
 
-val add_indirect_edge : t -> int -> Pta_ir.Inst.var -> int -> bool
-(** [add_indirect_edge t src o dst]; [true] iff new. *)
-
 val iter_ind_succs : t -> int -> Pta_ir.Inst.var -> (int -> unit) -> unit
-val iter_ind_all : t -> int -> (Pta_ir.Inst.var -> int -> unit) -> unit
-(** All outgoing indirect edges of a node. *)
+(** [iter_ind_succs t n o f]: the successors of [n] along [o]-edges, in
+    ascending node order. *)
 
-val iter_objs_defined : t -> int -> (Pta_ir.Inst.var -> unit) -> unit
-(** Objects for which the node is a definition (χ objects for stores/calls,
-    the node's object for memory nodes). *)
+val iter_ind_all : t -> int -> (Pta_ir.Inst.var -> int -> unit) -> unit
+(** All outgoing indirect edges of a node, by ascending object, then
+    ascending successor. *)
 
 val add_call_edges : t -> Pta_ir.Callgraph.callsite -> Pta_ir.Inst.func_id ->
   (int * Pta_ir.Inst.var * int) list
@@ -73,11 +81,22 @@ val add_call_edges : t -> Pta_ir.Callgraph.callsite -> Pta_ir.Inst.func_id ->
 
 val connect_callgraph : t -> Pta_ir.Callgraph.t -> unit
 
-val connect_direct_calls : t -> unit
-(** Adds the interprocedural edges of all *direct* call sites (their targets
-    are static). Must run before versioning and before either flow-sensitive
-    solver; indirect-call edges are added during solving, which is what the
-    paper's δ nodes account for. *)
+(* Slots ------------------------------------------------------------------ *)
+
+val n_slots : t -> int
+
+val first_slot : t -> int -> int
+(** Node [n]'s slots are [first_slot t n .. first_slot t (n + 1) - 1];
+    [first_slot t (n_nodes t)] is [n_slots t]. *)
+
+val slot_of : t -> int -> Pta_ir.Inst.var -> int
+(** The slot of [(node, object)], or [-1] if the node has none for it. *)
+
+val slot_obj : t -> int -> Pta_ir.Inst.var
+val slot_node : t -> int -> int
+
+val iter_slot_succs : t -> int -> (int -> unit) -> unit
+(** Successor slots of a slot, ascending (and so by ascending node). *)
 
 (* Direct edges ----------------------------------------------------------- *)
 
@@ -125,8 +144,8 @@ type raw = {
     call-boundary lookup tables and direct def-use edges are rebuilt. *)
 
 val export : t -> raw
-(** Deterministic snapshot of the current graph (export after
-    {!connect_direct_calls} and before solving, so import needs neither). *)
+(** Deterministic snapshot of the current graph, late edges included
+    (export before solving, so import needs no call-edge wiring). *)
 
 val import : Pta_ir.Prog.t -> Pta_memssa.Modref.aux -> raw -> t
 (** Rebuild a graph from a snapshot in time linear in nodes + edges —

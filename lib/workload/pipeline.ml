@@ -249,10 +249,7 @@ let stage_svfg =
         ~key:(Store.key ~stage:"svfg" [ b.src_digest ])
         ~label:ctx.label
         (Artifact.encode_svfg (Pta_svfg.Svfg.export svfg)))
-    (fun _ b ->
-      let svfg = Pta_svfg.Svfg.build b.prog b.aux in
-      Pta_svfg.Svfg.connect_direct_calls svfg;
-      (b, svfg))
+    (fun _ b -> (b, Pta_svfg.Svfg.build b.prog b.aux))
 
 let fresh_svfg ?ctx b =
   let ctx = ctx_for ?ctx () in

@@ -104,6 +104,42 @@ let prop_roundtrip =
     QCheck2.Gen.(oneof [ ints_small; ints_sparse ])
     (fun l -> Bitset.elements (bitset_of_list l) = Model.of_list l)
 
+(* Elements on and around word boundaries, including each word's top bit
+   [bpw - 1], mixed with arbitrary ones. *)
+let ints_edges =
+  let bpw = Sys.int_size in
+  QCheck2.Gen.(
+    list_size (0 -- 30)
+      (oneof
+         [
+           map (fun w -> (w * bpw) + bpw - 1) (0 -- 40);
+           map (fun w -> w * bpw) (0 -- 40);
+           map2 (fun w b -> (w * bpw) + b) (0 -- 40) (0 -- (bpw - 1));
+           0 -- 1_000_000;
+         ]))
+
+let prop_iter_choose =
+  QCheck2.Test.make ~name:"bitset iter and choose match a naive bit scan"
+    ~count:500
+    QCheck2.Gen.(oneof [ ints_small; ints_sparse; ints_edges ])
+    (fun l ->
+      let s = bitset_of_list l in
+      (* reference: test every bit of every stored word *)
+      let naive = ref [] in
+      Bitset.iter_words
+        (fun w word ->
+          for b = 0 to Sys.int_size - 1 do
+            if word land (1 lsl b) <> 0 then
+              naive := ((w * Sys.int_size) + b) :: !naive
+          done)
+        s;
+      let naive = List.rev !naive in
+      let seen = ref [] in
+      Bitset.iter (fun x -> seen := x :: !seen) s;
+      List.rev !seen = naive
+      && naive = Model.of_list l
+      && Bitset.choose s = (match naive with [] -> None | x :: _ -> Some x))
+
 let prop_union =
   QCheck2.Test.make ~name:"bitset union matches model" ~count:500
     QCheck2.Gen.(pair ints_small ints_sparse)
@@ -840,6 +876,7 @@ let () =
       qsuite "bitset-props"
         [
           prop_roundtrip;
+          prop_iter_choose;
           prop_union;
           prop_union_changed;
           prop_inter;

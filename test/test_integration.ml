@@ -208,7 +208,6 @@ let test_ir_file_pipeline () =
               cg = Pta_andersen.Solver.callgraph r } in
   Pta_memssa.Singleton.refine p ~cg:aux.Pta_memssa.Modref.cg;
   let svfg = Svfg.build p aux in
-  Svfg.connect_direct_calls svfg;
   let vsfs = Vsfs_core.Vsfs.solve svfg in
   let v = ref (-1) in
   Prog.iter_vars p (fun x -> if Prog.name p x = "v" then v := x);

@@ -18,7 +18,6 @@ let prepare src =
 
 let solve_sfs (p, _, aux) =
   let svfg = Svfg.build p aux in
-  Svfg.connect_direct_calls svfg;
   (Pta_sfs.Sfs.solve svfg, svfg)
 
 let var_by_name p name =
@@ -221,6 +220,40 @@ let test_counters () =
   Alcotest.(check bool) "words counted" true (Pta_sfs.Sfs.words sfs > 0);
   Alcotest.(check bool) "pops counted" true (Pta_sfs.Sfs.processed sfs > 0)
 
+(* ---------- golden Table III accounting ---------- *)
+
+(* SFS's set accounting and work on two suite programs at scale 0.2, pinned
+   to the values of the hash-table layout that per-slot arrays replaced:
+   [n_sets], [words], [unshared_words], propagations, pops, and the indirect
+   edge count after solving (late call edges included). The pool is reset
+   first because a pooled set's word count depends on how it was built. *)
+let golden_accounting =
+  [
+    ("bash", [ 12831; 13172; 130157; 41789; 36668; 19605 ]);
+    ("hyriseConsole", [ 26046; 26730; 376906; 132884; 102000; 41107 ]);
+  ]
+
+let test_golden_accounting () =
+  List.iter
+    (fun (name, expected) ->
+      Pta_ds.Ptset.reset ();
+      let e = Option.get (Pta_workload.Suite.find ~scale:0.2 name) in
+      let b =
+        Pta_workload.Pipeline.build_source
+          (Pta_workload.Gen.source e.Pta_workload.Suite.cfg)
+      in
+      let svfg = Pta_workload.Pipeline.fresh_svfg b in
+      let r = Pta_sfs.Sfs.solve svfg in
+      Alcotest.(check (list int))
+        (name ^ ": sets, words, unshared, props, pops, edges")
+        expected
+        Pta_sfs.Sfs.
+          [
+            n_sets r; words r; unshared_words r; n_propagations r; processed r;
+            Svfg.n_indirect_edges svfg;
+          ])
+    golden_accounting
+
 (* ---------- on-the-fly call graph ---------- *)
 
 let test_otf_callgraph_precision () =
@@ -314,6 +347,7 @@ let () =
           Alcotest.test_case "load before store" `Quick test_load_before_store;
           Alcotest.test_case "field separation" `Quick test_field_separation;
           Alcotest.test_case "counters" `Quick test_counters;
+          Alcotest.test_case "golden accounting" `Quick test_golden_accounting;
         ] );
       ( "callgraph",
         [ Alcotest.test_case "otf more precise" `Quick test_otf_callgraph_precision ] );

@@ -6,17 +6,17 @@
 open Pta_ir
 module Svfg = Pta_svfg.Svfg
 
-let build ?(connect = true) src =
+let prepare src =
   let p = Pta_cfront.Lower.compile src in
   Validate.check_exn p;
   let r = Pta_andersen.Solver.solve p in
-  let aux =
+  ( p,
     { Pta_memssa.Modref.pt = Pta_andersen.Solver.pts r;
-      cg = Pta_andersen.Solver.callgraph r }
-  in
-  let svfg = Svfg.build p aux in
-  if connect then Svfg.connect_direct_calls svfg;
-  (p, svfg)
+      cg = Pta_andersen.Solver.callgraph r } )
+
+let build src =
+  let p, aux = prepare src in
+  (p, Svfg.build p aux)
 
 (* Reverse indirect edges: (dst, obj) -> src list. *)
 let in_edges svfg =
@@ -253,6 +253,131 @@ let test_stats_nonzero () =
   Alcotest.(check bool) "nodes" true (Svfg.n_nodes svfg > 0);
   Alcotest.(check bool) "indirect edges" true (Svfg.n_indirect_edges svfg > 0)
 
+(* ---------- slots ---------- *)
+
+(* The objects a node must have slots for: a load's μ, a store's χ, a
+   memory node's own object; other instructions have none. *)
+let expected_slot_objs svfg n =
+  let annot = Svfg.annot svfg in
+  match Svfg.kind svfg n with
+  | Svfg.NInst { f; i } -> (
+    match Svfg.inst_of svfg n with
+    | Inst.Load _ -> Pta_ds.Bitset.elements (Pta_memssa.Annot.mu annot f i)
+    | Inst.Store _ -> Pta_ds.Bitset.elements (Pta_memssa.Annot.chi annot f i)
+    | _ -> [])
+  | Svfg.NMemPhi { obj; _ }
+  | Svfg.NFormalIn { obj; _ }
+  | Svfg.NFormalOut { obj; _ }
+  | Svfg.NActualIn { obj; _ }
+  | Svfg.NActualOut { obj; _ } ->
+    [ obj ]
+
+let check_slots what svfg =
+  let fail fmt = Alcotest.failf ("%s: " ^^ fmt) what in
+  let ns = Svfg.n_slots svfg in
+  if Svfg.first_slot svfg (Svfg.n_nodes svfg) <> ns then
+    fail "slot runs do not end at n_slots";
+  for n = 0 to Svfg.n_nodes svfg - 1 do
+    let first = Svfg.first_slot svfg n in
+    let objs =
+      List.init (Svfg.first_slot svfg (n + 1) - first) (fun k ->
+          Svfg.slot_obj svfg (first + k))
+    in
+    if objs <> expected_slot_objs svfg n then
+      fail "node %d: slot objects are not its ascending μ/χ/object" n;
+    List.iteri
+      (fun k o ->
+        if Svfg.slot_node svfg (first + k) <> n || Svfg.slot_of svfg n o <> first + k
+        then fail "node %d: slot %d does not map back" n (first + k))
+      objs;
+    (* node view: every edge joins two slots; per object, successors are
+       strictly ascending *)
+    let last = Hashtbl.create 4 in
+    Svfg.iter_ind_all svfg n (fun o m ->
+        if Svfg.slot_of svfg n o < 0 || Svfg.slot_of svfg m o < 0 then
+          fail "edge %d --%d--> %d has an endpoint that is not a slot" n o m;
+        (match Hashtbl.find_opt last o with
+        | Some prev when prev >= m -> fail "successors of (%d, %d) not ascending" n o
+        | _ -> ());
+        Hashtbl.replace last o m)
+  done;
+  let edges = ref 0 in
+  for s = 0 to ns - 1 do
+    let prev = ref (-1) in
+    Svfg.iter_slot_succs svfg s (fun d ->
+        incr edges;
+        if d < 0 || d >= ns || Svfg.slot_obj svfg d <> Svfg.slot_obj svfg s then
+          fail "slot %d has a successor outside its object's slots" s;
+        if d <= !prev then fail "successor slots of %d not strictly ascending" s;
+        prev := d)
+  done;
+  Alcotest.(check int) (what ^ ": edge count") !edges (Svfg.n_indirect_edges svfg)
+
+(* Slots on a freshly built graph, after every auxiliary call edge is wired
+   late (repeating the wiring adds nothing), and across an export → import
+   round trip that must reproduce the encoded snapshot byte for byte.
+   Returns the number of late edges. *)
+let slot_invariants what p aux =
+  let svfg = Svfg.build p aux in
+  check_slots (what ^ ", built") svfg;
+  let sealed = Svfg.n_indirect_edges svfg in
+  let cg = aux.Pta_memssa.Modref.cg in
+  Svfg.connect_callgraph svfg cg;
+  check_slots (what ^ ", connected") svfg;
+  Callgraph.iter_edges cg (fun cs g ->
+      if Svfg.add_call_edges svfg cs g <> [] then
+        Alcotest.failf "%s: repeated add_call_edges added edges" what);
+  let encode g = Pta_store.Artifact.encode_svfg (Svfg.export g) in
+  let bytes = encode svfg in
+  let back = Svfg.import p aux (Pta_store.Artifact.decode_svfg bytes) in
+  check_slots (what ^ ", imported") back;
+  Alcotest.(check bool) (what ^ ": export/import/export identical") true
+    (String.equal bytes (encode back));
+  (* sealing sorts and de-duplicates: listing every edge twice imports to
+     the same graph; an endpoint without a slot is rejected *)
+  let raw = Svfg.export svfg in
+  let with_rows f = { raw with Svfg.raw_ind = Array.map f raw.Svfg.raw_ind } in
+  let doubled = with_rows (fun (src, o, dsts) -> (src, o, Array.append dsts dsts)) in
+  Alcotest.(check bool) (what ^ ": duplicate edges sealed away") true
+    (String.equal bytes (encode (Svfg.import p aux doubled)));
+  if Array.length raw.Svfg.raw_ind > 0 then begin
+    let off_slot = with_rows (fun (src, o, _) -> (src, o, [| Svfg.n_nodes svfg |])) in
+    match Svfg.import p aux off_slot with
+    | _ -> Alcotest.failf "%s: edge to a non-slot imported" what
+    | exception Invalid_argument _ -> ()
+  end;
+  Svfg.n_indirect_edges svfg - sealed
+
+let test_slots_suite () =
+  let late =
+    List.fold_left
+      (fun acc (e : Pta_workload.Suite.entry) ->
+        let b =
+          Pta_workload.Pipeline.build_source (Pta_workload.Gen.source e.cfg)
+        in
+        acc
+        + slot_invariants e.name b.Pta_workload.Pipeline.prog
+            b.Pta_workload.Pipeline.aux)
+      0
+      (Pta_workload.Suite.benchmarks ~scale:0.1 ())
+  in
+  Alcotest.(check bool) "some late edges exercised" true (late > 0)
+
+let prop_slots_random =
+  QCheck2.Test.make ~name:"slot invariants on random programs with indirect calls"
+    ~count:40
+    QCheck2.Gen.(0 -- 10_000)
+    (fun seed ->
+      let cfg = Pta_workload.Gen.small_random seed in
+      let cfg =
+        { cfg with
+          Pta_workload.Gen.n_fp_globals = max 1 cfg.Pta_workload.Gen.n_fp_globals;
+          indirect_ratio = 0.4 }
+      in
+      let p, aux = prepare (Pta_workload.Gen.source cfg) in
+      ignore (slot_invariants (Printf.sprintf "seed %d" seed) p aux);
+      true)
+
 (* ---------- dot export ---------- *)
 
 let test_dot_export () =
@@ -329,5 +454,10 @@ let () =
           Alcotest.test_case "stats" `Quick test_stats_nonzero;
         ] );
       ("order", [ Alcotest.test_case "topo rank" `Quick test_topo_rank ]);
+      ( "slots",
+        [
+          Alcotest.test_case "suite programs" `Quick test_slots_suite;
+          QCheck_alcotest.to_alcotest prop_slots_random;
+        ] );
       ("dot", [ Alcotest.test_case "export" `Quick test_dot_export ]);
     ]

@@ -192,10 +192,7 @@ let prepare src =
   Pta_memssa.Singleton.refine p ~cg:aux.Pta_memssa.Modref.cg;
   (p, aux)
 
-let fresh_svfg (p, aux) =
-  let svfg = Svfg.build p aux in
-  Svfg.connect_direct_calls svfg;
-  svfg
+let fresh_svfg (p, aux) = Svfg.build p aux
 
 (* ---------- versioning invariants ---------- *)
 
