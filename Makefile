@@ -31,8 +31,8 @@
 #
 # Not part of ci:
 #   perf-pairs — PAIRS alternating perfbench pairs per workload of the
-#            revision PARENT (checked out in a temporary git worktree)
-#            against this tree, each pair on one seed, then `run.py
+#            revision PARENT (extracted with `git archive` into a temporary
+#            directory) against this tree, each pair on one seed, then `run.py
 #            compare` of the two sets. About 2 x PAIRS x 55 s per workload:
 #            `make perf-pairs PARENT=<rev> PAIRS=10`
 
@@ -46,6 +46,12 @@ LATTICE_DIR := $(shell mktemp -d /tmp/pta-ci-lattice.XXXXXX)
 SCHEDULERS := fifo lifo topo lrf
 # every field here is wall-clock-derived; everything else must match exactly
 PAR_TIMING_SED := s/"(seconds|pre_seconds|wall_seconds|andersen_s|time_ratio|jobs)": *[0-9.eE+-]+/"\1": 0/g
+
+# Every target after `build` calls the binaries it built directly: a
+# `dune exec` waits on dune's project lock, which a long-lived daemon or a
+# concurrent `dune build` in the same checkout can hold indefinitely.
+VSFS_BIN := ./_build/default/bin/vsfs_cli.exe
+BENCH_BIN := ./_build/default/bench/main.exe
 
 .PHONY: ci build test smoke bench-smoke fuzz-smoke engine-smoke par-smoke \
 	serve-smoke lattice-smoke perf-pairs clean
@@ -61,24 +67,24 @@ test:
 
 smoke: build
 	@echo "== store smoke test (cache dir: $(SMOKE_DIR)) =="
-	$(DUNE) exec bin/vsfs_cli.exe -- gen --bench du --scale 0.2 -o $(SMOKE_DIR)/du.c
-	$(DUNE) exec bin/vsfs_cli.exe -- analyze $(SMOKE_DIR)/du.c --cache-dir $(SMOKE_DIR) --stats > $(SMOKE_DIR)/cold.out
+	$(VSFS_BIN) gen --bench du --scale 0.2 -o $(SMOKE_DIR)/du.c
+	$(VSFS_BIN) analyze $(SMOKE_DIR)/du.c --cache-dir $(SMOKE_DIR) --stats > $(SMOKE_DIR)/cold.out
 	grep -q "cache: build cold" $(SMOKE_DIR)/cold.out
 	grep -q "call_edges=" $(SMOKE_DIR)/cold.out
 	grep -q "vsfs.version_objects" $(SMOKE_DIR)/cold.out
 	grep -q "svfg.slots" $(SMOKE_DIR)/cold.out
-	$(DUNE) exec bin/vsfs_cli.exe -- analyze $(SMOKE_DIR)/du.c --cache-dir $(SMOKE_DIR) --stats > $(SMOKE_DIR)/warm.out
+	$(VSFS_BIN) analyze $(SMOKE_DIR)/du.c --cache-dir $(SMOKE_DIR) --stats > $(SMOKE_DIR)/warm.out
 	grep -q "cache: build warm" $(SMOKE_DIR)/warm.out
 	grep -q "cache: vsfs results hit" $(SMOKE_DIR)/warm.out
 	grep -q "store.hits" $(SMOKE_DIR)/warm.out
-	$(DUNE) exec bin/vsfs_cli.exe -- cache ls --cache-dir $(SMOKE_DIR)
-	$(DUNE) exec bin/vsfs_cli.exe -- cache clear --cache-dir $(SMOKE_DIR)
+	$(VSFS_BIN) cache ls --cache-dir $(SMOKE_DIR)
+	$(VSFS_BIN) cache clear --cache-dir $(SMOKE_DIR)
 	rm -rf $(SMOKE_DIR)
 	@echo "== smoke OK =="
 
 bench-smoke: build
 	@echo "== bench smoke (json: $(BENCH_JSON)) =="
-	$(DUNE) exec bench/main.exe -- tableIII 0.1 --json $(BENCH_JSON) > /dev/null
+	$(BENCH_BIN) tableIII 0.1 --json $(BENCH_JSON) > /dev/null
 	grep -q '"unique_sets"' $(BENCH_JSON)
 	grep -q '"hit_rate"' $(BENCH_JSON)
 	grep -q '"dedup_sfs"' $(BENCH_JSON)
@@ -89,17 +95,17 @@ bench-smoke: build
 
 fuzz-smoke: build
 	@echo "== fuzz smoke (50 runs, seed 1, full oracle tower) =="
-	$(DUNE) exec bin/vsfs_cli.exe -- fuzz --runs 50 --seed 1
+	$(VSFS_BIN) fuzz --runs 50 --seed 1
 	@echo "== fuzz smoke OK =="
 
 engine-smoke: build
 	@echo "== engine smoke (every scheduler, identical results; dir: $(ENGINE_DIR)) =="
-	$(DUNE) exec bin/vsfs_cli.exe -- gen --bench du --scale 0.15 -o $(ENGINE_DIR)/du.c
+	$(VSFS_BIN) gen --bench du --scale 0.15 -o $(ENGINE_DIR)/du.c
 	@set -e; \
 	for a in sfs vsfs; do \
 	  for s in $(SCHEDULERS); do \
 	    echo "  $$a / $$s"; \
-	    $(DUNE) exec bin/vsfs_cli.exe -- analyze $(ENGINE_DIR)/du.c \
+	    $(VSFS_BIN) analyze $(ENGINE_DIR)/du.c \
 	      --analysis $$a --scheduler $$s > $(ENGINE_DIR)/$$a-$$s.out; \
 	    cmp $(ENGINE_DIR)/$$a-fifo.out $(ENGINE_DIR)/$$a-$$s.out; \
 	  done; \
@@ -109,21 +115,16 @@ engine-smoke: build
 
 par-smoke: build
 	@echo "== par smoke (--jobs 1 vs --jobs 4 must agree; dir: $(PAR_DIR)) =="
-	$(DUNE) exec bench/main.exe -- tableIII 0.1 --jobs 1 --json $(PAR_DIR)/bench-j1.json > /dev/null
-	$(DUNE) exec bench/main.exe -- tableIII 0.1 --jobs 4 --json $(PAR_DIR)/bench-j4.json > /dev/null
+	$(BENCH_BIN) tableIII 0.1 --jobs 1 --json $(PAR_DIR)/bench-j1.json > /dev/null
+	$(BENCH_BIN) tableIII 0.1 --jobs 4 --json $(PAR_DIR)/bench-j4.json > /dev/null
 	sed -E '$(PAR_TIMING_SED)' $(PAR_DIR)/bench-j1.json > $(PAR_DIR)/bench-j1.norm
 	sed -E '$(PAR_TIMING_SED)' $(PAR_DIR)/bench-j4.json > $(PAR_DIR)/bench-j4.norm
 	cmp $(PAR_DIR)/bench-j1.norm $(PAR_DIR)/bench-j4.norm
-	$(DUNE) exec bin/vsfs_cli.exe -- fuzz --runs 30 --seed 2 --jobs 1 > $(PAR_DIR)/fuzz-j1.out
-	$(DUNE) exec bin/vsfs_cli.exe -- fuzz --runs 30 --seed 2 --jobs 4 > $(PAR_DIR)/fuzz-j4.out
+	$(VSFS_BIN) fuzz --runs 30 --seed 2 --jobs 1 > $(PAR_DIR)/fuzz-j1.out
+	$(VSFS_BIN) fuzz --runs 30 --seed 2 --jobs 4 > $(PAR_DIR)/fuzz-j4.out
 	cmp $(PAR_DIR)/fuzz-j1.out $(PAR_DIR)/fuzz-j4.out
 	rm -rf $(PAR_DIR)
 	@echo "== par smoke OK =="
-
-# The daemon runs for the whole recipe, so everything here calls the built
-# binary directly: a `dune exec` alongside a long-lived `dune exec` child
-# can deadlock on dune's project lock.
-VSFS_BIN := ./_build/default/bin/vsfs_cli.exe
 
 serve-smoke: build
 	@echo "== serve smoke (daemon vs batch, incremental reload; dir: $(SERVE_DIR)) =="
@@ -198,8 +199,9 @@ PAIRS ?= 10
 perf-pairs:
 	@set -e; \
 	tmp=$$(mktemp -d /tmp/pta-perf-pairs.XXXXXX); wt=$$tmp/parent; \
-	git worktree add --detach $$wt $(PARENT) > /dev/null; \
-	trap 'git worktree remove --force '"$$wt"'; git worktree prune; rm -rf '"$$tmp" EXIT; \
+	trap 'rm -rf '"$$tmp" EXIT; \
+	mkdir $$wt; git archive $(PARENT) | tar -x -C $$wt; \
+	test -f $$wt/perfbench/run.py; \
 	for w in suite-batch daemon-edit; do \
 	  for i in $$(seq 1 $(PAIRS)); do \
 	    if [ $$((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi; \

@@ -22,11 +22,11 @@ type state = {
   uf : Union_find.t;
   pts : Ptset.t Vec.t;  (* authoritative at representatives *)
   prev : Ptset.t Vec.t;  (* what has been pushed to copy successors *)
-  copy : Pta_graph.Digraph.t;
-      (* copy edges, canonicalised at insertion; a collapse migrates the
-         absorbed node's out-edges to the surviving representative, and
-         edge *targets* are re-canonicalised at use — so walking the
-         representatives' successor lists sees every live edge *)
+  copy : Bitset.t Vec.t;
+      (* copy successors per node, canonicalised at insertion; a collapse
+         migrates the absorbed node's out-edges to the surviving
+         representative, and edge *targets* are re-canonicalised at use —
+         so walking the representatives' rows sees every live edge *)
   complex : (Inst.var, complex) Hashtbl.t;
   cg : Callgraph.t;
   mutable new_edges : (int * int) list;
@@ -47,7 +47,9 @@ let ensure st v =
   Union_find.grow st.uf (v + 1);
   Vec.grow_to st.pts (v + 1);
   Vec.grow_to st.prev (v + 1);
-  Pta_graph.Digraph.ensure st.copy (v + 1)
+  while Vec.length st.copy <= v do
+    ignore (Vec.push st.copy (Bitset.create ()))
+  done
 
 let pts_id st v = Vec.get st.pts (Union_find.find st.uf v)
 
@@ -65,7 +67,7 @@ let complex_of st v =
 let add_copy st u w =
   let cu = Union_find.find st.uf u and cw = Union_find.find st.uf w in
   if cu <> cw then
-    if Pta_graph.Digraph.add_edge st.copy cu cw then begin
+    if Bitset.add (Vec.get st.copy cu) cw then begin
       st.new_edges <- (cu, cw) :: st.new_edges;
       st.changed <- true
     end
@@ -150,18 +152,28 @@ let extract st =
 (* ---------- one wave ---------- *)
 
 (* Merge every non-trivial SCC of the condensed copy graph and return the
-   condensation, whose topological ranks drive the [`Topo] scheduler. The
+   condensation, whose topological ranks drive the [`Topo] scheduler.
+   Tarjan runs over the representatives in place: a representative's
+   successors are the representatives of its copy row, minus itself,
+   ascending and de-duplicated; a non-representative has none. The
    absorbed node's out-edges migrate to the surviving leader; its points-to
    union and [prev] intersection make the post-collapse seeding re-send
    whatever any merged party's successors may still be missing. *)
 let collapse_sccs st =
-  let n = Pta_graph.Digraph.n_nodes st.copy in
-  (* Condensed view of the copy graph over current representatives. *)
-  let canon = Pta_graph.Digraph.create ~n () in
-  Pta_graph.Digraph.iter_edges st.copy (fun u w ->
-      let cu = Union_find.find st.uf u and cw = Union_find.find st.uf w in
-      if cu <> cw then ignore (Pta_graph.Digraph.add_edge canon cu cw));
-  let scc = Pta_graph.Scc.compute canon in
+  let n = Vec.length st.copy in
+  let succs v =
+    if Union_find.find st.uf v <> v then []
+    else begin
+      let out = ref [] in
+      Bitset.iter
+        (fun w ->
+          let cw = Union_find.find st.uf w in
+          if cw <> v then out := cw :: !out)
+        (Vec.get st.copy v);
+      List.sort_uniq Int.compare !out
+    end
+  in
+  let scc = Pta_graph.Scc.compute_succs ~n succs in
   let leader = Array.make scc.Pta_graph.Scc.n_comps (-1) in
   for v = 0 to n - 1 do
     if Union_find.find st.uf v = v then begin
@@ -181,8 +193,7 @@ let collapse_sccs st =
           (* Out-edges of [v] live on under [l]; targets are canonicalised
              when walked. (In-edges need nothing: their sources walk to
              [find v] = [l].) *)
-          Pta_graph.Digraph.iter_succs st.copy v (fun w ->
-              ignore (Pta_graph.Digraph.add_edge st.copy l w))
+          ignore (Bitset.union_into ~into:(Vec.get st.copy l) (Vec.get st.copy v))
         end
     end
   done;
@@ -281,7 +292,7 @@ let solve ?(strategy = `Topo) ?pre prog =
       uf = Union_find.create (max n 1);
       pts = Vec.create ~dummy:Ptset.empty ();
       prev = Vec.create ~dummy:Ptset.empty ();
-      copy = Pta_graph.Digraph.create ~n ();
+      copy = Vec.create ~dummy:(Bitset.create ()) ();
       complex = Hashtbl.create 256;
       cg = Callgraph.create ();
       new_edges = [];
@@ -293,8 +304,7 @@ let solve ?(strategy = `Topo) ?pre prog =
       n_waves_tel = Telemetry.counter tel "waves";
     }
   in
-  Vec.grow_to st.pts (max n 1);
-  Vec.grow_to st.prev (max n 1);
+  ensure st (max n 1 - 1);
   (* Unification pre-analysis seed: merge the offline copy-SCC partition
      before extraction. Leaders are the smallest member of each class —
      the same representative the first [collapse_sccs] would elect — so
@@ -342,9 +352,11 @@ let solve ?(strategy = `Topo) ?pre prog =
       Vec.set st.prev r (Ptset.union q p);
       st.propagated := !(st.propagated) + Ptset.cardinal diff;
       let out = ref [] in
-      Pta_graph.Digraph.iter_succs st.copy r (fun w0 ->
+      Bitset.iter
+        (fun w0 ->
           let w = Union_find.find st.uf w0 in
-          if w <> r && quiet_union st w diff then out := w :: !out);
+          if w <> r && quiet_union st w diff then out := w :: !out)
+        (Vec.get st.copy r);
       !out
     end
   in
@@ -355,7 +367,7 @@ let solve ?(strategy = `Topo) ?pre prog =
     st.waves <- st.waves + 1;
     incr st.n_waves_tel;
     let scc = collapse_sccs st in
-    let m = Pta_graph.Digraph.n_nodes st.copy in
+    let m = Vec.length st.copy in
     rank :=
       Array.init m (fun v ->
           Pta_graph.Scc.rank_of_node scc (Union_find.find st.uf v));

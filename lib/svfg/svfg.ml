@@ -17,10 +17,12 @@ type t = {
   annot : Annot.t;
   kinds : nkind Vec.t;
   inst_nodes : int array array;  (* f -> inst -> node id or -1 *)
-  formal_ins : int Pair_key.Tbl.t;  (* packed (f, obj) -> node *)
-  formal_outs : int Pair_key.Tbl.t;
-  actual_ins : int Pair_key.Tbl.t;  (* packed (call node, obj) -> node *)
-  actual_outs : int Pair_key.Tbl.t;
+  (* Call-boundary nodes come in runs of ascending objects, one per element
+     of an annotation set: a function's FormalIns (entry χ), then FormalOuts
+     (exit μ); a call's ActualIns (μ), then ActualOuts (χ). [formals.(f)]
+     and [actuals.(f).(i)] are the first node of each pair, or -1. *)
+  formals : int array;
+  actuals : int array array;
   (* Slots, set by [seal]: one per (node, object) the node carries indirect
      edges for, numbered by node, then by ascending object. *)
   mutable slot_start : int array;  (* node -> first slot; [n_nodes] -> n_slots *)
@@ -48,6 +50,14 @@ let annot t = t.annot
 let n_nodes t = Vec.length t.kinds
 let kind t n = Vec.get t.kinds n
 
+(* A memory node's object; -1 for an instruction node. *)
+let node_obj t n =
+  match kind t n with
+  | NInst _ -> -1
+  | NMemPhi { obj; _ } | NFormalIn { obj; _ } | NFormalOut { obj; _ }
+  | NActualIn { obj; _ } | NActualOut { obj; _ } ->
+    obj
+
 let inst_of t n =
   match kind t n with
   | NInst { f; i } -> Prog.inst (Prog.func t.prog f) i
@@ -63,38 +73,79 @@ let exit_node t f =
   let fn = Prog.func t.prog f in
   t.inst_nodes.(f).(fn.Prog.exit_inst)
 
-let formal_in t f o = Pair_key.Tbl.find_opt t.formal_ins (Pair_key.pack f o)
-let formal_out t f o = Pair_key.Tbl.find_opt t.formal_outs (Pair_key.pack f o)
+(* A function's FormalIn and FormalOut runs, and a call's ActualIn and
+   ActualOut runs, as (first node, length) pairs. *)
+let formal_runs t f =
+  let a = t.formals.(f) and n = Bitset.cardinal (Annot.entry_chi t.annot f) in
+  (a, n, a + n, Bitset.cardinal (Annot.exit_mu t.annot f))
 
-let call_key t (cs : Callgraph.callsite) o =
-  Pair_key.pack t.inst_nodes.(cs.Callgraph.cs_func).(cs.Callgraph.cs_inst) o
+let actual_runs t { Callgraph.cs_func = f; cs_inst = i } =
+  let a = t.actuals.(f).(i) and n = Bitset.cardinal (Annot.mu t.annot f i) in
+  (a, n, a + n, Bitset.cardinal (Annot.chi t.annot f i))
 
-let actual_in t cs o = Pair_key.Tbl.find_opt t.actual_ins (call_key t cs o)
-let actual_out t cs o = Pair_key.Tbl.find_opt t.actual_outs (call_key t cs o)
+(* The node of object [o] in the run of [len] nodes from [first]. *)
+let find_in_run t first len o =
+  let rec go lo hi =
+    if lo >= hi then None
+    else
+      let mid = (lo + hi) lsr 1 in
+      let x = node_obj t mid in
+      if x = o then Some mid else if x < o then go (mid + 1) hi else go lo mid
+  in
+  go first (first + len)
 
-(* Append a node and register it in the lookup tables. A call-boundary node
-   names its call instruction, whose node must already exist. *)
+let formal_in t f o = let a, n, _, _ = formal_runs t f in find_in_run t a n o
+let formal_out t f o = let _, _, a, n = formal_runs t f in find_in_run t a n o
+let actual_in t cs o = let a, n, _, _ = actual_runs t cs in find_in_run t a n o
+let actual_out t cs o = let _, _, a, n = actual_runs t cs in find_in_run t a n o
+
+(* Append a node; the first call-boundary node of a function or a call
+   starts its runs. An instruction node must name an instruction. *)
 let add_node t k =
   let n = Vec.push t.kinds k in
-  let inst f i =
+  let start runs i = if runs.(i) < 0 then runs.(i) <- n in
+  (match k with
+  | NInst { f; i } ->
     if f < 0 || f >= Array.length t.inst_nodes || i < 0
        || i >= Array.length t.inst_nodes.(f)
     then invalid_arg "Svfg: node names an instruction out of range";
-    { Callgraph.cs_func = f; cs_inst = i }
-  in
-  (match k with
-  | NInst { f; i } ->
-    ignore (inst f i);
     t.inst_nodes.(f).(i) <- n
   | NMemPhi _ -> ()
-  | NFormalIn { f; obj } -> Pair_key.Tbl.replace t.formal_ins (Pair_key.pack f obj) n
-  | NFormalOut { f; obj } ->
-    Pair_key.Tbl.replace t.formal_outs (Pair_key.pack f obj) n
-  | NActualIn { f; call; obj } ->
-    Pair_key.Tbl.replace t.actual_ins (call_key t (inst f call) obj) n
-  | NActualOut { f; call; obj } ->
-    Pair_key.Tbl.replace t.actual_outs (call_key t (inst f call) obj) n);
+  | NFormalIn { f; _ } | NFormalOut { f; _ } -> start t.formals f
+  | NActualIn { f; call; _ } | NActualOut { f; call; _ } -> start t.actuals.(f) call);
   n
+
+(* The call-boundary nodes in the order [build] creates them, one block:
+   per function its FormalIns and FormalOuts, then per call its ActualIns
+   and ActualOuts, each run by ascending object. *)
+let iter_boundary_kinds t k =
+  Prog.iter_funcs t.prog (fun fn ->
+      let f = fn.Prog.id in
+      Bitset.iter (fun o -> k (NFormalIn { f; obj = o })) (Annot.entry_chi t.annot f);
+      Bitset.iter (fun o -> k (NFormalOut { f; obj = o })) (Annot.exit_mu t.annot f);
+      for i = 0 to Prog.n_insts fn - 1 do
+        if Inst.is_call (Prog.inst fn i) then begin
+          Bitset.iter
+            (fun o -> k (NActualIn { f; call = i; obj = o }))
+            (Annot.mu t.annot f i);
+          Bitset.iter
+            (fun o -> k (NActualOut { f; call = i; obj = o }))
+            (Annot.chi t.annot f i)
+        end
+      done)
+
+(* Imported call-boundary nodes must be that block, wherever it starts:
+   every run contiguous and ascending, and no boundary node outside it. *)
+let check_boundary t kinds =
+  let boundary = function NInst _ | NMemPhi _ -> false | _ -> true in
+  let n = Array.length kinds and pos = ref 0 in
+  while !pos < n && not (boundary kinds.(!pos)) do
+    incr pos
+  done;
+  iter_boundary_kinds t (fun k ->
+      if !pos < n && kinds.(!pos) = k then incr pos else pos := n + 1);
+  if !pos > n || Array.exists boundary (Array.sub kinds !pos (n - !pos)) then
+    invalid_arg "Svfg: call-boundary nodes are not in contiguous ascending runs"
 
 (* ---------- slots and indirect edges ---------- *)
 
@@ -251,26 +302,30 @@ let seal t (buf : int Vec.t) =
   Stats.add "svfg.slots" ns;
   Stats.add "svfg.indirect_edges" !k
 
+(* [f a o b] for each object [o] held by both the run of [na] nodes from
+   [a] and the run of [nb] nodes from [b], [a] and [b] its nodes there. *)
+let iter_common t a na b nb f =
+  let i = ref a and j = ref b in
+  while !i < a + na && !j < b + nb do
+    let x = node_obj t !i and y = node_obj t !j in
+    if x < y then incr i
+    else if y < x then incr j
+    else begin
+      f !i x !j;
+      incr i;
+      incr j
+    end
+  done
+
 (* The interprocedural edges of the call edge [cs -> g]: ActualIn -> FormalIn
    for each object [g] may read that the call passes in, FormalOut ->
-   ActualOut for each object [g] may modify that the call passes back. *)
-let iter_call_edges t (cs : Callgraph.callsite) g f =
-  let mu = Annot.mu t.annot cs.Callgraph.cs_func cs.Callgraph.cs_inst in
-  let chi = Annot.chi t.annot cs.Callgraph.cs_func cs.Callgraph.cs_inst in
-  Bitset.iter
-    (fun o ->
-      if Bitset.mem mu o then
-        match (actual_in t cs o, formal_in t g o) with
-        | Some src, Some dst -> f src o dst
-        | _ -> ())
-    (Modref.inflow t.mr g);
-  Bitset.iter
-    (fun o ->
-      if Bitset.mem chi o then
-        match (formal_out t g o, actual_out t cs o) with
-        | Some src, Some dst -> f src o dst
-        | _ -> ())
-    (Modref.mods t.mr g)
+   ActualOut for each object [g] may modify that the call passes back. The
+   runs hold exactly those objects, so each side is a merge walk. *)
+let iter_call_edges t cs g f =
+  let ai, n_ai, ao, n_ao = actual_runs t cs in
+  let fi, n_fi, fo, n_fo = formal_runs t g in
+  iter_common t ai n_ai fi n_fi f;
+  iter_common t fo n_fo ao n_ao f
 
 let add_call_edges t cs g =
   let added = ref [] in
@@ -340,17 +395,30 @@ let pp_node t ppf n =
 
 (* ---------- construction ---------- *)
 
+(* [f o n] for each object [o] of [set], ascending, and the node [n] that
+   holds it in the run starting at [first]; returns the run's end. *)
+let iter_run first set f =
+  let n = ref first in
+  Bitset.iter
+    (fun o ->
+      f o !n;
+      incr n)
+    set;
+  !n
+
 (* Memory-SSA renaming of one function: places MEMPHIs at iterated dominance
    frontiers of definition sites and walks the dominator tree keeping a
-   stack of reaching definitions per object; every use found emits an
-   indirect def-use edge through [edge src o dst]. *)
-let rename_function t ~edge fn =
+   stack of reaching definitions per object in [stacks] (object -> stack,
+   shared by every function: the walk pops all it pushes); every use found
+   emits an indirect def-use edge through [edge src o dst]. *)
+let rename_function t ~stacks ~edge fn =
   let f = fn.Prog.id in
   let cfg = fn.Prog.cfg in
   let entry = fn.Prog.entry_inst in
   let entry_chi = Annot.entry_chi t.annot f in
   let exit_mu = Annot.exit_mu t.annot f in
-  (* Definition sites per object (instruction ids). *)
+  (* Definition sites per object (instruction ids). Its iteration order
+     numbers the MEMPHIs, so it stays a [Hashtbl]. *)
   let defsites : (Inst.var, int list ref) Hashtbl.t = Hashtbl.create 16 in
   let add_defsite o i =
     match Hashtbl.find_opt defsites o with
@@ -364,32 +432,21 @@ let rename_function t ~edge fn =
   if Hashtbl.length defsites > 0 || not (Bitset.is_empty exit_mu) then begin
     let dom = Pta_graph.Dom.compute cfg ~entry in
     let df = Pta_graph.Dom.dom_frontier cfg dom in
-    (* MEMPHI placement. *)
-    let memphis : (int, (Inst.var * int) list ref) Hashtbl.t = Hashtbl.create 16 in
+    (* MEMPHI placement: instruction -> (object, MEMPHI node) list. *)
+    let memphis = Array.make (Prog.n_insts fn) [] in
     Hashtbl.iter
       (fun o sites ->
         let joins = Pta_graph.Dom.iterated_frontier df !sites in
         Bitset.iter
           (fun j ->
             let node = add_node t (NMemPhi { f; at = j; obj = o }) in
-            match Hashtbl.find_opt memphis j with
-            | Some l -> l := (o, node) :: !l
-            | None -> Hashtbl.add memphis j (ref [ (o, node) ]))
+            memphis.(j) <- (o, node) :: memphis.(j))
           joins)
       defsites;
     (* Renaming. *)
     let children = Pta_graph.Dom.dom_tree_children dom in
-    let stacks : (Inst.var, int list ref) Hashtbl.t = Hashtbl.create 16 in
-    let stack_of o =
-      match Hashtbl.find_opt stacks o with
-      | Some r -> r
-      | None ->
-        let r = ref [] in
-        Hashtbl.add stacks o r;
-        r
-    in
     let top o =
-      match !(stack_of o) with
+      match stacks.(o) with
       | d :: _ -> d
       | [] ->
         (* Every annotated object is in the function's inflow and thus has a
@@ -400,66 +457,47 @@ let rename_function t ~edge fn =
               %s (missing FormalIn — annotation inflow out of sync)"
              (Prog.name t.prog o) fn.Prog.fname)
     in
+    let use o n = edge (top o) o n in
     let rec walk i =
       let pushed = ref [] in
       let push o d =
-        let st = stack_of o in
-        st := d :: !st;
+        stacks.(o) <- d :: stacks.(o);
         pushed := o :: !pushed
       in
       (* MEMPHIs attached to this CFG node define first. *)
-      (match Hashtbl.find_opt memphis i with
-      | Some l -> List.iter (fun (o, node) -> push o node) !l
-      | None -> ());
+      List.iter (fun (o, node) -> push o node) memphis.(i);
       (match Prog.inst fn i with
-      | Inst.Entry ->
-        Bitset.iter
-          (fun o -> push o (Option.get (formal_in t f o)))
-          entry_chi
+      | Inst.Entry -> ignore (iter_run t.formals.(f) entry_chi push)
       | Inst.Exit ->
-        Bitset.iter
-          (fun o -> edge (top o) o (Option.get (formal_out t f o)))
-          exit_mu
+        ignore (iter_run (t.formals.(f) + Bitset.cardinal entry_chi) exit_mu use)
       | Inst.Load _ ->
         let node = t.inst_nodes.(f).(i) in
-        Bitset.iter (fun o -> edge (top o) o node) (Annot.mu t.annot f i)
+        Bitset.iter (fun o -> use o node) (Annot.mu t.annot f i)
       | Inst.Store _ ->
         let node = t.inst_nodes.(f).(i) in
         Bitset.iter
           (fun o ->
             (* weak-update operand, then the store defines the object *)
-            edge (top o) o node;
+            use o node;
             push o node)
           (Annot.chi t.annot f i)
       | Inst.Call _ ->
-        let call = t.inst_nodes.(f).(i) in
-        Bitset.iter
-          (fun o ->
-            edge (top o) o
-              (Pair_key.Tbl.find t.actual_ins (Pair_key.pack call o)))
-          (Annot.mu t.annot f i);
-        Bitset.iter
-          (fun o ->
-            let ao = Pair_key.Tbl.find t.actual_outs (Pair_key.pack call o) in
-            (* the call's χ also consumes the previous definition (weak) *)
-            edge (top o) o ao;
-            push o ao)
-          (Annot.chi t.annot f i)
+        let k = iter_run t.actuals.(f).(i) (Annot.mu t.annot f i) use in
+        ignore
+          (iter_run k (Annot.chi t.annot f i) (fun o n ->
+               (* the call's χ also consumes the previous definition (weak) *)
+               use o n;
+               push o n))
       | Inst.Alloc _ | Inst.Copy _ | Inst.Phi _ | Inst.Field _ | Inst.Branch ->
         ());
       (* Feed MEMPHI operands of CFG successors. *)
       Pta_graph.Digraph.iter_succs cfg i (fun m ->
-          match Hashtbl.find_opt memphis m with
-          | Some l ->
-            List.iter
-              (fun (o, node) ->
-                match !(stack_of o) with
-                | d :: _ -> edge d o node
-                | [] -> ())
-              !l
-          | None -> ());
+          List.iter
+            (fun (o, node) ->
+              match stacks.(o) with d :: _ -> edge d o node | [] -> ())
+            memphis.(m));
       List.iter walk children.(i);
-      List.iter (fun o -> stack_of o := List.tl !(stack_of o)) !pushed
+      List.iter (fun o -> stacks.(o) <- List.tl stacks.(o)) !pushed
     in
     walk entry
   end
@@ -538,10 +576,8 @@ let create prog aux mr annot =
       annot;
       kinds = Vec.create ~dummy:(NInst { f = -1; i = -1 }) ();
       inst_nodes = Array.make (Prog.n_funcs prog) [||];
-      formal_ins = Pair_key.Tbl.create 64;
-      formal_outs = Pair_key.Tbl.create 64;
-      actual_ins = Pair_key.Tbl.create 64;
-      actual_outs = Pair_key.Tbl.create 64;
+      formals = Array.make (Prog.n_funcs prog) (-1);
+      actuals = Array.make (Prog.n_funcs prog) [||];
       slot_start = [||];
       slot_obj = [||];
       slot_node = [||];
@@ -557,6 +593,9 @@ let create prog aux mr annot =
   in
   Vec.grow_to t.def_nodes (Prog.n_vars prog);
   Vec.grow_to t.user_lists (Prog.n_vars prog);
+  Prog.iter_funcs prog (fun fn ->
+      t.inst_nodes.(fn.Prog.id) <- Array.make (Prog.n_insts fn) (-1);
+      t.actuals.(fn.Prog.id) <- Array.make (Prog.n_insts fn) (-1));
   t
 
 let import prog (aux : Modref.aux) raw =
@@ -566,9 +605,8 @@ let import prog (aux : Modref.aux) raw =
       ~entry_chis:raw.raw_entry_chis ~exit_mus:raw.raw_exit_mus
   in
   let t = create prog aux mr annot in
-  Prog.iter_funcs prog (fun fn ->
-      t.inst_nodes.(fn.Prog.id) <- Array.make (Prog.n_insts fn) (-1));
   (* Node tables are derivable from the kind array alone. *)
+  check_boundary t raw.raw_kinds;
   Array.iter (fun k -> ignore (add_node t k)) raw.raw_kinds;
   (* Fresh edge arrays per import: solvers add late edges, so two imports of
      the same raw value must not share state. *)
@@ -585,34 +623,20 @@ let build prog (aux : Modref.aux) =
   (* 1. Instruction nodes (all but pure control flow). *)
   Prog.iter_funcs prog (fun fn ->
       let f = fn.Prog.id in
-      t.inst_nodes.(f) <- Array.make (Prog.n_insts fn) (-1);
       for i = 0 to Prog.n_insts fn - 1 do
         match Prog.inst fn i with
         | Inst.Branch -> ()
         | _ -> ignore (add_node t (NInst { f; i }))
       done);
   (* 2. Call-boundary and function-boundary memory nodes. *)
-  Prog.iter_funcs prog (fun fn ->
-      let f = fn.Prog.id in
-      let add k = ignore (add_node t k) in
-      Bitset.iter (fun o -> add (NFormalIn { f; obj = o })) (Annot.entry_chi annot f);
-      Bitset.iter (fun o -> add (NFormalOut { f; obj = o })) (Annot.exit_mu annot f);
-      for i = 0 to Prog.n_insts fn - 1 do
-        if Inst.is_call (Prog.inst fn i) then begin
-          Bitset.iter
-            (fun o -> add (NActualIn { f; call = i; obj = o }))
-            (Annot.mu annot f i);
-          Bitset.iter
-            (fun o -> add (NActualOut { f; call = i; obj = o }))
-            (Annot.chi annot f i)
-        end
-      done);
+  iter_boundary_kinds t (fun k -> ignore (add_node t k));
   (* 3. Memory-SSA renaming (MEMPHIs + intraprocedural indirect edges) and
      the interprocedural edges of direct calls, whose targets are static,
      into one buffer of (src, obj, dst) triples; then seal it. *)
   let buf = Vec.create ~capacity:4096 ~dummy:0 () in
   let edge = push_edge buf in
-  Prog.iter_funcs prog (fun fn -> rename_function t ~edge fn);
+  let stacks = Array.make (Prog.n_vars prog) [] in
+  Prog.iter_funcs prog (fun fn -> rename_function t ~stacks ~edge fn);
   Prog.iter_funcs prog (fun fn ->
       for i = 0 to Prog.n_insts fn - 1 do
         match Prog.inst fn i with

@@ -24,7 +24,13 @@
     [ℓ --o--> ℓ'] joins slot [(ℓ, o)] to slot [(ℓ', o)]. {!build} and
     {!import} seal the edges into sorted per-slot successor arrays; edges
     added later go to a small sorted per-slot overflow. Solvers index their
-    per-(node, object) state by slot. *)
+    per-(node, object) state by slot.
+
+    Call-boundary nodes form one block of contiguous runs, each by
+    ascending object: per function its FormalIns (entry χ) then FormalOuts
+    (exit μ), then per call its ActualIns (μ) then ActualOuts (χ). The
+    boundary lookups binary-search a run, and a call edge's interprocedural
+    edges are a merge walk of two runs; no hash table is involved. *)
 
 type nkind =
   | NInst of { f : Pta_ir.Inst.func_id; i : int }
@@ -152,4 +158,5 @@ val import : Pta_ir.Prog.t -> Pta_memssa.Modref.aux -> raw -> t
     skipping mod/ref and χ/μ fixpoints, dominance frontiers and SSA renaming.
     Each call yields an independent mutable graph (solvers mutate the edge
     sets), so one decoded [raw] can seed many solver runs.
-    @raise Invalid_argument on malformed snapshots. *)
+    @raise Invalid_argument on malformed snapshots, including call-boundary
+    nodes that are not laid out as {!build} lays them out. *)

@@ -238,6 +238,37 @@ let test_waves_terminate () =
   let r = Pta_andersen.Solver.solve p in
   Alcotest.(check bool) "few waves" true (Pta_andersen.Solver.n_waves r < 64)
 
+(* Waves, SCC merges, call-graph edges, the number of variables with a
+   non-empty points-to set, and the engine's pops (which the [`Topo] ranks
+   steer) for two suite programs at scale 0.2, recorded before the
+   per-wave SCC pass stopped rebuilding a condensed copy graph. Tarjan must
+   see the same condensation (successors canonicalised onto
+   representatives, ascending), so every figure is fixed. *)
+let golden_accounting =
+  [ ("bash", [ 9; 104; 50; 879; 1672 ]);
+    ("hyriseConsole", [ 10; 275; 81; 1620; 3061 ]) ]
+
+let test_golden_accounting () =
+  List.iter
+    (fun (name, expected) ->
+      let e = Option.get (Pta_workload.Suite.find ~scale:0.2 name) in
+      let p = compile (Pta_workload.Gen.source e.Pta_workload.Suite.cfg) in
+      let r = Pta_andersen.Solver.solve p in
+      let nonempty = ref 0 in
+      Prog.iter_vars p (fun v ->
+          if not (Pta_ds.Bitset.is_empty (Pta_andersen.Solver.pts r v)) then
+            incr nonempty);
+      let tel = Pta_andersen.Solver.telemetry r in
+      let actual =
+        [ Pta_andersen.Solver.n_waves r; Pta_engine.Telemetry.extra tel "scc_merges";
+          Callgraph.n_edges (Pta_andersen.Solver.callgraph r); !nonempty;
+          tel.Pta_engine.Telemetry.pops ]
+      in
+      Alcotest.(check (list int))
+        (name ^ ": waves, scc_merges, call edges, non-empty sets, pops")
+        expected actual)
+    golden_accounting
+
 (* ---------- differential: fast solver vs naive reference ---------- *)
 
 let agree_on_program src =
@@ -523,6 +554,7 @@ let () =
       ( "structure",
         [
           Alcotest.test_case "waves bounded" `Quick test_waves_terminate;
+          Alcotest.test_case "golden accounting" `Quick test_golden_accounting;
           Alcotest.test_case "mid-solve collapse" `Quick test_midsolve_collapse;
         ] );
       ( "unify",

@@ -613,9 +613,13 @@ let test_corrupt_blocks_rejected () =
    versioning entry is the canonical form below, recorded before meld
    labelling moved to a per-object pass over the condensation: that change
    interns fewer transient melds and so renumbers version ids, but must keep
-   every label class. *)
+   every label class. The prog and andersen entries were recorded before
+   Andersen's per-wave SCC pass stopped rebuilding a condensed copy graph:
+   they pin field-object numbering and every auxiliary points-to set. *)
 let golden_du_015 =
   [
+    ("prog", "793e2009f8fa2c87b8cab0cd01206a0d");
+    ("andersen", "de1ab46c236c8961ac20a8dbce905c9b");
     ("svfg", "34930a111f6caa70d7cd7d420a891b0a");
     ("to_digraph", "08af92d774bbb23a9c5891a5eaf6dfd0");
     ("versioning-canonical", "cac6e5fb2ed55d7d943bdf7a8a32e177");
@@ -668,8 +672,15 @@ let test_golden_digests () =
   let ver = Vsfs_core.Versioning.compute svfg in
   let sfs, _ = Pipeline.run_sfs b in
   let vsfs, _ = Pipeline.run_vsfs b in
+  let aux =
+    { Artifact.pts =
+        Array.init (Pta_ir.Prog.n_vars b.prog) b.aux.Pta_memssa.Modref.pt;
+      cg = b.aux.Pta_memssa.Modref.cg }
+  in
   let actual =
     [
+      ("prog", Artifact.encode_prog b.prog);
+      ("andersen", Artifact.encode_aux aux);
       ("svfg", Artifact.encode_svfg (Pta_svfg.Svfg.export svfg));
       ("to_digraph", digraph_bytes (Pta_svfg.Svfg.to_digraph svfg));
       ( "versioning-canonical",

@@ -313,6 +313,69 @@ let check_slots what svfg =
   done;
   Alcotest.(check int) (what ^ ": edge count") !edges (Svfg.n_indirect_edges svfg)
 
+(* [formal_in], [formal_out], [actual_in] and [actual_out] agree with a
+   naive scan of [kind] for every function, call and object. *)
+let check_boundary_lookups what svfg =
+  let p = Svfg.prog svfg in
+  let naive = Hashtbl.create 256 in
+  for n = 0 to Svfg.n_nodes svfg - 1 do
+    Hashtbl.replace naive (Svfg.kind svfg n) n
+  done;
+  let objs = ref [] in
+  Prog.iter_objects p (fun o -> objs := o :: !objs);
+  let check f o kind got =
+    if got <> Hashtbl.find_opt naive kind then
+      Alcotest.failf "%s: boundary lookup in function %d, object %d" what f o
+  in
+  Prog.iter_funcs p (fun fn ->
+      let f = fn.Prog.id in
+      List.iter
+        (fun obj ->
+          check f obj (Svfg.NFormalIn { f; obj }) (Svfg.formal_in svfg f obj);
+          check f obj (Svfg.NFormalOut { f; obj }) (Svfg.formal_out svfg f obj))
+        !objs;
+      for call = 0 to Prog.n_insts fn - 1 do
+        if Inst.is_call (Prog.inst fn call) then begin
+          let cs = { Callgraph.cs_func = f; cs_inst = call } in
+          List.iter
+            (fun obj ->
+              check f obj (Svfg.NActualIn { f; call; obj }) (Svfg.actual_in svfg cs obj);
+              check f obj (Svfg.NActualOut { f; call; obj })
+                (Svfg.actual_out svfg cs obj))
+            !objs
+        end
+      done)
+
+(* A snapshot whose call-boundary nodes are out of object order within a
+   run: the first two adjacent nodes of one run trade ids, edges renumbered
+   with them, so only the run order is wrong. *)
+let swap_in_run (raw : Svfg.raw) =
+  let kinds = raw.Svfg.raw_kinds in
+  let same_run a b =
+    match (a, b) with
+    | Svfg.NFormalIn { f; _ }, Svfg.NFormalIn { f = f'; _ }
+    | Svfg.NFormalOut { f; _ }, Svfg.NFormalOut { f = f'; _ } -> f = f'
+    | Svfg.NActualIn { f; call; _ }, Svfg.NActualIn { f = f'; call = c'; _ }
+    | Svfg.NActualOut { f; call; _ }, Svfg.NActualOut { f = f'; call = c'; _ } ->
+      f = f' && call = c'
+    | _ -> false
+  in
+  let rec find n =
+    if n + 1 >= Array.length kinds then None
+    else if same_run kinds.(n) kinds.(n + 1) then begin
+      let swap x = if x = n then n + 1 else if x = n + 1 then n else x in
+      Some
+        { raw with
+          Svfg.raw_kinds = Array.init (Array.length kinds) (fun x -> kinds.(swap x));
+          raw_ind =
+            Array.map
+              (fun (src, o, dsts) -> (swap src, o, Array.map swap dsts))
+              raw.Svfg.raw_ind }
+    end
+    else find (n + 1)
+  in
+  find 0
+
 (* Slots on a freshly built graph, after every auxiliary call edge is wired
    late (repeating the wiring adds nothing), and across an export → import
    round trip that must reproduce the encoded snapshot byte for byte.
@@ -320,6 +383,7 @@ let check_slots what svfg =
 let slot_invariants what p aux =
   let svfg = Svfg.build p aux in
   check_slots (what ^ ", built") svfg;
+  check_boundary_lookups (what ^ ", built") svfg;
   let sealed = Svfg.n_indirect_edges svfg in
   let cg = aux.Pta_memssa.Modref.cg in
   Svfg.connect_callgraph svfg cg;
@@ -331,6 +395,7 @@ let slot_invariants what p aux =
   let bytes = encode svfg in
   let back = Svfg.import p aux (Pta_store.Artifact.decode_svfg bytes) in
   check_slots (what ^ ", imported") back;
+  check_boundary_lookups (what ^ ", imported") back;
   Alcotest.(check bool) (what ^ ": export/import/export identical") true
     (String.equal bytes (encode back));
   (* sealing sorts and de-duplicates: listing every edge twice imports to
@@ -340,6 +405,12 @@ let slot_invariants what p aux =
   let doubled = with_rows (fun (src, o, dsts) -> (src, o, Array.append dsts dsts)) in
   Alcotest.(check bool) (what ^ ": duplicate edges sealed away") true
     (String.equal bytes (encode (Svfg.import p aux doubled)));
+  (match swap_in_run raw with
+  | None -> ()
+  | Some swapped -> (
+    match Svfg.import p aux swapped with
+    | _ -> Alcotest.failf "%s: boundary run out of order imported" what
+    | exception Invalid_argument _ -> ()));
   if Array.length raw.Svfg.raw_ind > 0 then begin
     let off_slot = with_rows (fun (src, o, _) -> (src, o, [| Svfg.n_nodes svfg |])) in
     match Svfg.import p aux off_slot with
