@@ -8,8 +8,6 @@
      dune exec bench/main.exe -- tableII [scale]
      dune exec bench/main.exe -- tableIII [scale] [--json out.json]
      dune exec bench/main.exe -- ablations [scale]
-     dune exec bench/main.exe -- warm [scale]
-     dune exec bench/main.exe -- serve [scale]
      dune exec bench/main.exe -- micro
      dune exec bench/main.exe -- all [scale]
 
@@ -67,8 +65,8 @@ let table1 () =
 
 (* Caller-domain only: [Pipeline.built] values capture closures over the
    building domain's interned-set state, so they must never be handed to a
-   pool worker. The parallel drivers (table3, warm) build per-task on the
-   worker instead of using this cache. *)
+   pool worker. The parallel driver (table3) builds per-task on the worker
+   instead of using this cache. *)
 let built_cache : (string, Pipeline.built) Hashtbl.t = Hashtbl.create 16
 
 let build_bench (e : Suite.entry) =
@@ -343,21 +341,7 @@ let ablations ?(scale = 1.0) () =
     let _, seconds = Pipeline.time f in
     pf "  %-44s %10s@." name (T.human_seconds seconds)
   in
-  pf "1. engine scheduling (same fixpoint, different visit order):@.";
-  List.iter
-    (fun s ->
-      run
-        (Printf.sprintf "SFS, %s scheduler" (Pta_engine.Scheduler.name s))
-        (fun () -> ignore (Pta_sfs.Sfs.solve ~strategy:s (Pipeline.fresh_svfg b))))
-    Pta_engine.Scheduler.all;
-  List.iter
-    (fun s ->
-      run
-        (Printf.sprintf "VSFS, %s scheduler" (Pta_engine.Scheduler.name s))
-        (fun () ->
-          ignore (Vsfs_core.Vsfs.solve ~strategy:s (Pipeline.fresh_svfg b))))
-    Pta_engine.Scheduler.all;
-  pf "@.2. strong updates on/off (identical toggle for both solvers):@.";
+  pf "1. strong updates on/off (identical toggle for both solvers):@.";
   run "SFS, strong updates on" (fun () ->
       ignore (Pta_sfs.Sfs.solve (Pipeline.fresh_svfg b)));
   run "SFS, strong updates off" (fun () ->
@@ -366,7 +350,7 @@ let ablations ?(scale = 1.0) () =
       ignore (Vsfs_core.Vsfs.solve (Pipeline.fresh_svfg b)));
   run "VSFS, strong updates off" (fun () ->
       ignore (Vsfs_core.Vsfs.solve ~strong_updates:false (Pipeline.fresh_svfg b)));
-  pf "@.3. on-the-fly vs static (auxiliary) call graph:@.";
+  pf "@.2. on-the-fly vs static (auxiliary) call graph:@.";
   (* Static: connect every auxiliary call edge before versioning, so no δ
      machinery is exercised and versioning sees the full graph. *)
   run "VSFS, on-the-fly call graph (paper)" (fun () ->
@@ -378,7 +362,7 @@ let ablations ?(scale = 1.0) () =
       Svfg.connect_callgraph svfg (Svfg.aux svfg).Pta_memssa.Modref.cg;
       let ver = Vsfs_core.Versioning.compute svfg in
       ignore (Vsfs_core.Vsfs.solve ~versioning:ver svfg));
-  pf "@.4. version sharing factor (consume points per distinct version;@.";
+  pf "@.3. version sharing factor (consume points per distinct version;@.";
   pf "   SFS is 1.0 by construction — this is the single-object sparsity won):@.";
   List.iter
     (fun name ->
@@ -392,7 +376,7 @@ let ablations ?(scale = 1.0) () =
           (Vsfs_core.Versioning.n_versions ver)
       | None -> ())
     [ "du"; "dpkg"; "bake"; "astyle"; "bash" ];
-  pf "@.5. versioning cost share (paper §V-A: negligible and shrinking):@.";
+  pf "@.4. versioning cost share (paper §V-A: negligible and shrinking):@.";
   List.iter
     (fun s ->
       match Suite.find ~scale:s "janet" with
@@ -407,201 +391,6 @@ let ablations ?(scale = 1.0) () =
       | None -> ())
     [ 0.25; 0.5; 1.0 ];
   pf "@."
-
-(* ------------------------------------------------------------------ *)
-(* Warm starts from the persistent analysis store (Pta_store).         *)
-(* ------------------------------------------------------------------ *)
-
-(* One warm-start measurement, self-contained on its worker domain: the
-   task opens its own [Store.open_] handle on the shared directory (handles
-   hold a mutable manifest view, so they never cross domains; concurrent
-   writers are safe because artifact writes are temp-file + atomic-rename
-   and every benchmark keys by its own content hash). *)
-let warm_entry dir (e : Suite.entry) =
-  Pta_ds.Ptset.reset ();
-  Pta_ds.Stats.reset_all ();
-  let store = Pta_store.Store.open_ dir in
-  let name = e.Suite.name in
-  let src = Gen.source e.Suite.cfg in
-  let (), t_cold =
-    Pipeline.time (fun () ->
-        let ctx = Pipeline.context ~store ~label:name () in
-        let b = Pipeline.build_source ~ctx src in
-        let r, _ = Pipeline.run_vsfs ~ctx b in
-        Pipeline.save_points_to ~store ~label:name b ~solver:"vsfs"
-          (Pipeline.points_to_of_vsfs b r))
-  in
-  let warm_ok, t_resolve =
-    Pipeline.time (fun () ->
-        let ctx = Pipeline.context ~store ~label:name () in
-        let b = Pipeline.build_source ~ctx src in
-        let _, run = Pipeline.run_vsfs ~ctx b in
-        Pipeline.stage_warm ctx "build" && run.Pipeline.pre_seconds = 0.)
-  in
-  let full_ok, t_full =
-    Pipeline.time (fun () ->
-        let ctx = Pipeline.context ~store ~label:name () in
-        let b = Pipeline.build_source ~ctx src in
-        Pipeline.stage_warm ctx "build"
-        && Pipeline.load_points_to ~store b ~solver:"vsfs" <> None)
-  in
-  let s_resolve = t_cold /. max t_resolve 1e-9 in
-  let s_full = t_cold /. max t_full 1e-9 in
-  Printf.eprintf "  [done] %-14s cold=%.2fs resolve=%.2fs full=%.3fs%s\n%!"
-    name t_cold t_resolve t_full
-    (if warm_ok && full_ok then "" else "  STORE MISSED!");
-  ( [
-      name;
-      Printf.sprintf "%.2f" t_cold;
-      Printf.sprintf "%.2f" t_resolve;
-      Printf.sprintf "%.3f" t_full;
-      Printf.sprintf "%.2fx" s_resolve;
-      Printf.sprintf "%.2fx" s_full;
-      (if warm_ok && full_ok then "yes" else "NO!");
-    ],
-    s_resolve,
-    s_full )
-
-let warm ?(scale = 1.0) ?(jobs = 1) () =
-  pf "== Warm start: persistent analysis store (scale %.2f, jobs %d) ==@.@."
-    scale jobs;
-  pf "cold         = empty store: lower + validate + Andersen + SVFG +@.";
-  pf "               versioning + VSFS solve, saving every artifact@.";
-  pf "warm-resolve = program/Andersen/SVFG/versioning imported from the@.";
-  pf "               store (no constraint solving, no memory-SSA fixpoints),@.";
-  pf "               only the VSFS solve itself re-runs@.";
-  pf "warm-full    = final points-to results loaded directly@.@.";
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "pta-store-bench" in
-  ignore (Pta_store.Store.clear (Pta_store.Store.open_ dir));
-  let results =
-    Pta_par.Pool.run ~jobs (warm_entry dir) (Suite.benchmarks ~scale ())
-  in
-  let rows = List.map (fun (row, _, _) -> row) results in
-  let resolve_speedups = ref [] and full_speedups = ref [] in
-  List.iter
-    (fun (_, s_resolve, s_full) ->
-      resolve_speedups := s_resolve :: !resolve_speedups;
-      full_speedups := s_full :: !full_speedups)
-    results;
-  T.render Format.std_formatter
-    ~header:
-      [ "Bench."; "Cold"; "Warm-resolve"; "Warm-full"; "Speedup(res.)";
-        "Speedup(full)"; "Warm" ]
-    ~align:[ T.L; T.R; T.R; T.R; T.R; T.R; T.L ]
-    rows;
-  pf "@.geometric mean warm-resolve speedup: %.2fx@."
-    (T.geomean !resolve_speedups);
-  pf "geometric mean warm-full speedup:    %.2fx@." (T.geomean !full_speedups);
-  pf "(store: %s)@.@." dir
-
-(* ------------------------------------------------------------------ *)
-(* Serve: daemon cold load vs function-level incremental reload.       *)
-(* ------------------------------------------------------------------ *)
-
-module SP = Pta_serve.Protocol
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Unix.rmdir path
-  | _ -> Unix.unlink path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-(* One benchmark: start a session cold against an empty store, append one
-   fresh function to the source, reload, and compare engine pops. The cold
-   and reload paths are the same code ([Incr.run_sfs_spliced]) — only the
-   store contents differ — so the pop ratio is purely the splicing win. *)
-let serve_entry pool tmp_root (e : Suite.entry) =
-  Pta_ds.Ptset.reset ();
-  let dir = Filename.concat tmp_root e.Suite.name in
-  Unix.mkdir dir 0o700;
-  let file = Filename.concat dir "prog.c" in
-  let write s =
-    let oc = open_out file in
-    output_string oc s;
-    close_out oc
-  in
-  let src = Gen.source e.Suite.cfg in
-  write src;
-  let store = Pta_store.Store.open_ (Filename.concat dir "store") in
-  let session, t_cold =
-    Pipeline.time (fun () ->
-        Pta_serve.Session.create ~store ~pool ~with_vsfs:false file)
-  in
-  match session with
-  | Error msg ->
-    Printf.eprintf "  [skip] %-14s %s\n%!" e.Suite.name msg;
-    None
-  | Ok s ->
-    let cold_pops =
-      match List.assoc_opt "first_pops" (Pta_serve.Session.stats s) with
-      | Some v -> int_of_string v
-      | None -> 0
-    in
-    write (src ^ "\nfunc fresh_edit(q) { var t; t = *q; return; }\n");
-    let r, t_reload =
-      Pipeline.time (fun () -> Pta_serve.Session.reload s ())
-    in
-    (match r with
-    | Error msg ->
-      Printf.eprintf "  [fail] %-14s reload: %s\n%!" e.Suite.name msg;
-      None
-    | Ok i ->
-      let pop_ratio = float cold_pops /. float (max i.SP.r_pops 1) in
-      let t_ratio = t_cold /. max t_reload 1e-9 in
-      let incremental = i.SP.r_reused > 0 && i.SP.r_pops < cold_pops in
-      Printf.eprintf
-        "  [done] %-14s cold=%.2fs (%d pops) reload=%.3fs (%d pops)%s\n%!"
-        e.Suite.name t_cold cold_pops t_reload i.SP.r_pops
-        (if incremental then "" else "  NOT INCREMENTAL!");
-      Some
-        ( [
-            e.Suite.name;
-            Printf.sprintf "%.2f" t_cold;
-            string_of_int cold_pops;
-            Printf.sprintf "%.3f" t_reload;
-            string_of_int i.SP.r_pops;
-            Printf.sprintf "%d/%d" i.SP.r_reused i.SP.r_total;
-            Printf.sprintf "%.1fx" pop_ratio;
-            (if incremental then "yes" else "NO!");
-          ],
-          pop_ratio,
-          t_ratio ))
-
-let serve_bench ?(scale = 1.0) () =
-  pf "== Serve: cold load vs incremental reload (scale %.2f) ==@.@." scale;
-  pf "cold   = session start against an empty store: lower + Andersen + SVFG@.";
-  pf "         + per-function digests + full (seeded) SFS solve@.";
-  pf "reload = one fresh function appended to the source, then reload: only@.";
-  pf "         functions whose dependency-closure digest misses the store@.";
-  pf "         are re-solved, the rest are spliced back from their artifacts@.@.";
-  let tmp_root =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "pta-serve-bench-%d" (Unix.getpid ()))
-  in
-  rm_rf tmp_root;
-  Unix.mkdir tmp_root 0o700;
-  let results =
-    Fun.protect
-      ~finally:(fun () -> rm_rf tmp_root)
-      (fun () ->
-        Pta_par.Pool.with_pool ~jobs:1 (fun pool ->
-            List.filter_map
-              (serve_entry pool tmp_root)
-              (Suite.benchmarks ~scale ())))
-  in
-  T.render Format.std_formatter
-    ~header:
-      [ "Bench."; "Cold"; "Cold pops"; "Reload"; "Reload pops"; "Reused";
-        "Pop diff."; "Incr." ]
-    ~align:[ T.L; T.R; T.R; T.R; T.R; T.R; T.R; T.L ]
-    (List.map (fun (row, _, _) -> row) results);
-  pf "@.geometric mean pop reduction:  %.2fx@."
-    (T.geomean (List.map (fun (_, p, _) -> p) results));
-  pf "geometric mean time speedup:   %.2fx@.@."
-    (T.geomean (List.map (fun (_, _, t) -> t) results))
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per table.                 *)
@@ -710,13 +499,11 @@ let () =
   let has cmd = List.mem cmd argv in
   let default = not (List.exists (fun c -> has c)
                        [ "tableI"; "tableII"; "tableIII"; "ablations";
-                         "warm"; "serve"; "micro"; "all" ]) in
+                         "micro"; "all" ]) in
   (* bare invocation = everything, so a tee'd run records the full
      reproduction *)
   if has "tableI" || has "all" || default then table1 ();
   if has "tableII" || has "all" || default then table2 ~scale ();
   if has "tableIII" || has "all" || default then table3 ~scale ~jobs ?json ();
   if has "ablations" || has "all" || default then ablations ~scale ();
-  if has "warm" || has "all" || default then warm ~scale ~jobs ();
-  if has "serve" || has "all" || default then serve_bench ~scale ();
   if has "micro" || has "all" || default then micro ()

@@ -41,7 +41,7 @@ let resolve_query prog name =
   Prog.iter_vars prog (fun v -> if Prog.name prog v = name then r := v);
   if !r < 0 then None else Some !r
 
-let analyze file analysis scheduler pre queries dump_ir dump_svfg dot_file
+let analyze file analysis pre queries dump_ir dump_svfg dot_file
     check stats cache_dir =
   let src = read_file file in
   let compile s =
@@ -49,7 +49,7 @@ let analyze file analysis scheduler pre queries dump_ir dump_svfg dot_file
     else Pta_cfront.Lower.compile s
   in
   let store = Option.map open_store cache_dir in
-  let ctx = Pipeline.context ?store ~label:file ~pre ~strategy:scheduler () in
+  let ctx = Pipeline.context ?store ~label:file ~pre () in
   let b =
     try
       let b = Pipeline.build_source ~ctx ~compile src in
@@ -114,7 +114,7 @@ let analyze file analysis scheduler pre queries dump_ir dump_svfg dot_file
       let u, _ = Pipeline.run_unify ~ctx b in
       (Pta_andersen.Unify.pts u, Pta_andersen.Unify.pts u, "unify")
     | `Dense ->
-      let r = Pta_sfs.Dense.solve ~strategy:scheduler prog aux in
+      let r = Pta_sfs.Dense.solve prog aux in
       (Pta_sfs.Dense.pt r, Pta_sfs.Dense.pt r, "dense")
     | `Sfs ->
       let top, obj =
@@ -229,16 +229,6 @@ let analyze_cmd =
                    copy-SCC core up front). Final results are bit-identical \
                    either way; only the work to reach them changes.")
   in
-  let scheduler =
-    Arg.(value
-         & opt (enum Pta_engine.Scheduler.assoc) `Fifo
-         & info [ "scheduler" ] ~docv:"STRATEGY"
-             ~doc:"Engine worklist scheduling for the flow-sensitive solvers: \
-                   fifo (default), lifo, topo (SVFG SCC-topological), or lrf \
-                   (least-recently-fired). Any choice yields bit-identical \
-                   points-to sets; only the visit order (and so the running \
-                   time) changes.")
-  in
   let queries =
     Arg.(value & opt_all string [] & info [ "query"; "q" ]
            ~docv:"NAME"
@@ -269,7 +259,7 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze" ~doc:"Analyse a mini-C (.c) or textual-IR (.ir) file")
     Term.(
-      const analyze $ file $ analysis $ scheduler $ pre $ queries $ dump_ir
+      const analyze $ file $ analysis $ pre $ queries $ dump_ir
       $ dump_svfg $ dot_file $ check $ stats $ cache_dir)
 
 let gen_cmd =

@@ -21,7 +21,7 @@ let pts r v = Ptset.view (pts_id r v)
 let callgraph r = r.cg
 
 let solve prog =
-  let tel = Telemetry.phase ~name:"naive.solve" ~scheduler:"fifo" () in
+  let tel = Telemetry.phase ~name:"naive.solve" () in
   let r = { sets = Hashtbl.create 256; cg = Callgraph.create (); tel } in
   let changed = ref false in
   let union_into dst src =
@@ -107,7 +107,7 @@ let solve prog =
     if !changed then [ 0 ] else []
   in
   let eng =
-    Engine.create ~telemetry:tel ~scheduler:(Scheduler.make `Fifo) ~process ()
+    Engine.create ~telemetry:tel ~scheduler:(Scheduler.fifo ()) ~process ()
   in
   Engine.push eng 0;
   (match Engine.run eng with

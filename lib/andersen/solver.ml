@@ -152,7 +152,7 @@ let extract st =
 (* ---------- one wave ---------- *)
 
 (* Merge every non-trivial SCC of the condensed copy graph and return the
-   condensation, whose topological ranks drive the [`Topo] scheduler.
+   condensation, whose topological ranks drive the worklist order.
    Tarjan runs over the representatives in place: a representative's
    successors are the representatives of its copy row, minus itself,
    ascending and de-duplicated; a non-representative has none. The
@@ -280,12 +280,9 @@ let expand_complex st =
     st.complex;
   flush_deferred_geps st geps_todo
 
-let solve ?(strategy = `Topo) ?pre prog =
+let solve ?pre prog =
   let n = Prog.n_vars prog in
-  let tel =
-    Telemetry.phase ~name:"andersen.solve" ~scheduler:(Scheduler.name strategy)
-      ()
-  in
+  let tel = Telemetry.phase ~name:"andersen.solve" () in
   let st =
     {
       prog;
@@ -326,7 +323,7 @@ let solve ?(strategy = `Topo) ?pre prog =
       end
     done);
   extract st;
-  (* The [`Topo] rank is the SCC-condensation rank of a node's current
+  (* The worklist rank is the SCC-condensation rank of a node's current
      representative, refreshed every wave after the collapse; the Prio
      worklist re-reads it at pop, so merged nodes re-rank in place. *)
   let rank = ref [||] in
@@ -334,11 +331,7 @@ let solve ?(strategy = `Topo) ?pre prog =
     let r = !rank in
     if v < Array.length r then r.(v) else max_int
   in
-  let scheduler =
-    match strategy with
-    | `Topo -> Scheduler.make ~rank:rank_of `Topo
-    | (`Fifo | `Lifo | `Lrf) as s -> Scheduler.make s
-  in
+  let scheduler = Scheduler.topo ~rank:rank_of in
   (* Difference propagation as the engine's transfer step: ship the part of
      [pts] that successors have not seen, record it in [prev], return the
      representatives that grew. Merges never happen while the engine runs,

@@ -9,16 +9,14 @@
     The implementation is wave propagation: repeat (collapse copy-edge SCCs
     with a union-find; propagate difference sets on {!Pta_engine.Engine};
     expand complex constraints — loads, stores, field address-of, indirect
-    calls) until fixpoint. The default [`Topo] strategy ranks each node by
-    the SCC-condensation rank of its current representative, refreshed after
+    calls) until fixpoint. The worklist ranks each node by the
+    SCC-condensation rank of its current representative, refreshed after
     every collapse — the worklist's rank-at-pop revalidation makes mid-solve
     merges re-prioritise queued nodes in place. *)
 
 type result
 
-val solve :
-  ?strategy:Pta_engine.Scheduler.strategy -> ?pre:Unify.partition ->
-  Pta_ir.Prog.t -> result
+val solve : ?pre:Unify.partition -> Pta_ir.Prog.t -> result
 (** [pre] seeds the union-find with a {!Unify.seed_partition}: the
     partition's classes start merged (leader as representative), so
     intra-class copy edges are never inserted and wave 1 skips their

@@ -133,7 +133,7 @@ let deref t x =
 
 let solve prog =
   let n = Prog.n_vars prog in
-  let tel = Telemetry.phase ~name:"unify.solve" ~scheduler:"fifo" () in
+  let tel = Telemetry.phase ~name:"unify.solve" () in
   let t =
     {
       prog;
@@ -246,7 +246,7 @@ let solve prog =
      reports pops/steps/wall like every other solver. *)
   let process _ = if one_pass () then [ 0 ] else [] in
   let eng =
-    Engine.create ~telemetry:tel ~scheduler:(Scheduler.make `Fifo) ~process ()
+    Engine.create ~telemetry:tel ~scheduler:(Scheduler.fifo ()) ~process ()
   in
   Engine.push eng 0;
   (match Engine.run eng with

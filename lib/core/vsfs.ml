@@ -3,7 +3,6 @@ open Pta_ir
 module Svfg = Pta_svfg.Svfg
 module Solver_common = Pta_sfs.Solver_common
 module Engine = Pta_engine.Engine
-module Scheduler = Pta_engine.Scheduler
 module Telemetry = Pta_engine.Telemetry
 
 module Tbl = Pair_key.Tbl
@@ -33,13 +32,11 @@ let ptk_opt t o v = Tbl.find_opt t.ptk (Pair_key.pack o v)
 (* Build the solver state and its engine, seed the instruction nodes, but do
    not run: [solve] drives it to fixpoint, [solve_budgeted]/[resume] in
    slices. *)
-let start ?(strategy = `Fifo) ?strong_updates ?versioning svfg =
+let start ?strong_updates ?versioning svfg =
   let ver =
     match versioning with Some v -> v | None -> Versioning.compute svfg
   in
-  let tel =
-    Telemetry.phase ~name:"vsfs.solve" ~scheduler:(Scheduler.name strategy) ()
-  in
+  let tel = Telemetry.phase ~name:"vsfs.solve" () in
   let c = Solver_common.create ?strong_updates ~tel svfg in
   let t = { c; ver; ptk = Tbl.create 1024 } in
   let props = c.Solver_common.props in
@@ -151,8 +148,7 @@ let start ?(strategy = `Fifo) ?strong_updates ?versioning svfg =
     !buf
   in
   let eng =
-    Engine.create ~telemetry:tel
-      ~scheduler:(Solver_common.scheduler strategy svfg)
+    Engine.create ~telemetry:tel ~scheduler:(Pta_engine.Scheduler.fifo ())
       ~process ()
   in
   (* Seed with instruction nodes only. *)
@@ -166,13 +162,13 @@ let continue_ budget p =
   | Engine.Fixpoint -> Done p.res
   | Engine.Paused _ -> Paused p
 
-let solve ?strategy ?strong_updates ?versioning svfg =
-  match continue_ None (start ?strategy ?strong_updates ?versioning svfg) with
+let solve ?strong_updates ?versioning svfg =
+  match continue_ None (start ?strong_updates ?versioning svfg) with
   | Done r -> r
   | Paused _ -> assert false (* no budget: run only returns at fixpoint *)
 
-let solve_budgeted ?strategy ?strong_updates ?versioning ~budget svfg =
-  continue_ (Some budget) (start ?strategy ?strong_updates ?versioning svfg)
+let solve_budgeted ?strong_updates ?versioning ~budget svfg =
+  continue_ (Some budget) (start ?strong_updates ?versioning svfg)
 
 let resume ~budget p = continue_ (Some budget) p
 

@@ -17,13 +17,13 @@ open Pta_ir
 type result
 
 val solve :
-  ?strategy:Pta_engine.Scheduler.strategy ->
   ?strong_updates:bool ->
   ?versioning:Versioning.t ->
   Pta_svfg.Svfg.t ->
   result
 (** [versioning] defaults to [Versioning.compute svfg] (pass it explicitly
-    to time the phases separately, as the paper's Table III does). *)
+    to time the phases separately, as the paper's Table III does). The
+    worklist is FIFO, as in {!Pta_sfs.Sfs}. *)
 
 type paused
 (** A budgeted solve stopped short of fixpoint: partial state plus the
@@ -32,7 +32,6 @@ type paused
 type outcome = Done of result | Paused of paused
 
 val solve_budgeted :
-  ?strategy:Pta_engine.Scheduler.strategy ->
   ?strong_updates:bool ->
   ?versioning:Versioning.t ->
   budget:Pta_engine.Engine.budget ->

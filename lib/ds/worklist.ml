@@ -50,37 +50,10 @@ module Fifo = struct
   let length t = Queue.length t.queue
 end
 
-module Lifo = struct
-  type t = { mutable stack : int list; mutable count : int; queued : Flags.t }
-
-  let create () = { stack = []; count = 0; queued = Flags.create () }
-
-  let push t x =
-    if Flags.add t.queued x then begin
-      t.stack <- x :: t.stack;
-      t.count <- t.count + 1;
-      true
-    end
-    else false
-
-  let pop t =
-    match t.stack with
-    | [] -> None
-    | x :: rest ->
-      t.stack <- rest;
-      t.count <- t.count - 1;
-      Flags.remove t.queued x;
-      Some x
-
-  let is_empty t = t.stack = []
-  let length t = t.count
-end
-
 module Prio = struct
   (* Binary min-heap of (rank, item) pairs with an "on list" bitset for
      deduplication, tolerant of ranks that change while an item is queued
-     (Andersen's online SCC collapses re-rank merged representatives; the
-     engine's least-recently-fired policy bumps ranks on every pop):
+     (Andersen's online SCC collapses re-rank merged representatives):
 
      - [push] of an already-queued item whose current rank *improved* on the
        best stored entry inserts a duplicate entry at the fresh rank — a

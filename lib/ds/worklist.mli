@@ -1,28 +1,15 @@
 (** Deduplicating worklists over dense integer ids.
 
     {!Fifo} is the classic pointer-analysis worklist: FIFO order, an item
-    already on the list is not enqueued twice. {!Lifo} pops the most recently
-    queued item first (depth-first flavour; cheap cache locality on chains).
-    {!Prio} pops the item with the smallest priority first (used to process
-    SVFG nodes in topological order of their SCCs, which is what SVF does for
-    both SFS solving and meld labelling, and by the engine's
-    least-recently-fired policy).
+    already on the list is not enqueued twice. {!Prio} pops the item with
+    the smallest priority first (used to process Andersen's constraint
+    graph and Dense's ICFG in topological order of their SCCs).
 
     Every [push] returns [true] iff the item was newly enqueued ([false]: it
     was already queued — the engine's telemetry counts these as duplicate
     pushes). *)
 
 module Fifo : sig
-  type t
-
-  val create : unit -> t
-  val push : t -> int -> bool
-  val pop : t -> int option
-  val is_empty : t -> bool
-  val length : t -> int
-end
-
-module Lifo : sig
   type t
 
   val create : unit -> t

@@ -1,33 +1,18 @@
-(** Pluggable worklist policies for the fixpoint engine.
+(** The fixpoint engine's two worklist orders.
 
-    One [strategy] type serves every solver (they used to declare their own
-    [`Fifo | `Topo] variants); the CLI's [--scheduler] flag and the bench
-    ablations enumerate {!all}. Policies only affect the *order* of
-    processing — monotone solvers reach the same fixpoint under each (the
-    fuzzer's [sched] oracle and [make engine-smoke] enforce this). *)
-
-type strategy =
-  [ `Fifo  (** classic breadth-first worklist *)
-  | `Lifo  (** most recently pushed first (depth-first flavour) *)
-  | `Topo  (** smallest static rank first — SCC-topological order *)
-  | `Lrf  (** least recently fired first; starved nodes surface early *) ]
-
-val name : strategy -> string
-(** ["fifo" | "lifo" | "topo" | "lrf"] — used in telemetry records and CLI. *)
-
-val all : strategy list
-
-val assoc : (string * strategy) list
-(** [(name s, s)] for {!all} — ready for [Cmdliner.Arg.enum]. *)
-
-val of_name : string -> strategy option
+    Each solver fixes its own order: SFS, VSFS, Naive and Unify run
+    {!fifo}; Andersen and Dense run {!topo} over their constraint graph's
+    or ICFG's SCC condensation. The order changes only the work done, never
+    the fixpoint a monotone solver reaches. *)
 
 type t
 
-val make : ?rank:(int -> int) -> strategy -> t
-(** [`Topo] requires [~rank] (smaller processes first; it is re-read at pop
-    time, so a mutable ranking — Andersen's SCC collapses — is fine) and
-    raises [Invalid_argument] without it; the other strategies ignore it. *)
+val fifo : unit -> t
+(** Breadth-first: the classic pointer-analysis worklist. *)
+
+val topo : rank:(int -> int) -> t
+(** Smallest [rank] first. The rank is re-read at pop time, so a mutable
+    ranking (Andersen's SCC collapses) is fine. *)
 
 val push : t -> int -> bool
 (** [false]: the item was already queued (a duplicate push). *)

@@ -6,7 +6,6 @@
 
 type phase = {
   name : string;
-  scheduler : string;
   mutable pushes : int;  (* accepted engine pushes *)
   mutable dups : int;  (* pushes dropped because the node was queued *)
   mutable pops : int;  (* process() invocations *)
@@ -43,10 +42,10 @@ let truncate t =
     t.count <- cap
   end
 
-let phase ?sink ~name ~scheduler () =
+let phase ?sink ~name () =
   let sink = match sink with Some s -> s | None -> global () in
   let p =
-    { name; scheduler; pushes = 0; dups = 0; pops = 0; grew = 0;
+    { name; pushes = 0; dups = 0; pops = 0; grew = 0;
       runs = 0; paused = 0; wall = 0.; extras = Hashtbl.create 8 }
   in
   sink.phases <- p :: sink.phases;
@@ -75,7 +74,6 @@ let extra p name =
 
 type snapshot = {
   phase : string;
-  scheduler : string;
   s_pushes : int;
   s_dups : int;
   s_pops : int;
@@ -89,7 +87,6 @@ type snapshot = {
 let snapshot p =
   {
     phase = p.name;
-    scheduler = p.scheduler;
     s_pushes = p.pushes;
     s_dups = p.dups;
     s_pops = p.pops;
@@ -125,18 +122,17 @@ let snapshot_to_json s =
          s.s_extras)
   in
   Printf.sprintf
-    "{\"phase\": \"%s\", \"scheduler\": \"%s\", \"pushes\": %d, \"dups\": \
-     %d, \"pops\": %d, \"grew\": %d, \"runs\": %d, \
-     \"paused\": %d, \"wall_seconds\": %.6f, \"extras\": {%s}}"
-    (json_escape s.phase) (json_escape s.scheduler) s.s_pushes s.s_dups
+    "{\"phase\": \"%s\", \"pushes\": %d, \"dups\": %d, \"pops\": %d, \
+     \"grew\": %d, \"runs\": %d, \"paused\": %d, \"wall_seconds\": %.6f, \
+     \"extras\": {%s}}"
+    (json_escape s.phase) s.s_pushes s.s_dups
     s.s_pops s.s_grew s.s_runs s.s_paused s.s_wall extras
 
 let pp_phase ppf p =
   let s = snapshot p in
   Format.fprintf ppf
-    "%-16s %-5s pushes=%d dups=%d pops=%d grew=%d runs=%d paused=%d \
-     wall=%.4fs"
-    s.phase s.scheduler s.s_pushes s.s_dups s.s_pops s.s_grew s.s_runs
+    "%-16s pushes=%d dups=%d pops=%d grew=%d runs=%d paused=%d wall=%.4fs"
+    s.phase s.s_pushes s.s_dups s.s_pops s.s_grew s.s_runs
     s.s_paused s.s_wall;
   List.iter (fun (k, v) -> Format.fprintf ppf " %s=%d" k v) s.s_extras
 

@@ -14,7 +14,6 @@
 
 type phase = {
   name : string;  (** e.g. ["vsfs.solve"] *)
-  scheduler : string;  (** {!Scheduler.name} of the policy driving it *)
   mutable pushes : int;  (** accepted pushes *)
   mutable dups : int;  (** pushes dropped as already-queued *)
   mutable pops : int;  (** process() invocations *)
@@ -34,7 +33,7 @@ val global : unit -> t
 
 val reset : t -> unit
 
-val phase : ?sink:t -> name:string -> scheduler:string -> unit -> phase
+val phase : ?sink:t -> name:string -> unit -> phase
 (** Registers (and returns) a fresh phase in [sink] (default {!global}). *)
 
 val phases : t -> phase list
@@ -48,7 +47,6 @@ val extra : phase -> string -> int
 
 type snapshot = {
   phase : string;
-  scheduler : string;
   s_pushes : int;
   s_dups : int;
   s_pops : int;
@@ -62,9 +60,9 @@ type snapshot = {
 val snapshot : phase -> snapshot
 
 val snapshot_to_json : snapshot -> string
-(** One JSON object: [{"phase": ..., "scheduler": ..., "pushes": n, "dups":
-    n, "pops": n, "grew": n, "runs": n, "paused": n,
-    "wall_seconds": s, "extras": {...}}]. *)
+(** One JSON object: [{"phase": ..., "pushes": n, "dups": n, "pops": n,
+    "grew": n, "runs": n, "paused": n, "wall_seconds": s,
+    "extras": {...}}]. *)
 
 val pp_phase : Format.formatter -> phase -> unit
 val pp : Format.formatter -> t -> unit

@@ -198,66 +198,6 @@ let check_equiv src =
             }
       end)
 
-(* ---------- sched: scheduler-metamorphic bit-equality ---------- *)
-
-(* The engine's fixpoint is monotone, so the scheduling strategy is a pure
-   heuristic: every policy must land on bit-identical points-to sets. Solve
-   SFS and VSFS once under FIFO, then under each alternative policy, and
-   compare every top-level and object set (plus the full Equiv report per
-   strategy, which also exercises the load-consumed sets). *)
-let check_sched src =
-  with_built src (fun b ->
-      let p = b.Pipeline.prog in
-      let sfs0, _ = Pipeline.run_sfs ~strategy:`Fifo b in
-      let vsfs0, _ = Pipeline.run_vsfs ~strategy:`Fifo b in
-      let mismatch = ref None in
-      let compare_sets strategy what base other =
-        Prog.iter_vars p (fun v ->
-            if !mismatch = None && not (Pta_ds.Bitset.equal (base v) (other v))
-            then
-              mismatch :=
-                Some
-                  (Printf.sprintf "  [%s] %s %s: fifo=%s vs %s"
-                     (Pta_engine.Scheduler.name strategy)
-                     what (Prog.name p v)
-                     (set_names p (base v))
-                     (set_names p (other v))))
-      in
-      List.iter
-        (fun strategy ->
-          if strategy <> `Fifo && !mismatch = None then begin
-            let sfs, _ = Pipeline.run_sfs ~strategy b in
-            let vsfs, _ = Pipeline.run_vsfs ~strategy b in
-            compare_sets strategy "sfs pt" (Pta_sfs.Sfs.pt sfs0)
-              (Pta_sfs.Sfs.pt sfs);
-            compare_sets strategy "sfs object_pt" (Pta_sfs.Sfs.object_pt sfs0)
-              (Pta_sfs.Sfs.object_pt sfs);
-            compare_sets strategy "vsfs pt" (Vsfs_core.Vsfs.pt vsfs0)
-              (Vsfs_core.Vsfs.pt vsfs);
-            compare_sets strategy "vsfs object_pt"
-              (Vsfs_core.Vsfs.object_pt vsfs0)
-              (Vsfs_core.Vsfs.object_pt vsfs);
-            if !mismatch = None then begin
-              let svfg = Pipeline.fresh_svfg b in
-              let report = Vsfs_core.Equiv.compare sfs vsfs svfg in
-              if not (Vsfs_core.Equiv.is_equal report) then
-                mismatch :=
-                  Some
-                    (Format.asprintf "  [%s] SFS/VSFS disagree:@.%a"
-                       (Pta_engine.Scheduler.name strategy)
-                       (Vsfs_core.Equiv.pp_report p) report)
-            end
-          end)
-        Pta_engine.Scheduler.all;
-      match !mismatch with
-      | None -> Pass
-      | Some detail ->
-        Fail
-          {
-            cls = "sched";
-            detail = "scheduling strategy changed the fixpoint:\n" ^ detail;
-          })
-
 (* ---------- store: cold-vs-warm round trip through Pta_store ---------- *)
 
 (* Atomic, not a plain ref: parallel campaign workers mint tmp dirs
@@ -655,11 +595,6 @@ let all =
       name = "unify";
       doc = "unification tier bounds Andersen; unify-seeded solve bit-identical";
       check = check_unify;
-    };
-    {
-      name = "sched";
-      doc = "every engine scheduler lands on bit-identical SFS/VSFS fixpoints";
-      check = check_sched;
     };
     {
       name = "store";

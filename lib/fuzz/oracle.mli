@@ -20,9 +20,8 @@ val all : t list
     vs the naive reference fixpoint, soundness direction distinguished),
     ["equiv"] (Dense = SFS = VSFS bit-equality via {!Vsfs_core.Equiv}),
     ["unify"] (the unification tier bounds Andersen and a unify-seeded
-    solve is bit-identical), ["sched"] (every scheduler lands on the same
-    fixpoint), ["store"] (cold vs warm-started {!Pta_store} pipeline
-    bit-equality, catching cache-staleness and codec bugs), ["par"]
+    solve is bit-identical), ["store"] (cold vs warm-started {!Pta_store}
+    pipeline bit-equality, catching cache-staleness and codec bugs), ["par"]
     (worker-domain vs caller-domain bit-equality) and ["serve"] (daemon
     session vs cold batch solve). *)
 

@@ -102,16 +102,13 @@ let resolve_targets t = function
         | None -> acc)
       (pt_of t fp) []
 
-let solve ?(strategy = `Fifo) prog (aux : Pta_memssa.Modref.aux) =
+let solve prog (aux : Pta_memssa.Modref.aux) =
   let mr = Pta_memssa.Modref.compute prog aux in
   (* ICFG with no call edges: a call's fall-through successors act as the
      weak "around the call" path; call/return edges are added dynamically. *)
   let icfg = Icfg.build prog ~callees:(fun _ _ -> []) in
   let n = Array.length icfg.Icfg.nodes in
-  let tel =
-    Pta_engine.Telemetry.phase ~name:"dense.solve"
-      ~scheduler:(Pta_engine.Scheduler.name strategy) ()
-  in
+  let tel = Pta_engine.Telemetry.phase ~name:"dense.solve" () in
   let t =
     {
       prog;
@@ -299,15 +296,13 @@ let solve ?(strategy = `Fifo) prog (aux : Pta_memssa.Modref.aux) =
           prop_all nid succ));
     !buf
   in
+  (* SCC-topological order over the static ICFG: measured at scale 0.15 it
+     pops 782 nodes on du where FIFO pops 5183, and at scale 1.0 it is 5-8x
+     faster. *)
   let scheduler =
-    match strategy with
-    | `Topo ->
-      let scc = Pta_graph.Scc.compute icfg.Icfg.graph in
-      Pta_engine.Scheduler.make
-        ~rank:(fun nid ->
-          if nid < n then Pta_graph.Scc.rank_of_node scc nid else max_int)
-        `Topo
-    | (`Fifo | `Lifo | `Lrf) as s -> Pta_engine.Scheduler.make s
+    let scc = Pta_graph.Scc.compute icfg.Icfg.graph in
+    Pta_engine.Scheduler.topo ~rank:(fun nid ->
+        if nid < n then Pta_graph.Scc.rank_of_node scc nid else max_int)
   in
   let eng = Pta_engine.Engine.create ~telemetry:tel ~scheduler ~process () in
   (* Seed: every node once. *)

@@ -12,18 +12,14 @@
     differential test of memory-SSA and SVFG construction. It is quadratic-
     ish and only used on test-sized programs and in benchmarks as the
     "traditional analysis" ablation. Runs on {!Pta_engine.Engine} (phase
-    ["dense.solve"]; [`Topo] ranks ICFG nodes by the static graph's SCC
-    condensation). *)
+    ["dense.solve"]; the worklist pops ICFG nodes in topological order of
+    the static graph's SCC condensation). *)
 
 open Pta_ir
 
 type result
 
-val solve :
-  ?strategy:Pta_engine.Scheduler.strategy ->
-  Pta_ir.Prog.t ->
-  Pta_memssa.Modref.aux ->
-  result
+val solve : Pta_ir.Prog.t -> Pta_memssa.Modref.aux -> result
 (** [aux] supplies the auxiliary mod/ref used for call-edge filtering (the
     call graph itself is re-resolved flow-sensitively). *)
 

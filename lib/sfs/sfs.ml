@@ -2,7 +2,6 @@ open Pta_ds
 open Pta_ir
 module Svfg = Pta_svfg.Svfg
 module Engine = Pta_engine.Engine
-module Scheduler = Pta_engine.Scheduler
 module Telemetry = Pta_engine.Telemetry
 
 (* IN and OUT per SVFG slot (a (node, object) pair, see {!Svfg}), with a
@@ -57,10 +56,8 @@ type seed = {
 (* Build the solver state and its engine, seed every node (or, with a
    [seed], only its schedule), but do not run: [solve] drives it to
    fixpoint, [solve_budgeted]/[resume] in slices. *)
-let start ?(strategy = `Fifo) ?strong_updates ?seed svfg =
-  let tel =
-    Telemetry.phase ~name:"sfs.solve" ~scheduler:(Scheduler.name strategy) ()
-  in
+let start ?strong_updates ?seed svfg =
+  let tel = Telemetry.phase ~name:"sfs.solve" () in
   let c = Solver_common.create ?strong_updates ~tel svfg in
   let ns = Svfg.n_slots svfg in
   let t =
@@ -163,8 +160,7 @@ let start ?(strategy = `Fifo) ?strong_updates ?seed svfg =
     !buf
   in
   let eng =
-    Engine.create ~telemetry:tel
-      ~scheduler:(Solver_common.scheduler strategy svfg)
+    Engine.create ~telemetry:tel ~scheduler:(Pta_engine.Scheduler.fifo ())
       ~process ()
   in
   (match seed with
@@ -204,13 +200,13 @@ let continue_ budget p =
   | Engine.Fixpoint -> Done p.res
   | Engine.Paused _ -> Paused p
 
-let solve ?strategy ?strong_updates ?seed svfg =
-  match continue_ None (start ?strategy ?strong_updates ?seed svfg) with
+let solve ?strong_updates ?seed svfg =
+  match continue_ None (start ?strong_updates ?seed svfg) with
   | Done r -> r
   | Paused _ -> assert false (* no budget: run only returns at fixpoint *)
 
-let solve_budgeted ?strategy ?strong_updates ~budget svfg =
-  continue_ (Some budget) (start ?strategy ?strong_updates svfg)
+let solve_budgeted ?strong_updates ~budget svfg =
+  continue_ (Some budget) (start ?strong_updates svfg)
 
 let resume ~budget p = continue_ (Some budget) p
 

@@ -26,18 +26,6 @@ let create ?(strong_updates = true) ~tel svfg =
     props = Telemetry.counter tel "props";
     call_edges = Telemetry.counter tel "call_edges" }
 
-(* Both sparse solvers schedule SVFG nodes; `Topo ranks them by the SCC
-   condensation of the SVFG snapshot (late on-the-fly edges make this a
-   heuristic, which is all a scheduler needs to be). *)
-let scheduler strategy svfg =
-  match strategy with
-  | `Topo ->
-    let rank = Pta_svfg.Svfg.topo_rank svfg in
-    Pta_engine.Scheduler.make
-      ~rank:(fun n -> if n < Array.length rank then rank.(n) else max_int)
-      `Topo
-  | (`Fifo | `Lifo | `Lrf) as s -> Pta_engine.Scheduler.make s
-
 let pt_id t v =
   (* Field objects may be interned after [create]; grow on demand. *)
   if v >= Vec.length t.pt then Vec.grow_to t.pt (v + 1);

@@ -29,11 +29,6 @@ val create :
 (** [strong_updates] defaults to [true]; [false] disables [SU] entirely
     (benchmarked as an ablation — both solvers lose the same precision). *)
 
-val scheduler :
-  Pta_engine.Scheduler.strategy -> Pta_svfg.Svfg.t -> Pta_engine.Scheduler.t
-(** A scheduler over SVFG node ids; [`Topo] ranks by the SCC condensation of
-    the snapshot ({!Pta_svfg.Svfg.topo_rank}). *)
-
 val pt_id : t -> Inst.var -> Pta_ds.Ptset.t
 (** Interned id of [pt v] (grows the table on demand for late field
     objects). *)

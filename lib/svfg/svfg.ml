@@ -39,8 +39,6 @@ type t = {
   def_nodes : int Vec.t;  (* var -> defining node or -1 *)
   user_lists : int list Vec.t;  (* var -> instruction nodes using it *)
   mutable n_dir_edges : int;
-  mutable topo_cache : int array option;
-      (* ranks of the static snapshot; OTF edges leave it a heuristic *)
 }
 
 let prog t = t.prog
@@ -360,16 +358,6 @@ let to_digraph t =
   done;
   g
 
-let topo_rank t =
-  match t.topo_cache with
-  | Some r when Array.length r = n_nodes t -> r
-  | _ ->
-    let g = to_digraph t in
-    let scc = Pta_graph.Scc.compute g in
-    let r = Array.init (n_nodes t) (fun n -> Pta_graph.Scc.rank_of_node scc n) in
-    t.topo_cache <- Some r;
-    r
-
 let pp_node t ppf n =
   let name v = Prog.name t.prog v in
   match kind t n with
@@ -588,7 +576,6 @@ let create prog aux mr annot =
       def_nodes = Vec.create ~dummy:(-1) ();
       user_lists = Vec.create ~dummy:[] ();
       n_dir_edges = 0;
-      topo_cache = None;
     }
   in
   Vec.grow_to t.def_nodes (Prog.n_vars prog);

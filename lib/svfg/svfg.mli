@@ -121,13 +121,7 @@ val n_direct_edges : t -> int
 
 val to_digraph : t -> Pta_graph.Digraph.t
 (** Snapshot of the current adjacency (direct + indirect edges, labels
-    dropped), used to compute an SCC-topological processing order for the
-    solvers — the scheduling SVF uses. *)
-
-val topo_rank : t -> int array
-(** [rank.(node)]: topological rank of the node's SCC in the snapshot
-    (sources first). Computed on demand; OTF edges added later make it a
-    heuristic, which is all the solvers need. *)
+    dropped). *)
 
 val pp_node : t -> Format.formatter -> int -> unit
 

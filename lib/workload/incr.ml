@@ -606,11 +606,11 @@ let save_fnresults ~store ?(label = "") tbl (r : Sfs.result) save_for =
 
 (* The spliced solve: plan from store hits, seed, run, save what was
    missing. Returns the result plus reuse accounting. *)
-let run_sfs_spliced ~store ?label ?strategy (b : Pipeline.built) svfg =
+let run_sfs_spliced ~store ?label (b : Pipeline.built) svfg =
   match digest_table b svfg with
   | None ->
     (* names not unique: whole-program solve, no artifacts *)
-    let r = Sfs.solve ?strategy svfg in
+    let r = Sfs.solve svfg in
     ( r,
       {
         funcs_total = Prog.n_funcs b.Pipeline.prog;
@@ -745,7 +745,7 @@ let run_sfs_spliced ~store ?label ?strategy (b : Pipeline.built) svfg =
         schedule = schedule_list;
       }
     in
-    let r = Sfs.solve ?strategy ~seed svfg in
+    let r = Sfs.solve ~seed svfg in
     Pipeline.record_funcs ~store b (manifest_funcs tbl);
     (* persist what was missing, addressed by the new closure digests *)
     let missing = ref [] in

@@ -43,7 +43,6 @@ type stats = {
 val run_sfs_spliced :
   store:Pta_store.Store.t ->
   ?label:string ->
-  ?strategy:Pta_engine.Scheduler.strategy ->
   Pipeline.built ->
   Pta_svfg.Svfg.t ->
   Pta_sfs.Sfs.result * stats * table option

@@ -26,12 +26,11 @@ type ctx = {
   store : Store.t option;
   label : string;
   pre : pre;
-  strategy : Pta_engine.Scheduler.strategy option;
   stage_log : (string * float * bool) list ref;  (* newest first *)
 }
 
-let context ?store ?(label = "") ?(pre = `None) ?strategy () =
-  { store; label; pre; strategy; stage_log = ref [] }
+let context ?store ?(label = "") ?(pre = `None) () =
+  { store; label; pre; stage_log = ref [] }
 
 let stage_log ctx = List.rev !(ctx.stage_log)
 
@@ -117,9 +116,7 @@ module Stage = struct
     }
 end
 
-let ctx_for ?ctx ?strategy () =
-  let c = match ctx with Some c -> c | None -> context () in
-  match strategy with None -> c | Some _ -> { c with strategy }
+let ctx_for ?ctx () = match ctx with Some c -> c | None -> context ()
 
 (* ---------- build stages: compile -> pre -> andersen ---------- *)
 
@@ -277,17 +274,15 @@ let stage_versioning =
     (fun _ (b, svfg) -> (b, svfg, Vsfs_core.Versioning.compute svfg))
 
 let stage_sfs =
-  Stage.v ~key:"solve-sfs" (fun ctx (_, svfg) ->
-      Pta_sfs.Sfs.solve ?strategy:ctx.strategy svfg)
+  Stage.v ~key:"solve-sfs" (fun _ (_, svfg) -> Pta_sfs.Sfs.solve svfg)
 
 let stage_vsfs =
-  Stage.v ~key:"solve-vsfs" (fun ctx (_, svfg, ver) ->
-      let r = Vsfs_core.Vsfs.solve ?strategy:ctx.strategy ~versioning:ver svfg in
+  Stage.v ~key:"solve-vsfs" (fun _ (_, svfg, ver) ->
+      let r = Vsfs_core.Vsfs.solve ~versioning:ver svfg in
       (r, ver))
 
 let stage_dense =
-  Stage.v ~key:"solve-dense" (fun ctx b ->
-      Pta_sfs.Dense.solve ?strategy:ctx.strategy b.prog b.aux)
+  Stage.v ~key:"solve-dense" (fun _ b -> Pta_sfs.Dense.solve b.prog b.aux)
 
 let stage_unify = Stage.v ~key:"unify" (fun _ b -> Pta_andersen.Unify.solve b.prog)
 
@@ -329,20 +324,20 @@ let vsfs_run r ver seconds =
     engine = Some (Pta_engine.Telemetry.snapshot (Vsfs_core.Vsfs.telemetry r));
   }
 
-let run_sfs ?ctx ?strategy b =
-  let ctx = ctx_for ?ctx ?strategy () in
+let run_sfs ?ctx b =
+  let ctx = ctx_for ?ctx () in
   let r = Stage.run ctx Stage.(stage_svfg >>> stage_sfs) b in
   (r, sfs_run r (stage_seconds ctx "solve-sfs"))
 
-let run_vsfs ?ctx ?strategy b =
-  let ctx = ctx_for ?ctx ?strategy () in
+let run_vsfs ?ctx b =
+  let ctx = ctx_for ?ctx () in
   let r, ver =
     Stage.run ctx Stage.(stage_svfg >>> stage_versioning >>> stage_vsfs) b
   in
   (r, vsfs_run r ver (stage_seconds ctx "solve-vsfs"))
 
-let run_dense ?ctx ?strategy b =
-  let ctx = ctx_for ?ctx ?strategy () in
+let run_dense ?ctx b =
+  let ctx = ctx_for ?ctx () in
   let r = Stage.run ctx stage_dense b in
   ( r,
     {

@@ -42,12 +42,11 @@ type built = {
 
 type ctx
 (** Carries the optional artifact store, cache label, pre-analysis choice,
-    scheduler strategy, and the per-stage log. One context per logical
+    and the per-stage log. One context per logical
     pipeline run; safe to reuse across stages (the log accumulates). *)
 
 val context :
-  ?store:Pta_store.Store.t -> ?label:string -> ?pre:pre ->
-  ?strategy:Pta_engine.Scheduler.strategy -> unit -> ctx
+  ?store:Pta_store.Store.t -> ?label:string -> ?pre:pre -> unit -> ctx
 
 val stage_log : ctx -> (string * float * bool) list
 (** [(key, seconds, warm)] per executed stage, oldest first. *)
@@ -153,19 +152,19 @@ val record_funcs :
     was never cached in [store]. *)
 
 val run_sfs :
-  ?ctx:ctx -> ?strategy:Pta_engine.Scheduler.strategy -> built ->
+  ?ctx:ctx -> built ->
   Pta_sfs.Sfs.result * solver_run
 
 val run_vsfs :
-  ?ctx:ctx -> ?strategy:Pta_engine.Scheduler.strategy -> built ->
+  ?ctx:ctx -> built ->
   Vsfs_core.Vsfs.result * solver_run
 
 val run_dense :
-  ?ctx:ctx -> ?strategy:Pta_engine.Scheduler.strategy -> built ->
+  ?ctx:ctx -> built ->
   Pta_sfs.Dense.result * solver_run
 (** With a store in [ctx], the SVFG (and for VSFS the versioning) are
     imported when cached, so only the solve phase itself runs (and
-    [pre_seconds] reads 0). [strategy] overrides the context's. *)
+    [pre_seconds] reads 0). *)
 
 val run_unify : ?ctx:ctx -> built -> Pta_andersen.Unify.result * float
 (** The unification tier as a measured solver run (result, seconds). *)

@@ -328,20 +328,14 @@ let test_midsolve_collapse () =
     "h1's SCC absorbed the cycle's temporaries" true (!merged >= 1);
   check_pt p r "main.heap1" [ "main.heap1" ];
   check_pt p r "g.o" [ "main.heap1" ];
-  (* same fixpoint as the naive oracle and under every scheduler *)
+  (* same fixpoint as the naive oracle *)
   let slow = Pta_andersen.Naive.solve p in
-  List.iter
-    (fun strategy ->
-      let rs = Pta_andersen.Solver.solve ~strategy p in
-      Prog.iter_vars p (fun v ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s agrees with naive under %s" (Prog.name p v)
-               (Pta_engine.Scheduler.name strategy))
-            true
-            (Pta_ds.Bitset.equal
-               (Pta_andersen.Solver.pts rs v)
-               (Pta_andersen.Naive.pts slow v))))
-    Pta_engine.Scheduler.all
+  Prog.iter_vars p (fun v ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s agrees with naive" (Prog.name p v))
+        true
+        (Pta_ds.Bitset.equal (Pta_andersen.Solver.pts r v)
+           (Pta_andersen.Naive.pts slow v)))
 
 (* Pin the deferred-GEP flush order (see [flush_deferred_geps] in
    lib/andersen/solver.ml). Field objects are numbered by first

@@ -670,17 +670,6 @@ let test_fifo_dedup () =
   Alcotest.(check (option int)) "last" (Some 1) (Worklist.Fifo.pop w);
   Alcotest.(check (option int)) "empty" None (Worklist.Fifo.pop w)
 
-let test_lifo_order () =
-  let w = Worklist.Lifo.create () in
-  List.iter (fun x -> ignore (Worklist.Lifo.push w x)) [ 1; 2; 3; 2 ];
-  Alcotest.(check int) "deduped" 3 (Worklist.Lifo.length w);
-  Alcotest.(check (option int)) "newest first" (Some 3) (Worklist.Lifo.pop w);
-  Alcotest.(check (option int)) "then" (Some 2) (Worklist.Lifo.pop w);
-  Alcotest.(check bool) "re-push popped" true (Worklist.Lifo.push w 3);
-  Alcotest.(check (option int)) "requeued wins" (Some 3) (Worklist.Lifo.pop w);
-  Alcotest.(check (option int)) "oldest last" (Some 1) (Worklist.Lifo.pop w);
-  Alcotest.(check (option int)) "empty" None (Worklist.Lifo.pop w)
-
 let test_prio_order () =
   let prio = [| 5; 1; 3; 0; 4 |] in
   let w = Worklist.Prio.create ~priority:(fun i -> prio.(i)) () in
@@ -938,7 +927,6 @@ let () =
       ( "worklist",
         [
           Alcotest.test_case "fifo dedup" `Quick test_fifo_dedup;
-          Alcotest.test_case "lifo order" `Quick test_lifo_order;
           Alcotest.test_case "prio order" `Quick test_prio_order;
           Alcotest.test_case "prio rank mutation" `Quick
             test_prio_rank_mutation;

@@ -1,4 +1,4 @@
-(* Tests for Pta_engine: scheduler policies, the generic fixpoint loop,
+(* Tests for Pta_engine: the two worklist orders, the generic fixpoint loop,
    budgets (pause/resume bit-equality against unbudgeted solves on corpus
    programs), telemetry bookkeeping, and the bench JSON schema. *)
 
@@ -12,79 +12,37 @@ module Vsfs = Vsfs_core.Vsfs
 
 (* ---------- scheduler ---------- *)
 
-let test_strategy_names () =
-  Alcotest.(check (list string))
-    "names" [ "fifo"; "lifo"; "topo"; "lrf" ]
-    (List.map Scheduler.name Scheduler.all);
-  List.iter
-    (fun s ->
-      Alcotest.(check bool)
-        (Scheduler.name s) true
-        (Scheduler.of_name (Scheduler.name s) = Some s))
-    Scheduler.all;
-  Alcotest.(check bool) "of_name miss" true (Scheduler.of_name "nope" = None);
-  Alcotest.(check int) "assoc size" (List.length Scheduler.all)
-    (List.length Scheduler.assoc)
-
-let test_topo_requires_rank () =
-  Alcotest.check_raises "topo without rank"
-    (Invalid_argument "Scheduler.make: `Topo requires a ~rank function")
-    (fun () ->
-      ignore (Scheduler.make `Topo))
-
 let drain t =
   let rec go acc =
     match Scheduler.pop t with Some x -> go (x :: acc) | None -> List.rev acc
   in
   go []
 
-let test_fifo_lifo_order () =
-  let f = Scheduler.make `Fifo in
-  List.iter (fun x -> ignore (Scheduler.push f x)) [ 1; 2; 3 ];
-  Alcotest.(check (list int)) "fifo" [ 1; 2; 3 ] (drain f);
-  let l = Scheduler.make `Lifo in
-  List.iter (fun x -> ignore (Scheduler.push l x)) [ 1; 2; 3 ];
-  Alcotest.(check (list int)) "lifo" [ 3; 2; 1 ] (drain l)
-
 let test_topo_order () =
   let rank = [| 30; 10; 20 |] in
-  let t = Scheduler.make ~rank:(fun v -> rank.(v)) `Topo in
+  let t = Scheduler.topo ~rank:(fun v -> rank.(v)) in
   List.iter (fun x -> ignore (Scheduler.push t x)) [ 0; 1; 2 ];
   (* ranks read at pop: demote node 1 after the push *)
   rank.(1) <- 40;
   Alcotest.(check (list int)) "rank-at-pop order" [ 2; 0; 1 ] (drain t)
 
-let test_lrf_order () =
-  let t = Scheduler.make `Lrf in
-  ignore (Scheduler.push t 1);
-  Alcotest.(check (option int)) "first" (Some 1) (Scheduler.pop t);
-  ignore (Scheduler.push t 1);
-  ignore (Scheduler.push t 2);
-  (* 2 never fired, 1 just did: least-recently-fired prefers 2 *)
-  Alcotest.(check (option int)) "never-fired first" (Some 2) (Scheduler.pop t);
-  Alcotest.(check (option int)) "then the recent one" (Some 1)
-    (Scheduler.pop t);
-  Alcotest.(check bool) "empty" true (Scheduler.is_empty t)
-
 (* ---------- generic engine on a toy dataflow ---------- *)
 
 (* Transitive closure of "reaches" bitmasks over a small digraph: node v's
    value flows to its successors; the fixpoint is independent of the visit
-   order, which is exactly what the engine promises for every scheduler. *)
+   order, which is exactly what the engine promises for either order. *)
 let toy_edges = [ (0, 1); (1, 2); (2, 0); (2, 3); (3, 4); (4, 3); (1, 5) ]
 let toy_n = 6
 
 let toy_succs v = List.filter_map (fun (a, b) -> if a = v then Some b else None) toy_edges
 
-let run_toy ?budget strategy =
+let schedulers =
+  [ ("fifo", Scheduler.fifo); ("topo", fun () -> Scheduler.topo ~rank:Fun.id) ]
+
+let run_toy ?budget scheduler =
   let value = Array.init toy_n (fun v -> 1 lsl v) in
-  let rank v = v in
-  let scheduler =
-    match strategy with
-    | `Topo -> Scheduler.make ~rank `Topo
-    | s -> Scheduler.make s
-  in
-  let tel = Telemetry.phase ~sink:(Telemetry.create ()) ~name:"toy" ~scheduler:(Scheduler.name strategy) () in
+  let scheduler = scheduler () in
+  let tel = Telemetry.phase ~sink:(Telemetry.create ()) ~name:"toy" () in
   let process v =
     List.filter
       (fun w ->
@@ -109,30 +67,29 @@ let run_toy ?budget strategy =
   (value, tel)
 
 let test_engine_fixpoint_all_schedulers () =
-  let reference, _ = run_toy `Fifo in
+  let reference, _ = run_toy Scheduler.fifo in
   List.iter
-    (fun s ->
+    (fun (name, s) ->
       let value, tel = run_toy s in
-      Alcotest.(check (array int))
-        (Scheduler.name s) reference value;
+      Alcotest.(check (array int)) name reference value;
       Alcotest.(check bool) "grew <= pops" true
         (tel.Telemetry.grew <= tel.Telemetry.pops);
       Alcotest.(check int) "one run segment" 1 tel.Telemetry.runs;
       Alcotest.(check int) "never paused" 0 tel.Telemetry.paused)
-    Scheduler.all
+    schedulers
 
 let test_engine_budget_pause_resume () =
-  let reference, _ = run_toy `Fifo in
-  let value, tel = run_toy ~budget:(Engine.step_budget 1) `Fifo in
+  let reference, _ = run_toy Scheduler.fifo in
+  let value, tel = run_toy ~budget:(Engine.step_budget 1) Scheduler.fifo in
   Alcotest.(check (array int)) "single-step slices converge" reference value;
   Alcotest.(check bool) "paused at least once" true (tel.Telemetry.paused >= 1);
   Alcotest.(check int) "every pause resumed"
     (tel.Telemetry.paused + 1) tel.Telemetry.runs
 
 let test_engine_time_budget_immediate_pause () =
-  let tel = Telemetry.phase ~sink:(Telemetry.create ()) ~name:"t" ~scheduler:"fifo" () in
+  let tel = Telemetry.phase ~sink:(Telemetry.create ()) ~name:"t" () in
   let eng =
-    Engine.create ~telemetry:tel ~scheduler:(Scheduler.make `Fifo)
+    Engine.create ~telemetry:tel ~scheduler:(Scheduler.fifo ())
       ~process:(fun _ -> [])
       ()
   in
@@ -152,7 +109,7 @@ let test_engine_time_budget_immediate_pause () =
 
 let test_telemetry_counters_and_sink () =
   let sink = Telemetry.create () in
-  let p = Telemetry.phase ~sink ~name:"x" ~scheduler:"fifo" () in
+  let p = Telemetry.phase ~sink ~name:"x" () in
   let c = Telemetry.counter p "widgets" in
   incr c;
   Telemetry.bump p "widgets" 4;
@@ -160,7 +117,7 @@ let test_telemetry_counters_and_sink () =
   Alcotest.(check bool) "cached ref" true (c == Telemetry.counter p "widgets");
   (* the sink is bounded: old phases fall off, newest survive *)
   for i = 0 to 99 do
-    ignore (Telemetry.phase ~sink ~name:(string_of_int i) ~scheduler:"fifo" ())
+    ignore (Telemetry.phase ~sink ~name:(string_of_int i) ())
   done;
   let ps = Telemetry.phases sink in
   Alcotest.(check bool) "bounded" true (List.length ps <= 64);
@@ -232,25 +189,6 @@ let test_budgeted_solves_bit_identical () =
         (Vsfs_core.Equiv.is_equal
            (Vsfs_core.Equiv.compare full_sfs paused_vsfs svfg)))
     (Lazy.force corpus_builds)
-
-let test_solver_schedulers_bit_identical () =
-  (* the fuzz oracle sweeps random programs; pin one deterministic corpus
-     case here so plain `dune runtest` exercises every policy too *)
-  let _, b = List.hd (Lazy.force corpus_builds) in
-  let prog = b.Pipeline.prog in
-  let ref_dense, _ = Pipeline.run_dense ~strategy:`Fifo b in
-  List.iter
-    (fun strategy ->
-      let d, _ = Pipeline.run_dense ~strategy b in
-      Pta_ir.Prog.iter_vars prog (fun v ->
-          if Pta_ir.Prog.is_top prog v then
-            Alcotest.(check bool)
-              (Printf.sprintf "dense/%s" (Scheduler.name strategy))
-              true
-              (Pta_ds.Bitset.equal
-                 (Pta_sfs.Dense.pt ref_dense v)
-                 (Pta_sfs.Dense.pt d v))))
-    Scheduler.all
 
 (* ---------- bench JSON schema round-trip ---------- *)
 
@@ -404,7 +342,7 @@ let str = function Str s -> s | _ -> Alcotest.fail "expected string"
 
 let test_bench_json_roundtrip () =
   let _, b = List.hd (Lazy.force corpus_builds) in
-  let r, run = Pipeline.run_sfs ~strategy:`Topo b in
+  let r, run = Pipeline.run_sfs b in
   let j = parse_json (Pipeline.json_of_run run) in
   List.iter
     (fun k -> ignore (num (field j k)))
@@ -414,7 +352,6 @@ let test_bench_json_roundtrip () =
     (int_of_float (num (field j "pops")));
   let e = field j "engine" in
   Alcotest.(check string) "phase" "sfs.solve" (str (field e "phase"));
-  Alcotest.(check string) "scheduler" "topo" (str (field e "scheduler"));
   List.iter
     (fun k -> ignore (num (field e k)))
     [ "pushes"; "dups"; "pops"; "grew"; "runs"; "paused";
@@ -428,7 +365,7 @@ let test_bench_json_roundtrip () =
   (* a snapshot with escaping-hostile strings survives the emitter *)
   let hostile =
     Telemetry.phase ~sink:(Telemetry.create ())
-      ~name:"we\"ird\\phase\nname" ~scheduler:"fifo" ()
+      ~name:"we\"ird\\phase\nname" ()
   in
   let j2 = parse_json (Telemetry.snapshot_to_json (Telemetry.snapshot hostile)) in
   Alcotest.(check string) "escaped name" "we\"ird\\phase\nname"
@@ -439,11 +376,7 @@ let () =
     [
       ( "scheduler",
         [
-          Alcotest.test_case "strategy names" `Quick test_strategy_names;
-          Alcotest.test_case "topo requires rank" `Quick test_topo_requires_rank;
-          Alcotest.test_case "fifo/lifo order" `Quick test_fifo_lifo_order;
           Alcotest.test_case "topo rank-at-pop" `Quick test_topo_order;
-          Alcotest.test_case "lrf order" `Quick test_lrf_order;
         ] );
       ( "engine",
         [
@@ -463,8 +396,6 @@ let () =
         [
           Alcotest.test_case "budgeted = unbudgeted (3 corpus programs)"
             `Quick test_budgeted_solves_bit_identical;
-          Alcotest.test_case "schedulers bit-identical (dense)" `Quick
-            test_solver_schedulers_bit_identical;
         ] );
       ( "json",
         [ Alcotest.test_case "bench schema round-trip" `Quick

@@ -27,8 +27,7 @@ let clean_src =
 let test_oracle_registry () =
   Alcotest.(check (list string))
     "tower order (cheap to expensive)"
-    [ "crash"; "andersen"; "equiv"; "unify"; "sched"; "store"; "par";
-      "serve" ]
+    [ "crash"; "andersen"; "equiv"; "unify"; "store"; "par"; "serve" ]
     Oracle.names;
   List.iter
     (fun n -> Alcotest.(check bool) n true (Oracle.find n <> None))

@@ -233,6 +233,11 @@ let golden_accounting =
     ("hyriseConsole", [ 26046; 26730; 376906; 132884; 102000; 41107 ]);
   ]
 
+(* Dense's pops on two suite programs at scale 0.15 under its
+   SCC-topological order (FIFO pops 5183 and 5962 here), and its answers,
+   which must equal SFS's for every variable. *)
+let golden_dense_pops = [ ("du", 782); ("dpkg", 1207) ]
+
 let test_golden_accounting () =
   List.iter
     (fun (name, expected) ->
@@ -252,7 +257,27 @@ let test_golden_accounting () =
             n_sets r; words r; unshared_words r; n_propagations r; processed r;
             Svfg.n_indirect_edges svfg;
           ])
-    golden_accounting
+    golden_accounting;
+  List.iter
+    (fun (name, pops) ->
+      let e = Option.get (Pta_workload.Suite.find ~scale:0.15 name) in
+      let b =
+        Pta_workload.Pipeline.build_source
+          (Pta_workload.Gen.source e.Pta_workload.Suite.cfg)
+      in
+      let p = b.Pta_workload.Pipeline.prog in
+      let dense = Pta_sfs.Dense.solve p b.Pta_workload.Pipeline.aux in
+      Alcotest.(check int) (name ^ ": dense pops") pops
+        (Pta_sfs.Dense.processed dense);
+      let sfs = Pta_sfs.Sfs.solve (Pta_workload.Pipeline.fresh_svfg b) in
+      Prog.iter_vars p (fun v ->
+          if
+            not
+              (Pta_ds.Bitset.equal (Pta_sfs.Sfs.pt sfs v)
+                 (Pta_sfs.Dense.pt dense v))
+          then Alcotest.failf "%s: dense and SFS differ on %s" name
+              (Prog.name p v)))
+    golden_dense_pops
 
 (* ---------- on-the-fly call graph ---------- *)
 

@@ -8,13 +8,27 @@ module Store = Pta_store.Store
 module Artifact = Pta_store.Artifact
 module Pipeline = Pta_workload.Pipeline
 
-let counter = ref 0
+let rec rm_rf path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error _ -> ()
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    (try Unix.rmdir path with Unix.Unix_error _ -> ())
+  | _ -> ( try Sys.remove path with Sys_error _ -> ())
+
+(* Every directory handed out is removed when the test binary exits. *)
+let dirs = ref []
+let () = at_exit (fun () -> List.iter rm_rf !dirs)
 
 let fresh_dir () =
-  incr counter;
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "pta-store-test-%d-%d" (Unix.getpid ()) !counter)
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "pta-store-test-%d-%d" (Unix.getpid ())
+         (List.length !dirs + 1))
+  in
+  dirs := dir :: !dirs;
+  dir
 
 let bench_src name =
   let e = Option.get (Pta_workload.Suite.find ~scale:0.2 name) in

@@ -478,26 +478,6 @@ let test_dot_export () =
   Alcotest.(check bool) "labelled edge" true (contains "label=\"main.a\"");
   Alcotest.(check bool) "dashed direct edges" true (contains "style=dashed")
 
-(* ---------- topo ranks ---------- *)
-
-let test_topo_rank () =
-  let _, svfg = build {|
-    func main() {
-      var a, p1, h;
-      p1 = &a;
-      h = malloc();
-      *p1 = h;
-      h = *p1;
-    }
-  |} in
-  let rank = Svfg.topo_rank svfg in
-  let ok = ref true in
-  for n = 0 to Svfg.n_nodes svfg - 1 do
-    Svfg.iter_ind_all svfg n (fun _ m ->
-        if rank.(n) > rank.(m) then ok := false)
-  done;
-  Alcotest.(check bool) "ranks respect edges (acyclic prog)" true !ok
-
 let () =
   Alcotest.run "pta_svfg"
     [
@@ -524,7 +504,6 @@ let () =
           Alcotest.test_case "edges" `Quick test_direct_edges;
           Alcotest.test_case "stats" `Quick test_stats_nonzero;
         ] );
-      ("order", [ Alcotest.test_case "topo rank" `Quick test_topo_rank ]);
       ( "slots",
         [
           Alcotest.test_case "suite programs" `Quick test_slots_suite;

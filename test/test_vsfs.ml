@@ -693,17 +693,6 @@ let test_collapsible_versions () =
   let excess, total = Vsfs.collapsible_versions vsfs in
   Alcotest.(check bool) "bounded" true (excess >= 0 && excess < total)
 
-let test_strategies_agree () =
-  let pa = prepare redundancy_src in
-  let p = fst pa in
-  let a = Vsfs.solve ~strategy:`Fifo (fresh_svfg pa) in
-  let b = Vsfs.solve ~strategy:`Topo (fresh_svfg pa) in
-  let ok = ref true in
-  Prog.iter_vars p (fun v ->
-      if Prog.is_top p v then
-        if not (Pta_ds.Bitset.equal (Vsfs.pt a v) (Vsfs.pt b v)) then ok := false);
-  Alcotest.(check bool) "fifo = topo" true !ok
-
 (* Both solvers wire a call edge's memory edges once, on its first
    discovery: the [call_edges] counter must equal the flow-sensitive call
    graph's edge count. A solver that rescans the callee's mod/ref on every
@@ -781,7 +770,6 @@ let () =
         ] );
       ( "strategy",
         [
-          Alcotest.test_case "fifo = topo" `Quick test_strategies_agree;
           Alcotest.test_case "collapsible versions" `Quick
             test_collapsible_versions;
           Alcotest.test_case "dynamic reliance" `Quick
