@@ -111,20 +111,7 @@ let table2 ?(scale = 1.0) () =
 (* Table III: Andersen / SFS / VSFS time and memory + ratios.          *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_escape = Pta_engine.Telemetry.json_escape
 
 let hit_rate hits misses =
   let h = float_of_int hits and m = float_of_int misses in
@@ -177,16 +164,10 @@ type bench_row = {
 let bench_entry ~check (e : Suite.entry) =
   Pta_ds.Ptset.reset ();
   Pta_ds.Stats.reset_all ();
-  (* Seeded build: the unification partition collapses constraint-graph
-     nodes before Andersen runs. Final results are bit-identical (the fuzz
-     oracle pins this); the table just gains the reduction column. *)
-  let ctx = Pipeline.context ~pre:`Unify () in
+  let ctx = Pipeline.context () in
   let b = Pipeline.build ~ctx e.Suite.cfg in
   let sfs_r, sfs = Pipeline.run_sfs ~ctx b in
   let vsfs_r, vsfs = Pipeline.run_vsfs ~ctx b in
-  let pre_reduction =
-    100. *. float b.Pipeline.pre_merged /. float (max b.Pipeline.pre_vars 1)
-  in
   let equal =
     if check then begin
       let svfg = Pipeline.fresh_svfg b in
@@ -212,7 +193,6 @@ let bench_entry ~check (e : Suite.entry) =
     r_row =
       [
         e.Suite.name;
-        Printf.sprintf "%.1f%%" pre_reduction;
         Printf.sprintf "%.2f" b.Pipeline.andersen_seconds;
         Printf.sprintf "%.2f" sfs.Pipeline.seconds;
         Printf.sprintf "%.1f" (float sfs.Pipeline.set_words *. 8. /. 1048576.);
@@ -225,13 +205,10 @@ let bench_entry ~check (e : Suite.entry) =
       ];
     r_json =
       Printf.sprintf
-        "    {\"name\": \"%s\", \"andersen_s\": %.6f, \"pre\": {\"merged\": \
-         %d, \"vars\": %d, \"reduction\": %.4f}, \"stages\": %s, \"sfs\": \
-         %s, \"vsfs\": %s, \"time_ratio\": %.4f, \"mem_ratio\": %.4f, \
-         \"mem_ratio_shared\": %.4f, \"equal\": %b}"
-        (json_escape e.Suite.name)
-        b.Pipeline.andersen_seconds b.Pipeline.pre_merged b.Pipeline.pre_vars
-        (pre_reduction /. 100.)
+        "    {\"name\": \"%s\", \"andersen_s\": %.6f, \"stages\": %s, \
+         \"sfs\": %s, \"vsfs\": %s, \"time_ratio\": %.4f, \"mem_ratio\": \
+         %.4f, \"mem_ratio_shared\": %.4f, \"equal\": %b}"
+        (json_escape e.Suite.name) b.Pipeline.andersen_seconds
         (Pipeline.json_of_stages ctx)
         (json_of_run sfs) (json_of_run vsfs) tdiff mdiff mdiff_shared equal;
     r_tdiff = tdiff;
@@ -255,9 +232,7 @@ let table3 ?(scale = 1.0) ?(check = true) ?(jobs = 1) ?json () =
   pf "the paper). The MB columns are the structure-shared footprint (interned@.";
   pf "sets counted once, 8-byte words) incl. versioning structures; 'Mem diff.'@.";
   pf "compares per-slot materialised words — the paper's metric, independent@.";
-  pf "of interning. Front end, auxiliary analysis and SVFG are excluded.@.";
-  pf "'Pre' is the share of constraint-graph nodes merged by the unification@.";
-  pf "pre-analysis seed (results are bit-identical with or without it).@.@.";
+  pf "of interning. Front end, auxiliary analysis and SVFG are excluded.@.@.";
   let results, wall_seconds =
     Pipeline.time (fun () ->
         Pta_par.Pool.run ~jobs (bench_entry ~check) (Suite.benchmarks ~scale ()))
@@ -281,9 +256,9 @@ let table3 ?(scale = 1.0) ?(check = true) ?(jobs = 1) ?json () =
   let pool_words = List.fold_left (fun a r -> a + r.r_pool_words) 0 results in
   T.render Format.std_formatter
     ~header:
-      [ "Bench."; "Pre"; "Ander."; "SFS"; "SFS MB"; "Version."; "VSFS";
-        "VSFS MB"; "Time diff."; "Mem diff."; "Equal" ]
-    ~align:[ T.L; T.R; T.R; T.R; T.R; T.R; T.R; T.R; T.R; T.R; T.L ]
+      [ "Bench."; "Ander."; "SFS"; "SFS MB"; "Version."; "VSFS"; "VSFS MB";
+        "Time diff."; "Mem diff."; "Equal" ]
+    ~align:[ T.L; T.R; T.R; T.R; T.R; T.R; T.R; T.R; T.R; T.L ]
     (List.map (fun r -> r.r_row) results);
   pf "@.geometric mean speedup:            %.2fx@." (T.geomean time_ratios);
   pf "geometric mean speedup (hard set): %.2fx@."

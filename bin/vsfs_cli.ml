@@ -41,15 +41,15 @@ let resolve_query prog name =
   Prog.iter_vars prog (fun v -> if Prog.name prog v = name then r := v);
   if !r < 0 then None else Some !r
 
-let analyze file analysis pre queries dump_ir dump_svfg dot_file
-    check stats cache_dir =
+let analyze file analysis queries dump_ir dump_svfg dot_file check stats
+    cache_dir =
   let src = read_file file in
   let compile s =
     if Filename.check_suffix file ".ir" then Parser.parse s
     else Pta_cfront.Lower.compile s
   in
   let store = Option.map open_store cache_dir in
-  let ctx = Pipeline.context ?store ~label:file ~pre () in
+  let ctx = Pipeline.context ?store ~label:file () in
   let b =
     try
       let b = Pipeline.build_source ~ctx ~compile src in
@@ -61,10 +61,6 @@ let analyze file analysis pre queries dump_ir dump_svfg dot_file
       Format.eprintf "invalid program:@.%s@." msg;
       exit 1
   in
-  (* stderr: the report on stdout must stay byte-identical across --pre *)
-  if b.Pipeline.pre_vars > 0 then
-    Format.eprintf "pre: unify seed merged %d of %d constraint-graph nodes@."
-      b.Pipeline.pre_merged b.Pipeline.pre_vars;
   let prog = b.Pipeline.prog in
   let aux = b.Pipeline.aux in
   if dump_ir then Format.printf "%s@." (Printer.prog_to_string prog);
@@ -115,7 +111,8 @@ let analyze file analysis pre queries dump_ir dump_svfg dot_file
       (Pta_andersen.Unify.pts u, Pta_andersen.Unify.pts u, "unify")
     | `Dense ->
       let r = Pta_sfs.Dense.solve prog aux in
-      (Pta_sfs.Dense.pt r, Pta_sfs.Dense.pt r, "dense")
+      let obj = Pta_sfs.Dense.object_pts r in
+      (Pta_sfs.Dense.pt r, (fun v -> obj.(v)), "dense")
     | `Sfs ->
       let top, obj =
         solved "sfs"
@@ -220,15 +217,6 @@ let analyze_cmd =
                  unify (Steensgaard-style unification, the lattice's \
                  cheapest tier).")
   in
-  let pre =
-    Arg.(value
-         & opt (enum [ ("none", `None); ("unify", `Unify) ]) `None
-         & info [ "pre" ] ~docv:"TIER"
-             ~doc:"Pre-analysis seeding Andersen's constraint graph: none \
-                   (default) or unify (merge the unification partition's \
-                   copy-SCC core up front). Final results are bit-identical \
-                   either way; only the work to reach them changes.")
-  in
   let queries =
     Arg.(value & opt_all string [] & info [ "query"; "q" ]
            ~docv:"NAME"
@@ -259,7 +247,7 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze" ~doc:"Analyse a mini-C (.c) or textual-IR (.ir) file")
     Term.(
-      const analyze $ file $ analysis $ pre $ queries $ dump_ir
+      const analyze $ file $ analysis $ queries $ dump_ir
       $ dump_svfg $ dot_file $ check $ stats $ cache_dir)
 
 let gen_cmd =

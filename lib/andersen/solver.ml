@@ -280,7 +280,7 @@ let expand_complex st =
     st.complex;
   flush_deferred_geps st geps_todo
 
-let solve ?pre prog =
+let solve prog =
   let n = Prog.n_vars prog in
   let tel = Telemetry.phase ~name:"andersen.solve" () in
   let st =
@@ -302,26 +302,6 @@ let solve ?pre prog =
     }
   in
   ensure st (max n 1 - 1);
-  (* Unification pre-analysis seed: merge the offline copy-SCC partition
-     before extraction. Leaders are the smallest member of each class —
-     the same representative the first [collapse_sccs] would elect — so
-     extraction canonicalises constraints onto identical representatives
-     and the whole solve proceeds bit-for-bit as without the seed, minus
-     the wave-1 merge work (intra-class copy edges are never even
-     inserted). Exactness is the seed's contract; the [unify] fuzz oracle
-     enforces it downstream. *)
-  let pre_merged = Telemetry.counter tel "pre_merged" in
-  (match pre with
-  | None -> ()
-  | Some p ->
-    let m = min (Array.length p.Unify.leader) n in
-    for v = 0 to m - 1 do
-      let l = p.Unify.leader.(v) in
-      if l <> v then begin
-        Union_find.union_into st.uf ~winner:l v;
-        incr pre_merged
-      end
-    done);
   extract st;
   (* The worklist rank is the SCC-condensation rank of a node's current
      representative, refreshed every wave after the collapse; the Prio
@@ -384,5 +364,4 @@ let points_to st v o = Ptset.mem (pts_id st v) o
 let callgraph st = st.cg
 let rep st v = Union_find.find st.uf v
 let n_waves st = st.waves
-let pre_merged st = Telemetry.extra st.tel "pre_merged"
 let telemetry st = st.tel

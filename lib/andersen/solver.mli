@@ -16,12 +16,7 @@
 
 type result
 
-val solve : ?pre:Unify.partition -> Pta_ir.Prog.t -> result
-(** [pre] seeds the union-find with a {!Unify.seed_partition}: the
-    partition's classes start merged (leader as representative), so
-    intra-class copy edges are never inserted and wave 1 skips their
-    collapse. The partition is exactness-preserving by construction —
-    results are bit-identical with and without it. *)
+val solve : Pta_ir.Prog.t -> result
 
 val pts : result -> Pta_ir.Inst.var -> Pta_ds.Bitset.t
 (** Points-to set (object ids) of a variable. Do not mutate. *)
@@ -35,9 +30,6 @@ val rep : result -> Pta_ir.Inst.var -> Pta_ir.Inst.var
 (** Cycle-collapsing representative (exposed for tests/diagnostics). *)
 
 val n_waves : result -> int
-
-val pre_merged : result -> int
-(** Constraint-graph nodes merged by the [pre] seed (0 without one). *)
 
 val telemetry : result -> Pta_engine.Telemetry.phase
 (** Engine telemetry (phase ["andersen.solve"]; extras [waves],

@@ -4,64 +4,6 @@ module Engine = Pta_engine.Engine
 module Scheduler = Pta_engine.Scheduler
 module Telemetry = Pta_engine.Telemetry
 
-(* ---------- seed partition (pre-analysis for Andersen) ---------- *)
-
-type partition = {
-  leader : int array;  (* var -> class leader (smallest member); id if alone *)
-  merged : int;
-  classes : int;
-}
-
-(* Mutual copy-reachability over the *initial* copy graph: exactly the edges
-   [Solver.extract] feeds [add_copy] before any complex constraint expands
-   (Copy, Phi, direct-call argument/return bindings). Every non-trivial SCC
-   of this graph is merged by Andersen's first [collapse_sccs] anyway, with
-   the smallest-id member as the surviving representative — so seeding the
-   same partition up front (same leaders, via [Union_find.union_into]) is
-   exactness-preserving: the post-collapse solver state is identical and the
-   final points-to results stay bit-for-bit equal. Anything coarser (full
-   Steensgaard classes) would over-merge and lose Andersen precision. *)
-let seed_partition prog =
-  let n = Prog.n_vars prog in
-  let g = Pta_graph.Digraph.create ~n:(max n 1) () in
-  let edge u w = if u <> w then ignore (Pta_graph.Digraph.add_edge g u w) in
-  Prog.iter_funcs prog (fun fn ->
-      for i = 0 to Prog.n_insts fn - 1 do
-        match Prog.inst fn i with
-        | Inst.Copy { lhs; rhs } -> edge rhs lhs
-        | Inst.Phi { lhs; rhs } -> List.iter (fun r -> edge r lhs) rhs
-        | Inst.Call { lhs; callee = Inst.Direct fid; args } -> (
-          let callee = Prog.func prog fid in
-          let rec zip args params =
-            match (args, params) with
-            | a :: args, p :: params ->
-              edge a p;
-              zip args params
-            | _, _ -> ()
-          in
-          zip args callee.Prog.params;
-          match (lhs, callee.Prog.ret) with
-          | Some l, Some r -> edge r l
-          | _ -> ())
-        | _ -> ()
-      done);
-  let scc = Pta_graph.Scc.compute g in
-  let leader = Array.init n (fun v -> v) in
-  let first = Array.make (max scc.Pta_graph.Scc.n_comps 1) (-1) in
-  let merged = ref 0 in
-  for v = 0 to n - 1 do
-    let c = scc.Pta_graph.Scc.comp.(v) in
-    if scc.Pta_graph.Scc.sizes.(c) > 1 then
-      if first.(c) = -1 then first.(c) <- v
-      else begin
-        leader.(v) <- first.(c);
-        incr merged
-      end
-  done;
-  { leader; merged = !merged; classes = n - !merged }
-
-(* ---------- full unification points-to (a solver tier) ---------- *)
-
 (* Steensgaard-style analysis: near-linear, flow- and context-insensitive,
    and much coarser than Andersen — every variable gets one abstract
    pointee node, and assignments *unify* pointees instead of adding
@@ -290,14 +232,6 @@ let pts t v =
       | None -> empty)
 
 let points_to t v o = Bitset.mem (pts t v) o
-
-let n_classes t =
-  let n = Prog.n_vars t.prog in
-  let c = ref 0 in
-  for v = 0 to n - 1 do
-    if find t v = v then incr c
-  done;
-  !c
 
 let merges t = !(t.merges)
 let passes t = !(t.passes)

@@ -1,22 +1,5 @@
 (** Steensgaard-style unification-based points-to analysis — the cheapest
-    tier of the solver lattice, and a pre-analysis seed for Andersen.
-
-    Two exports, deliberately distinct:
-
-    {2 Seed partition}
-
-    {!seed_partition} computes mutual copy-reachability over the initial
-    copy graph (Copy, Phi and direct-call bindings — exactly the edges
-    Andersen's extraction inserts before any complex constraint expands).
-    Non-trivial SCCs of that graph are merged by Andersen's first
-    wave-collapse anyway, with the smallest member as representative;
-    pre-merging the same partition (same leaders) via
-    [Solver.solve ~pre] shrinks the constraint graph Andersen starts from
-    while keeping the final results bit-for-bit identical. This is the
-    exactness-preserving core of unification: anything coarser (the full
-    Steensgaard classes below) would cost precision.
-
-    {2 Full unification tier}
+    tier of the solver lattice.
 
     {!solve} runs the classic near-linear analysis: one abstract pointee
     class per equivalence class, assignments unify pointees. Field
@@ -28,15 +11,6 @@
     a fuzzing oracle bound. Runs after Andersen and never allocates
     variables: unknown field objects fall back to their base object. *)
 
-type partition = {
-  leader : int array;
-      (** var -> class leader (smallest member id); own id when alone *)
-  merged : int;  (** variables folded into another leader *)
-  classes : int;  (** [Array.length leader - merged] *)
-}
-
-val seed_partition : Pta_ir.Prog.t -> partition
-
 type t
 type result = t
 
@@ -47,9 +21,6 @@ val pts : t -> Pta_ir.Inst.var -> Pta_ds.Bitset.t
     pointer). Shared across the class — do not mutate. *)
 
 val points_to : t -> Pta_ir.Inst.var -> Pta_ir.Inst.var -> bool
-
-val n_classes : t -> int
-(** Distinct equivalence classes over the program's variables. *)
 
 val merges : t -> int
 val passes : t -> int

@@ -167,8 +167,3 @@ let program p =
       def buf d)
     p;
   Buffer.contents buf
-
-let expr_to_string e =
-  let buf = Buffer.create 64 in
-  expr buf e;
-  Buffer.contents buf

@@ -8,6 +8,3 @@
     mutation and delta-debugging shrinks. *)
 
 val program : Ast.program -> string
-
-val expr_to_string : Ast.expr -> string
-(** One expression (for diagnostics). *)

@@ -268,10 +268,3 @@ let parse src =
     else go (parse_def st :: acc)
   in
   go []
-
-let parse_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse text

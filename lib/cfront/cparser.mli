@@ -3,4 +3,3 @@
 exception Parse_error of int * string
 
 val parse : string -> Ast.program
-val parse_file : string -> Ast.program

@@ -282,4 +282,3 @@ let lower ?(promote = true) (program : Ast.program) =
   prog
 
 let compile ?promote src = lower ?promote (Cparser.parse src)
-let compile_file ?promote path = lower ?promote (Cparser.parse_file path)

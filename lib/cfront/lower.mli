@@ -23,5 +23,3 @@ val lower : ?promote:bool -> Ast.program -> Pta_ir.Prog.t
 
 val compile : ?promote:bool -> string -> Pta_ir.Prog.t
 (** Parse + lower a mini-C source string. *)
-
-val compile_file : ?promote:bool -> string -> Pta_ir.Prog.t

@@ -83,7 +83,6 @@ let empty = 0
 let is_empty id = id = 0
 let equal : t -> t -> bool = Int.equal
 let hash (id : t) = id
-let compare_id : t -> t -> int = Int.compare
 
 (* Memo keys pack two ids (or an id and an element) into one OCaml int, so
    both halves are bounded by a named, checked width: enough for ~2·10^9

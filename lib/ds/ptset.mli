@@ -49,9 +49,6 @@ val mem : t -> int -> bool
 val equal : t -> t -> bool
 val hash : t -> int
 
-val compare_id : t -> t -> int
-(** Total order on ids (creation order), {e not} a structural order. *)
-
 val add : t -> int -> t
 (** [add s x] is the set [s ∪ {x}] — [s] itself when [x ∈ s]. Memoized. *)
 

@@ -59,6 +59,11 @@ type snapshot = {
 
 val snapshot : phase -> snapshot
 
+val json_escape : string -> string
+(** The body of a JSON string literal for [s] (no surrounding quotes):
+    quote, backslash and control characters escaped, all other bytes
+    verbatim. *)
+
 val snapshot_to_json : snapshot -> string
 (** One JSON object: [{"phase": ..., "pushes": n, "dups": n, "pops": n,
     "grew": n, "runs": n, "paused": n, "wall_seconds": s,

@@ -402,15 +402,11 @@ let check_par src =
       end
     | _ -> Fail { cls = "par-pt"; detail = "pool returned wrong arity" })
 
-(* ---------- unify: Steensgaard bound + seeded-build bit-identity ---------- *)
+(* ---------- unify: Steensgaard bound ---------- *)
 
-(* Two contracts in one oracle. (1) The unification tier is a sound
-   over-approximation: every Andersen points-to fact must survive into the
-   coarser Steensgaard classes, for every variable and object. (2) The
-   seed partition is exactness-preserving: a [`Unify]-seeded build must
-   leave the final SFS and VSFS points-to results bit-identical to an
-   unseeded one — the premise of registering unification as a pre-analysis
-   tier rather than an approximation. *)
+(* The unification tier is a sound over-approximation: every Andersen
+   points-to fact must survive into the coarser Steensgaard classes, for
+   every variable and object. *)
 
 let check_unify src =
   with_built src (fun b ->
@@ -424,7 +420,8 @@ let check_unify src =
                    (Pta_andersen.Unify.pts u v))
           then bad := v :: !bad);
       match !bad with
-      | _ :: _ as vs ->
+      | [] -> Pass
+      | vs ->
         Fail
           {
             cls = "unify-unsound";
@@ -438,29 +435,7 @@ let check_unify src =
                          (set_names p (andersen_pt v))
                          (set_names p (Pta_andersen.Unify.pts u v)))
                      (List.filteri (fun i _ -> i < 5) (List.rev vs)));
-          }
-      | [] -> (
-        let ctx = Pipeline.context ~pre:`Unify () in
-        let b1 = Pipeline.build_source ~ctx src in
-        let sfs0, _ = Pipeline.run_sfs b in
-        let sfs1, _ = Pipeline.run_sfs ~ctx b1 in
-        let vsfs0, _ = Pipeline.run_vsfs b in
-        let vsfs1, _ = Pipeline.run_vsfs ~ctx b1 in
-        match
-          ( points_to_mismatch "sfs"
-              (Pipeline.points_to_of_sfs b sfs0)
-              (Pipeline.points_to_of_sfs b1 sfs1),
-            points_to_mismatch "vsfs"
-              (Pipeline.points_to_of_vsfs b vsfs0)
-              (Pipeline.points_to_of_vsfs b1 vsfs1) )
-        with
-        | None, None -> Pass
-        | Some d, _ | _, Some d ->
-          Fail
-            {
-              cls = "pre-divergence";
-              detail = "unify-seeded build changed the final fixpoint: " ^ d;
-            }))
+          })
 
 (* ---------- serve: daemon session vs cold batch bit-equality ---------- *)
 
@@ -593,7 +568,7 @@ let all =
     };
     {
       name = "unify";
-      doc = "unification tier bounds Andersen; unify-seeded solve bit-identical";
+      doc = "unification tier bounds Andersen";
       check = check_unify;
     };
     {

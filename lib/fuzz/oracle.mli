@@ -19,11 +19,10 @@ val all : t list
     over parse/lower/mem2reg/validate/andersen), ["andersen"] (wave solver
     vs the naive reference fixpoint, soundness direction distinguished),
     ["equiv"] (Dense = SFS = VSFS bit-equality via {!Vsfs_core.Equiv}),
-    ["unify"] (the unification tier bounds Andersen and a unify-seeded
-    solve is bit-identical), ["store"] (cold vs warm-started {!Pta_store}
-    pipeline bit-equality, catching cache-staleness and codec bugs), ["par"]
-    (worker-domain vs caller-domain bit-equality) and ["serve"] (daemon
-    session vs cold batch solve). *)
+    ["unify"] (the unification tier bounds Andersen), ["store"] (cold vs
+    warm-started {!Pta_store} pipeline bit-equality, catching
+    cache-staleness and codec bugs), ["par"] (worker-domain vs caller-domain
+    bit-equality) and ["serve"] (daemon session vs cold batch solve). *)
 
 val find : string -> t option
 val names : string list

@@ -26,7 +26,6 @@ let emit b i =
   id
 
 let cursor b = b.cur
-let set_cursor b c = b.cur <- c
 let add_edge b u v = Prog.add_flow b.fn u v
 
 let def_name ?name b prefix =
@@ -39,11 +38,6 @@ let alloc b ?name ~kind oname =
   let p = fresh_top b (def_name ?name b "a") in
   ignore (emit b (Inst.Alloc { lhs = p; obj = o }));
   (p, o)
-
-let alloc_of b ?name o =
-  let p = fresh_top b (def_name ?name b "a") in
-  ignore (emit b (Inst.Alloc { lhs = p; obj = o }));
-  p
 
 let funaddr b ?name f =
   let o = Prog.function_object b.prog f in

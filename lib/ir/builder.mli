@@ -22,10 +22,6 @@ val fresh_top : t -> string -> Inst.var
 val alloc : t -> ?name:string -> kind:Prog.obj_kind -> string -> Inst.var * Inst.var
 (** [alloc b ~kind oname] emits [p = alloca_o]; returns [(p, o)]. *)
 
-val alloc_of : t -> ?name:string -> Inst.var -> Inst.var
-(** [alloc_of b o] emits [p = alloca_o] for an existing object [o] (used for
-    globals and for taking a second pointer to a known object). *)
-
 val funaddr : t -> ?name:string -> Prog.func -> Inst.var
 (** [p = &f]; marks [f] address-taken. *)
 
@@ -66,5 +62,4 @@ val finish : t -> unit
 
 val emit : t -> Inst.t -> int
 val cursor : t -> int option
-val set_cursor : t -> int option -> unit
 val add_edge : t -> int -> int -> unit

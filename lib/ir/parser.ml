@@ -297,10 +297,3 @@ let parse text =
       | first :: _ -> set first
       | [] -> failwith "empty program"));
   prog
-
-let parse_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse text

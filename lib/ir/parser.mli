@@ -23,4 +23,3 @@ exception Parse_error of int * string
 (** Line number (1-based) and message. *)
 
 val parse : string -> Prog.t
-val parse_file : string -> Prog.t

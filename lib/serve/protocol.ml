@@ -10,12 +10,6 @@ let tier_name = function
   | Andersen -> "andersen"
   | Exact -> "exact"
 
-let tier_of_name = function
-  | "unify" -> Some Unify
-  | "andersen" -> Some Andersen
-  | "exact" -> Some Exact
-  | _ -> None
-
 type query =
   | Points_to of string
   | May_alias of string * string

@@ -22,7 +22,6 @@ type tier = Unify | Andersen | Exact
     sets / the flow-sensitive SFS results) and echoes the tier served. *)
 
 val tier_name : tier -> string
-val tier_of_name : string -> tier option
 
 type query =
   | Points_to of string  (** set of objects the named var/object points to *)

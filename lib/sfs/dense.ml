@@ -315,6 +315,15 @@ let solve prog (aux : Pta_memssa.Modref.aux) =
   t
 
 let pt t v = pt_of t v
+(* One pass over both tables; IN and OUT together cover every program point
+   at which an object's set is materialised. *)
+let object_pts t =
+  let acc = Array.init (Prog.n_vars t.prog) (fun _ -> Bitset.create ()) in
+  let add (_, o) id = ignore (Bitset.union_into ~into:acc.(o) (Ptset.view id)) in
+  Hashtbl.iter add t.ins;
+  Hashtbl.iter add t.outs;
+  acc
+
 let callgraph t = t.cg_fs
 let n_sets t = Hashtbl.length t.ins + Hashtbl.length t.outs
 

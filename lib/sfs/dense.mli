@@ -24,6 +24,11 @@ val solve : Pta_ir.Prog.t -> Pta_memssa.Modref.aux -> result
     call graph itself is re-resolved flow-sensitively). *)
 
 val pt : result -> Inst.var -> Pta_ds.Bitset.t
+val object_pts : result -> Pta_ds.Bitset.t array
+(** Flow-insensitive collapse of every object, indexed by variable id
+    (empty for non-objects): the union of its IN and OUT sets over all ICFG
+    nodes, in one pass over both tables. The sets are fresh. *)
+
 val callgraph : result -> Callgraph.t
 val n_sets : result -> int
 val words : result -> int

@@ -218,7 +218,6 @@ let find made sets t n o =
   else None
 
 let in_set t n o = find t.in_made t.ins t n o
-let out_set t n o = find t.out_made t.outs t n o
 
 (* Every materialised entry as (slot, set), in slot order. *)
 let iter_made made sets f =

@@ -86,8 +86,6 @@ val pt : result -> Inst.var -> Pta_ds.Bitset.t
 val in_set : result -> int -> Inst.var -> Pta_ds.Bitset.t option
 (** IN set of an SVFG node for an object, if one was materialised. *)
 
-val out_set : result -> int -> Inst.var -> Pta_ds.Bitset.t option
-
 val object_pt : result -> Inst.var -> Pta_ds.Bitset.t
 (** Flow-insensitive collapse: union of the object's IN/OUT sets over all
     program points. Scans every slot, so it suits one-off questions;

@@ -409,13 +409,6 @@ let decode_prog bytes =
 
 type aux = { pts : Bitset.t array; cg : Callgraph.t }
 
-let aux_of_solver prog result =
-  {
-    pts =
-      Array.init (Prog.n_vars prog) (fun v -> Pta_andersen.Solver.pts result v);
-    cg = Pta_andersen.Solver.callgraph result;
-  }
-
 let to_aux a = { Pta_memssa.Modref.pt = (fun v -> a.pts.(v)); cg = a.cg }
 
 let encode_aux a =

@@ -26,10 +26,6 @@ type aux = {
   cg : Pta_ir.Callgraph.t;  (** auxiliary call graph *)
 }
 
-val aux_of_solver : Pta_ir.Prog.t -> Pta_andersen.Solver.result -> aux
-(** Snapshot a solver result into plain data ({!Pta_andersen.Solver.pts}
-    for every variable, plus the call graph). *)
-
 val to_aux : aux -> Pta_memssa.Modref.aux
 (** The view the memory-SSA layer and the SVFG consume. *)
 

@@ -1,8 +1,6 @@
 module Store = Pta_store.Store
 module Artifact = Pta_store.Artifact
 
-type pre = [ `None | `Unify ]
-
 type built = {
   prog : Pta_ir.Prog.t;
   aux : Pta_memssa.Modref.aux;
@@ -10,7 +8,6 @@ type built = {
   src_bytes : int;
   src_digest : string;
   andersen_seconds : float;
-  pre : pre;
   pre_merged : int;
   pre_vars : int;
 }
@@ -25,12 +22,10 @@ let time f =
 type ctx = {
   store : Store.t option;
   label : string;
-  pre : pre;
   stage_log : (string * float * bool) list ref;  (* newest first *)
 }
 
-let context ?store ?(label = "") ?(pre = `None) () =
-  { store; label; pre; stage_log = ref [] }
+let context ?store ?(label = "") () = { store; label; stage_log = ref [] }
 
 let stage_log ctx = List.rev !(ctx.stage_log)
 
@@ -118,7 +113,7 @@ end
 
 let ctx_for ?ctx () = match ctx with Some c -> c | None -> context ()
 
-(* ---------- build stages: compile -> pre -> andersen ---------- *)
+(* ---------- build stages: compile -> andersen ---------- *)
 
 let stage_compile compile =
   Stage.v ~key:"compile" (fun _ src ->
@@ -129,15 +124,9 @@ let stage_compile compile =
         failwith ("generated program invalid:\n" ^ String.concat "\n" errs));
       prog)
 
-let stage_pre =
-  Stage.v ~key:"pre" (fun ctx prog ->
-      match ctx.pre with
-      | `None -> (prog, None)
-      | `Unify -> (prog, Some (Pta_andersen.Unify.seed_partition prog)))
-
 let stage_andersen =
-  Stage.v ~key:"andersen" (fun _ (prog, pre) ->
-      let r = Pta_andersen.Solver.solve ?pre prog in
+  Stage.v ~key:"andersen" (fun _ prog ->
+      let r = Pta_andersen.Solver.solve prog in
       let aux =
         {
           Pta_memssa.Modref.pt = Pta_andersen.Solver.pts r;
@@ -145,12 +134,12 @@ let stage_andersen =
         }
       in
       Pta_memssa.Singleton.refine prog ~cg:aux.Pta_memssa.Modref.cg;
-      (prog, pre, aux))
+      (prog, aux))
 
 (* The fused build stage owns the store probe: a warm hit imports the
    program *after* singleton refinement and Andersen's constraint
    expansion (the var table already holds the field objects and the
-   refined singleton flags), skipping the whole compile/pre/andersen
+   refined singleton flags), skipping the whole compile/andersen
    prefix. *)
 let stage_build ?(compile = fun src -> Pta_cfront.Lower.compile src) () =
   let keys src =
@@ -177,7 +166,6 @@ let stage_build ?(compile = fun src -> Pta_cfront.Lower.compile src) () =
             src_bytes = String.length src;
             src_digest;
             andersen_seconds = 0.;
-            pre = `None;
             pre_merged = 0;
             pre_vars = 0;
           }
@@ -197,9 +185,7 @@ let stage_build ?(compile = fun src -> Pta_cfront.Lower.compile src) () =
         (Artifact.encode_aux a))
     (fun ctx src ->
       let open Stage in
-      let prog, pre, aux =
-        run ctx (stage_compile compile >>> stage_pre >>> stage_andersen) src
-      in
+      let prog, aux = run ctx (stage_compile compile >>> stage_andersen) src in
       {
         prog;
         aux;
@@ -207,15 +193,8 @@ let stage_build ?(compile = fun src -> Pta_cfront.Lower.compile src) () =
         src_bytes = String.length src;
         src_digest = Pta_store.Digest.hex src;
         andersen_seconds = stage_seconds ctx "andersen";
-        pre = ctx.pre;
-        pre_merged =
-          (match pre with
-          | None -> 0
-          | Some p -> p.Pta_andersen.Unify.merged);
-        pre_vars =
-          (match pre with
-          | None -> 0
-          | Some p -> Array.length p.Pta_andersen.Unify.leader);
+        pre_merged = 0;
+        pre_vars = 0;
       })
 
 let build_source ?ctx ?compile src =

@@ -1,9 +1,8 @@
 (** End-to-end analysis pipeline, organised as a staged lattice:
 
-    mini-C source → compile (lower + mem2reg + validate) → unification
-    pre-analysis (optional) → Andersen (auxiliary) → singleton refinement →
-    SVFG (+ static direct-call edges) → meld versioning → SFS / VSFS /
-    dense / unify solvers.
+    mini-C source → compile (lower + mem2reg + validate) → Andersen
+    (auxiliary) → singleton refinement → SVFG (+ static direct-call edges)
+    → meld versioning → SFS / VSFS / dense / unify solvers.
 
     Every step is a {!Stage.t}: a typed input → output function with a
     stable key (also its {!Pta_store} stage name), an optional store
@@ -20,12 +19,6 @@
     coincide across rebuilds, and the paper excludes SVFG construction
     from its timings anyway. *)
 
-type pre = [ `None | `Unify ]
-(** Pre-analysis tier: [`Unify] seeds Andersen with
-    {!Pta_andersen.Unify.seed_partition}. Final SFS/VSFS results are
-    bit-identical either way — the seed only collapses constraint-graph
-    nodes Andersen's first wave would merge itself. *)
-
 type built = {
   prog : Pta_ir.Prog.t;
   aux : Pta_memssa.Modref.aux;  (** auxiliary points-to + call graph *)
@@ -33,20 +26,22 @@ type built = {
   src_bytes : int;
   src_digest : string;  (** content hash of the source, the cache key root *)
   andersen_seconds : float;  (** 0. when Andersen was loaded from the store *)
-  pre : pre;  (** pre-analysis used ([`None] for store-imported builds) *)
-  pre_merged : int;  (** constraint-graph nodes merged by the seed *)
-  pre_vars : int;  (** variables at seed time (the reduction denominator) *)
+  pre_merged : int;
+  pre_vars : int;
+      (** [pre_merged] and [pre_vars] are always 0: Andersen runs unseeded.
+          They stay only because the benchmark harness ([perfbench/pb.ml])
+          reads them, and the harness changes only together with the
+          benchmark itself; drop both in that change. *)
 }
 
 (* Execution context ------------------------------------------------------ *)
 
 type ctx
-(** Carries the optional artifact store, cache label, pre-analysis choice,
-    and the per-stage log. One context per logical
-    pipeline run; safe to reuse across stages (the log accumulates). *)
+(** Carries the optional artifact store, cache label and the per-stage log.
+    One context per logical pipeline run; safe to reuse across stages (the
+    log accumulates). *)
 
-val context :
-  ?store:Pta_store.Store.t -> ?label:string -> ?pre:pre -> unit -> ctx
+val context : ?store:Pta_store.Store.t -> ?label:string -> unit -> ctx
 
 val stage_log : ctx -> (string * float * bool) list
 (** [(key, seconds, warm)] per executed stage, oldest first. *)
@@ -87,7 +82,7 @@ end
 
 val stage_build :
   ?compile:(string -> Pta_ir.Prog.t) -> unit -> (string, built) Stage.t
-(** compile ∘ pre ∘ andersen (each logged separately on a cold run), fused
+(** compile ∘ andersen (each logged separately on a cold run), fused
     behind one store probe: a warm hit imports the program + Andersen
     artifacts and skips the whole prefix. *)
 

@@ -46,13 +46,5 @@ let human_seconds s =
   else if s < 1.0 then Printf.sprintf "%.2fms" (s *. 1e3)
   else Printf.sprintf "%.2fs" s
 
-let human_words w =
-  let bytes = float w *. 8. in
-  if bytes < 1024. then Printf.sprintf "%.0fB" bytes
-  else if bytes < 1024. *. 1024. then Printf.sprintf "%.1fKB" (bytes /. 1024.)
-  else if bytes < 1024. *. 1024. *. 1024. then
-    Printf.sprintf "%.1fMB" (bytes /. 1024. /. 1024.)
-  else Printf.sprintf "%.2fGB" (bytes /. 1024. /. 1024. /. 1024.)
-
 let ratio a b =
   if b <= 0. || a <= 0. then "-" else Printf.sprintf "%.2fx" (a /. b)

@@ -12,8 +12,6 @@ val geomean : float list -> float
     missing SFS datum for lynx). *)
 
 val human_seconds : float -> string
-val human_words : int -> string
-(** Machine words rendered as B/KB/MB/GB (8 bytes per word). *)
 
 val ratio : float -> float -> string
 (** [ratio a b] is "a/b×" formatted like the paper's "diff" columns;

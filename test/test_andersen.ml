@@ -376,14 +376,13 @@ let test_deferred_gep_order () =
     ]
     (List.rev !field_objs)
 
-(* ---------- unification: seed exactness and tier soundness ---------- *)
+(* ---------- unification: tier soundness ---------- *)
 
 module Unify = Pta_andersen.Unify
 
 (* The swap loop's phis form a copy cycle (a -> t -> b -> a through the
-   loop-carried phi bindings), so the seed partition has something real to
-   merge; the indirect-call source exercises the edges the partition must
-   NOT include (call bindings resolved on the fly). *)
+   loop-carried phi bindings), so unification has a class to merge; the
+   indirect-call source exercises call bindings resolved on the fly. *)
 let swap_src =
   {|
   global g;
@@ -413,48 +412,6 @@ let icall_src =
 
 let unify_srcs = [ swap_src; icall_src ]
 
-let test_seed_partition_invariants () =
-  let p = compile swap_src in
-  let part = Unify.seed_partition p in
-  let n = Array.length part.Unify.leader in
-  let merged = ref 0 in
-  Array.iteri
-    (fun v l ->
-      Alcotest.(check bool) "leader is smallest member" true (l <= v);
-      Alcotest.(check int) "leader idempotent" l part.Unify.leader.(l);
-      if l <> v then incr merged)
-    part.Unify.leader;
-  Alcotest.(check int) "merged counted" part.Unify.merged !merged;
-  Alcotest.(check int) "classes" (n - part.Unify.merged) part.Unify.classes;
-  Alcotest.(check bool) "swap loop merges its phi cycle" true
-    (part.Unify.merged > 0)
-
-(* The seeded solve must be bit-identical to the plain one: same points-to
-   set for every variable, same call graph. Compile twice — solving interns
-   field objects into the program, so each run needs a fresh start. *)
-let check_seeded_identical src =
-  let p0 = compile src in
-  let r0 = Pta_andersen.Solver.solve p0 in
-  let p1 = compile src in
-  let r1 = Pta_andersen.Solver.solve ~pre:(Unify.seed_partition p1) p1 in
-  Alcotest.(check int) "same var table" (Prog.n_vars p0) (Prog.n_vars p1);
-  Prog.iter_vars p0 (fun v ->
-      if
-        not
-          (Pta_ds.Bitset.equal
-             (Pta_andersen.Solver.pts r0 v)
-             (Pta_andersen.Solver.pts r1 v))
-      then Alcotest.failf "seeded pts differ for %s" (Prog.name p0 v));
-  let edges r =
-    let acc = ref [] in
-    Callgraph.iter_edges (Pta_andersen.Solver.callgraph r) (fun cs g ->
-        acc := (cs.Callgraph.cs_func, cs.Callgraph.cs_inst, g) :: !acc);
-    List.sort compare !acc
-  in
-  Alcotest.(check bool) "same call graph" true (edges r0 = edges r1)
-
-let test_seed_bit_identity () = List.iter check_seeded_identical unify_srcs
-
 let unify_bounds_andersen p =
   let r = Pta_andersen.Solver.solve p in
   let u = Unify.solve p in
@@ -472,26 +429,6 @@ let test_unify_superset () =
       Alcotest.(check bool) "unify pts bound Andersen pts" true
         (unify_bounds_andersen (compile src)))
     unify_srcs
-
-let prop_seed_identical =
-  QCheck2.Test.make ~name:"unify-seeded Andersen = plain Andersen" ~count:40
-    QCheck2.Gen.(20_001 -- 30_000)
-    (fun seed ->
-      let src = Pta_workload.Gen.source (Pta_workload.Gen.small_random seed) in
-      let p0 = compile src in
-      let r0 = Pta_andersen.Solver.solve p0 in
-      let p1 = compile src in
-      let r1 = Pta_andersen.Solver.solve ~pre:(Unify.seed_partition p1) p1 in
-      let ok = ref (Prog.n_vars p0 = Prog.n_vars p1) in
-      Prog.iter_vars p0 (fun v ->
-          if
-            !ok
-            && not
-                 (Pta_ds.Bitset.equal
-                    (Pta_andersen.Solver.pts r0 v)
-                    (Pta_andersen.Solver.pts r1 v))
-          then ok := false);
-      !ok)
 
 let prop_unify_superset =
   QCheck2.Test.make ~name:"unification tier bounds Andersen" ~count:40
@@ -553,13 +490,8 @@ let () =
         ] );
       ( "unify",
         [
-          Alcotest.test_case "seed partition invariants" `Quick
-            test_seed_partition_invariants;
-          Alcotest.test_case "seeded solve bit-identical" `Quick
-            test_seed_bit_identity;
           Alcotest.test_case "unify tier bounds Andersen" `Quick
             test_unify_superset;
-          QCheck_alcotest.to_alcotest prop_seed_identical;
           QCheck_alcotest.to_alcotest prop_unify_superset;
         ] );
       ( "differential",

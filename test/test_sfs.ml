@@ -235,7 +235,8 @@ let golden_accounting =
 
 (* Dense's pops on two suite programs at scale 0.15 under its
    SCC-topological order (FIFO pops 5183 and 5962 here), and its answers,
-   which must equal SFS's for every variable. *)
+   which must equal SFS's for every variable and every live object's
+   flow-insensitive collapse. *)
 let golden_dense_pops = [ ("du", 782); ("dpkg", 1207) ]
 
 let test_golden_accounting () =
@@ -270,12 +271,19 @@ let test_golden_accounting () =
       Alcotest.(check int) (name ^ ": dense pops") pops
         (Pta_sfs.Dense.processed dense);
       let sfs = Pta_sfs.Sfs.solve (Pta_workload.Pipeline.fresh_svfg b) in
+      let sfs_obj = Pta_sfs.Sfs.object_pts sfs
+      and dense_obj = Pta_sfs.Dense.object_pts dense in
       Prog.iter_vars p (fun v ->
           if
             not
               (Pta_ds.Bitset.equal (Pta_sfs.Sfs.pt sfs v)
                  (Pta_sfs.Dense.pt dense v))
           then Alcotest.failf "%s: dense and SFS differ on %s" name
+              (Prog.name p v);
+          if
+            Prog.is_object p v && (not (Prog.is_dead p v))
+            && not (Pta_ds.Bitset.equal sfs_obj.(v) dense_obj.(v))
+          then Alcotest.failf "%s: dense and SFS objects differ on %s" name
               (Prog.name p v)))
     golden_dense_pops
 

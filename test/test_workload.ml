@@ -243,7 +243,7 @@ let test_stage_log_cold_run () =
       Alcotest.(check bool) (key ^ " logged") true
         (List.exists (fun (k, _, _) -> k = key) (P.stage_log ctx));
       Alcotest.(check bool) (key ^ " cold") false (P.stage_warm ctx key))
-    [ "compile"; "pre"; "andersen"; "build" ];
+    [ "compile"; "andersen"; "build" ];
   let _ = P.run_vsfs ~ctx b in
   let _, useconds = P.run_unify ~ctx b in
   List.iter
@@ -264,35 +264,6 @@ let test_stage_log_cold_run () =
            in
            mem 0)
          [ "\"stage\""; "\"seconds\""; "\"warm\""; "solve-vsfs" ])
-
-let test_pre_bit_identity_suite () =
-  (* `--pre unify` vs `--pre none` on real suite benchmarks: the final
-     SFS and VSFS points-to snapshots must be bit-identical *)
-  List.iter
-    (fun name ->
-      let e = Option.get (Pta_workload.Suite.find ~scale:0.1 name) in
-      let b0 = P.build e.Pta_workload.Suite.cfg in
-      let ctx = P.context ~pre:`Unify () in
-      let b1 = P.build ~ctx e.Pta_workload.Suite.cfg in
-      Alcotest.(check bool) (name ^ ": seed counters recorded") true
-        (b1.P.pre_vars > 0 && b1.P.pre_merged >= 0
-        && b1.P.pre_merged < b1.P.pre_vars);
-      let same (a : Pta_store.Artifact.points_to)
-          (b : Pta_store.Artifact.points_to) =
-        Array.length a.Pta_store.Artifact.top
-        = Array.length b.Pta_store.Artifact.top
-        && Array.for_all2 Pta_ds.Bitset.equal a.Pta_store.Artifact.top
-             b.Pta_store.Artifact.top
-        && Array.for_all2 Pta_ds.Bitset.equal a.Pta_store.Artifact.obj
-             b.Pta_store.Artifact.obj
-      in
-      let sfs0, _ = P.run_sfs b0 and sfs1, _ = P.run_sfs ~ctx b1 in
-      Alcotest.(check bool) (name ^ ": sfs bit-identical") true
-        (same (P.points_to_of_sfs b0 sfs0) (P.points_to_of_sfs b1 sfs1));
-      let vsfs0, _ = P.run_vsfs b0 and vsfs1, _ = P.run_vsfs ~ctx b1 in
-      Alcotest.(check bool) (name ^ ": vsfs bit-identical") true
-        (same (P.points_to_of_vsfs b0 vsfs0) (P.points_to_of_vsfs b1 vsfs1)))
-    [ "du"; "dpkg" ]
 
 (* The one-pass extraction must equal the per-object table scan it
    replaced, for every variable, under both solvers. *)
@@ -359,7 +330,5 @@ let () =
             test_stage_composition;
           Alcotest.test_case "cold run logs every stage" `Quick
             test_stage_log_cold_run;
-          Alcotest.test_case "pre-analysis bit-identity on suite" `Slow
-            test_pre_bit_identity_suite;
         ] );
     ]
