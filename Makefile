@@ -11,8 +11,9 @@
 #            machine-readable output carries the interning metrics
 #   fuzz-smoke — bounded differential-fuzzing run (fixed seed, all
 #            oracles, then the interned-set pool invariant after every
-#            case); any failure means a solver-stage disagreement or a
-#            corrupt set pool
+#            case), then a seed-3 campaign of the daemon reload oracle
+#            alone; any failure means a solver-stage disagreement, a
+#            corrupt set pool or a stale incremental splice
 #   par-smoke — run the bench table and the fuzz campaign at --jobs 1 and
 #            --jobs 4 and require identical output: byte-identical fuzz
 #            reports, and bench JSON identical after zeroing the timing
@@ -92,6 +93,8 @@ bench-smoke: build
 fuzz-smoke: build
 	@echo "== fuzz smoke (50 runs, seed 1, full oracle tower) =="
 	$(VSFS_BIN) fuzz --runs 50 --seed 1
+	@echo "== fuzz smoke (80 runs, seed 3, daemon reload oracle) =="
+	$(VSFS_BIN) fuzz --runs 80 --seed 3 --oracle serve
 	@echo "== fuzz smoke OK =="
 
 par-smoke: build

@@ -26,28 +26,21 @@ let compare sfs vsfs svfg =
                 (set_to_string prog b) )
             :: !top
       end);
-  (* Compare what each load reads per object. *)
+  (* Compare what each load reads per object: a load's slots are its μ. *)
   let loads = ref [] in
-  for n = 0 to Svfg.n_nodes svfg - 1 do
+  for s = 0 to Svfg.n_slots svfg - 1 do
+    let n = Svfg.slot_node svfg s and o = Svfg.slot_obj svfg s in
     match Svfg.kind svfg n with
-    | Svfg.NInst { f; i } -> (
-      match Prog.inst (Prog.func prog f) i with
-      | Inst.Load _ ->
-        Bitset.iter
-          (fun o ->
-            let a =
-              Option.value ~default:empty (Pta_sfs.Sfs.in_set sfs n o)
-            in
-            let b = Option.value ~default:empty (Vsfs.consumed_pt vsfs n o) in
-            if not (Bitset.equal a b) then
-              loads :=
-                ( n,
-                  o,
-                  Printf.sprintf "sfs=%s vsfs=%s" (set_to_string prog a)
-                    (set_to_string prog b) )
-                :: !loads)
-          (Pta_memssa.Annot.mu (Svfg.annot svfg) f i)
-      | _ -> ())
+    | Svfg.NInst _ when Inst.is_load (Svfg.inst_of svfg n) ->
+      let a = Option.value ~default:empty (Pta_sfs.Sfs.in_set sfs n o) in
+      let b = Option.value ~default:empty (Vsfs.consumed_pt vsfs n o) in
+      if not (Bitset.equal a b) then
+        loads :=
+          ( n,
+            o,
+            Printf.sprintf "sfs=%s vsfs=%s" (set_to_string prog a)
+              (set_to_string prog b) )
+          :: !loads
     | _ -> ()
   done;
   { top_level_mismatches = !top; load_mismatches = !loads }

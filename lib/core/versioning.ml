@@ -2,119 +2,96 @@ open Pta_ds
 open Pta_ir
 module Svfg = Pta_svfg.Svfg
 
-module Tbl = Pair_key.Tbl
-
+(* Every array is indexed by SVFG slot or by version id. A non-ε version
+   belongs to exactly one object: prelabels are fresh per (node, object)
+   and a meld only joins one object's labels, so a version id alone names
+   an (object, version) pair. *)
 type t = {
   svfg : Svfg.t;
   vt : Version.table;
-  (* every key is a checked [Pair_key.pack]: no tuple per lookup *)
-  consume : Version.t Tbl.t;  (* (node, obj) -> C *)
-  store_yield : Version.t Tbl.t;  (* store prelabels *)
+  cons : Version.t array;  (* slot -> C *)
+  yld : Version.t array;  (* slot -> Y: C except at stores *)
   delta : Bitset.t;
-  reliance : Bitset.t Tbl.t;  (* (obj, κ) -> κ' set *)
-  subscribers : Bitset.t Tbl.t;  (* (obj, κ) -> nodes *)
-  mutable n_reliances : int;
-  mutable duration : float;
+  owner : int array;  (* version -> object; -1 for ε and transient melds *)
+  (* static version reliance, κ -> κ' in CSR form, each row ascending *)
+  rel_start : int array;
+  rel : Version.t array;
+  duration : float;
 }
 
 let table t = t.vt
-let svfg t = t.svfg
+let consume_slot t s = t.cons.(s)
+let yield_slot t s = t.yld.(s)
 
-let consume t n o =
-  match Tbl.find_opt t.consume (Pair_key.pack n o) with
-  | Some v -> v
-  | None -> Version.epsilon
+let at t arr n o =
+  let s = Svfg.slot_of t.svfg n o in
+  if s < 0 then Version.epsilon else arr.(s)
 
-let is_store_node svfg n =
-  match Svfg.kind svfg n with
-  | Svfg.NInst _ -> Inst.is_store (Svfg.inst_of svfg n)
-  | _ -> false
-
-let yield t n o =
-  if is_store_node t.svfg n then
-    match Tbl.find_opt t.store_yield (Pair_key.pack n o) with
-    | Some v -> v
-    | None -> Version.epsilon
-  else consume t n o
+let consume t = at t t.cons
+let yield t = at t t.yld
 
 let is_delta t n = Bitset.mem t.delta n
+let owner t v = t.owner.(v)
 
-let add_reliance t o y c =
-  let k = Pair_key.pack o y in
-  let set =
-    match Tbl.find_opt t.reliance k with
-    | Some s -> s
-    | None ->
-      let s = Bitset.create () in
-      Tbl.add t.reliance k s;
-      s
-  in
-  if Bitset.add set c then begin
-    t.n_reliances <- t.n_reliances + 1;
-    true
-  end
-  else false
-
-let add_dynamic_edge t src o dst =
-  let y = yield t src o and c = consume t dst o in
-  if Version.is_epsilon y || y = c then None
-  else begin
-    ignore (add_reliance t o y c);
-    Some (y, c)
-  end
-
-let iter_relied t o v f =
-  match Tbl.find_opt t.reliance (Pair_key.pack o v) with
-  | Some s -> Bitset.iter f s
-  | None -> ()
-
-let iter_subscribers t o v f =
-  match Tbl.find_opt t.subscribers (Pair_key.pack o v) with
-  | Some s -> Bitset.iter f s
-  | None -> ()
-
-let subscribe t o v n =
-  if not (Version.is_epsilon v) then begin
-    let k = Pair_key.pack o v in
-    let set =
-      match Tbl.find_opt t.subscribers k with
-      | Some s -> s
-      | None ->
-        let s = Bitset.create () in
-        Tbl.add t.subscribers k s;
-        s
-    in
-    ignore (Bitset.add set n)
-  end
+let iter_relied t v f =
+  for j = t.rel_start.(v) to t.rel_start.(v + 1) - 1 do
+    f t.rel.(j)
+  done
 
 let duration t = t.duration
 let n_versions t = Version.n_versions t.vt
+let n_reliances t = Array.length t.rel
 
+(* consume-points per distinct (object, version) pair: how many SVFG
+   node/object states share one points-to set. SFS is by definition 1.0. *)
 let sharing_factor t =
-  (* consume-points per distinct (object, version) pair: how many SVFG
-     node/object states share one points-to set. SFS is by definition 1.0. *)
-  let distinct = Tbl.create 256 in
-  let points = ref 0 in
-  Tbl.iter
-    (fun k v ->
+  let seen = Bytes.make (Array.length t.owner) '\000' in
+  let points = ref 0 and distinct = ref 0 in
+  Array.iter
+    (fun v ->
       if not (Version.is_epsilon v) then begin
         incr points;
-        Tbl.replace distinct (Pair_key.pack (Pair_key.lo k) v) ()
+        if Bytes.get seen v = '\000' then incr distinct;
+        Bytes.set seen v '\001'
       end)
-    t.consume;
-  if Tbl.length distinct = 0 then 1.0
-  else float !points /. float (Tbl.length distinct)
-
-let n_reliances t = t.n_reliances
+    t.cons;
+  if !distinct = 0 then 1.0 else float !points /. float !distinct
 
 let words t =
-  let acc = ref (Version.words t.vt) in
-  let add_tbl tbl = acc := !acc + (4 * Tbl.length tbl) in
-  add_tbl t.consume;
-  add_tbl t.store_yield;
-  Tbl.iter (fun _ s -> acc := !acc + Bitset.words s) t.reliance;
-  Tbl.iter (fun _ s -> acc := !acc + Bitset.words s) t.subscribers;
-  !acc + Bitset.words t.delta
+  Version.words t.vt
+  + (2 * Array.length t.cons)
+  + (2 * Array.length t.owner)
+  + 1 + Array.length t.rel + Bitset.words t.delta
+
+(* The value over labelled slot arrays: each slot's object owns the
+   versions the slot consumes and yields, and the static reliances, given
+   as [Pair_key.pack κ κ'] keys, become CSR rows, sorted and
+   de-duplicated. *)
+let make svfg vt ~cons ~yld ~delta ~(rel : int Vec.t) ~duration =
+  let n_versions = Version.n_versions vt in
+  let owner = Array.make n_versions (-1) in
+  Array.iteri
+    (fun s c ->
+      let o = Svfg.slot_obj svfg s in
+      if not (Version.is_epsilon c) then owner.(c) <- o;
+      if not (Version.is_epsilon yld.(s)) then owner.(yld.(s)) <- o)
+    cons;
+  let keys = Array.init (Vec.length rel) (Vec.get rel) in
+  Array.sort Int.compare keys;
+  let rel_start = Array.make (n_versions + 1) 0 and row = Vec.create_empty () in
+  Array.iteri
+    (fun i k ->
+      if i = 0 || keys.(i - 1) <> k then begin
+        let v = Pair_key.hi k in
+        rel_start.(v + 1) <- rel_start.(v + 1) + 1;
+        ignore (Vec.push row (Pair_key.lo k))
+      end)
+    keys;
+  for v = 0 to n_versions - 1 do
+    rel_start.(v + 1) <- rel_start.(v + 1) + rel_start.(v)
+  done;
+  let rel = Array.init (Vec.length row) (Vec.get row) in
+  { svfg; vt; cons; yld; delta; owner; rel_start; rel; duration }
 
 (* ---------- serialization (Pta_store) ---------- *)
 
@@ -128,46 +105,67 @@ type raw = {
   raw_n_versions : int;
 }
 
-let sorted_bindings tbl =
-  let l = Tbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
-  Array.of_list (List.sort (fun (a, _) (b, _) -> Int.compare a b) l)
-
+(* Slots ascend by node, then object: slot order is packed-key order. *)
 let export t =
+  let svfg = t.svfg in
+  let key s = Pair_key.pack (Svfg.slot_node svfg s) (Svfg.slot_obj svfg s) in
+  let consume = ref [] and store_yield = ref [] and reliance = ref [] in
+  for s = Array.length t.cons - 1 downto 0 do
+    let n = Svfg.slot_node svfg s in
+    (match Svfg.kind svfg n with
+    | Svfg.NInst _ when Inst.is_store (Svfg.inst_of svfg n) ->
+      store_yield := (key s, t.yld.(s)) :: !store_yield
+    | _ -> ());
+    if not (Version.is_epsilon t.cons.(s)) then
+      consume := (key s, t.cons.(s)) :: !consume
+  done;
+  for v = 0 to Array.length t.owner - 1 do
+    if t.rel_start.(v + 1) > t.rel_start.(v) then begin
+      let set = Bitset.create () in
+      iter_relied t v (fun c -> ignore (Bitset.add set c));
+      reliance := (Pair_key.pack t.owner.(v) v, set) :: !reliance
+    end
+  done;
   {
-    raw_consume = sorted_bindings t.consume;
-    raw_store_yield = sorted_bindings t.store_yield;
+    raw_consume = Array.of_list !consume;
+    raw_store_yield = Array.of_list !store_yield;
     raw_delta = t.delta;
-    raw_reliance = sorted_bindings t.reliance;
-    raw_n_reliances = t.n_reliances;
+    raw_reliance =
+      Array.of_list
+        (List.sort (fun (a, _) (b, _) -> Int.compare a b) !reliance);
+    raw_n_reliances = n_reliances t;
     raw_n_prelabels = Version.n_prelabels t.vt;
     raw_n_versions = Version.n_versions t.vt;
   }
 
 let import svfg raw =
-  let t =
-    {
-      svfg;
-      vt =
-        Version.import_sealed ~n_prelabels:raw.raw_n_prelabels
-          ~n_versions:raw.raw_n_versions;
-      consume = Tbl.create (max 16 (Array.length raw.raw_consume));
-      store_yield = Tbl.create (max 16 (Array.length raw.raw_store_yield));
-      delta = Bitset.copy raw.raw_delta;
-      reliance = Tbl.create (max 16 (Array.length raw.raw_reliance));
-      subscribers = Tbl.create 1024;
-      n_reliances = raw.raw_n_reliances;
-      duration = 0.;
-    }
+  let n_versions = raw.raw_n_versions in
+  let vt =
+    Version.import_sealed ~n_prelabels:raw.raw_n_prelabels ~n_versions
   in
-  Array.iter (fun (k, v) -> Tbl.replace t.consume k v) raw.raw_consume;
-  Array.iter (fun (k, v) -> Tbl.replace t.store_yield k v) raw.raw_store_yield;
-  (* The solver grows reliance sets on-the-fly (dynamic call edges), so each
-     import must own fresh copies. Subscribers are solver-side state and
-     always start empty (export happens before solving). *)
+  let ns = Svfg.n_slots svfg in
+  let cons = Array.make ns Version.epsilon in
+  let set arr (k, v) =
+    let s = Svfg.slot_of svfg (Pair_key.hi k) (Pair_key.lo k) in
+    if s < 0 || v < 0 || v >= n_versions then
+      invalid_arg "Versioning.import: entry is not a slot or version";
+    arr.(s) <- v
+  in
+  Array.iter (set cons) raw.raw_consume;
+  let yld = Array.copy cons in
+  Array.iter (set yld) raw.raw_store_yield;
+  let buf = Vec.create ~dummy:0 () in
   Array.iter
-    (fun (k, s) -> Tbl.replace t.reliance k (Bitset.copy s))
+    (fun (k, cs) ->
+      Bitset.iter
+        (fun c ->
+          if c >= n_versions || Pair_key.lo k >= n_versions then
+            invalid_arg "Versioning.import: reliance on an unknown version";
+          ignore (Vec.push buf (Pair_key.pack (Pair_key.lo k) c)))
+        cs)
     raw.raw_reliance;
-  t
+  make svfg vt ~cons ~yld ~delta:(Bitset.copy raw.raw_delta) ~rel:buf
+    ~duration:0.
 
 (* Meld labelling (Fig. 8), one object at a time. The labels of [o] flow
    only along o-labelled edges and meld is a join, so [o]'s part of the
@@ -176,16 +174,18 @@ let import svfg raw =
    transparent (it yields what it consumes), so an SCC of transparent nodes
    shares one label: the meld of its external inputs, assigned in one
    topological pass over the condensation. A store consumes the meld of its
-   predecessors. The static reliances of [o]'s edges fall out of the same
-   pass. [o]'s edges are [esrc.(e) -> edst.(e)] for [e] in [lo .. hi - 1];
-   [role] marks each SVFG node transparent, [store] or [delta];
-   [loc], [glob], [lsrc] and [ldst] are scratch space shared by all objects
-   ([loc] all [-1]). *)
+   predecessors. Labels are read and written in place in the slot arrays
+   [cons] and [yld] (each slot belongs to one object), and the static
+   reliances of [o]'s edges go into [rel] as packed (κ, κ') keys. [o]'s
+   edges are slot pairs [esrc.(e) -> edst.(e)] for [e] in [lo .. hi - 1];
+   [role] marks each SVFG node transparent, [store] or [delta]; [loc]
+   (slot -> local id, all [-1] between objects) and [glob] (its inverse)
+   are scratch space shared by all objects. *)
 let transparent = '\000'
 let store = '\001'
 let delta = '\002'
 
-let label_object t o ~lo ~hi ~esrc ~edst ~role ~loc ~glob ~lsrc ~ldst
+let label_object svfg vt ~cons ~yld ~rel ~lo ~hi ~esrc ~edst ~role ~loc ~glob
     ~(sccs : int ref) ~(max_scc : int ref) =
   let k = ref 0 in
   let local g =
@@ -199,32 +199,20 @@ let label_object t o ~lo ~hi ~esrc ~edst ~role ~loc ~glob ~lsrc ~ldst
       l
     end
   in
-  let n_e = hi - lo in
-  for i = 0 to n_e - 1 do
-    lsrc.(i) <- local esrc.(lo + i);
-    ldst.(i) <- local edst.(lo + i)
+  for e = lo to hi - 1 do
+    ignore (local esrc.(e));
+    ignore (local edst.(e))
   done;
   let k = !k in
-  let role l = Bytes.get role glob.(l) in
-  (* [cons.(l)]: C_l(o); [yv.(l)]: Y_l(o). Constants first. *)
-  let cons = Array.make k Version.epsilon in
-  let yv = Array.make k Version.epsilon in
-  let find tbl l =
-    Option.value ~default:Version.epsilon
-      (Tbl.find_opt tbl (Pair_key.pack glob.(l) o))
-  in
-  for l = 0 to k - 1 do
-    if role l = store then yv.(l) <- find t.store_yield l
-    else if role l = delta then begin
-      cons.(l) <- find t.consume l;
-      yv.(l) <- cons.(l)
-    end
-  done;
+  let role l = Bytes.get role (Svfg.slot_node svfg glob.(l)) in
+  (* The constants are already in place (prelabels); every other slot of
+     [o] still reads ε. *)
+  let yv l = yld.(glob.(l)) in
   (* Predecessors of every node, and the transparent-only successor graph
      whose condensation orders the pass; lists in edge order. *)
   let preds = Array.make k [] and succs = Array.make k [] in
-  for i = n_e - 1 downto 0 do
-    let s = lsrc.(i) and d = ldst.(i) in
+  for e = hi - 1 downto lo do
+    let s = loc.(esrc.(e)) and d = loc.(edst.(e)) in
     preds.(d) <- s :: preds.(d);
     if role s = transparent && role d = transparent then
       succs.(s) <- d :: succs.(s)
@@ -245,7 +233,7 @@ let label_object t o ~lo ~hi ~esrc ~edst ~role ~loc ~glob ~lsrc ~ldst
         (fun m ->
           List.iter
             (fun p ->
-              if comp.(p) <> c then acc := Version.meld t.vt !acc yv.(p)
+              if comp.(p) <> c then acc := Version.meld vt !acc (yv p)
               else if p = m then self_loop := true)
             preds.(m))
         members.(c);
@@ -255,85 +243,72 @@ let label_object t o ~lo ~hi ~esrc ~edst ~role ~loc ~glob ~lsrc ~ldst
       end;
       List.iter
         (fun m ->
-          cons.(m) <- !acc;
-          yv.(m) <- !acc)
+          cons.(glob.(m)) <- !acc;
+          yld.(glob.(m)) <- !acc)
         members.(c)
     | _ -> ()
   done;
   for l = 0 to k - 1 do
+    let s = glob.(l) in
     if role l = store then
-      List.iter
-        (fun p -> cons.(l) <- Version.meld t.vt cons.(l) yv.(p))
-        preds.(l);
-    if role l <> delta && not (Version.is_epsilon cons.(l)) then
-      Tbl.replace t.consume (Pair_key.pack glob.(l) o) cons.(l);
-    loc.(glob.(l)) <- -1
+      List.iter (fun p -> cons.(s) <- Version.meld vt cons.(s) (yv p)) preds.(l);
+    loc.(s) <- -1
   done;
   (* Static version reliances ([A-PROP] with differing versions). *)
-  for i = 0 to n_e - 1 do
-    let y = yv.(lsrc.(i)) and c = cons.(ldst.(i)) in
-    if (not (Version.is_epsilon y)) && y <> c then ignore (add_reliance t o y c)
+  for e = lo to hi - 1 do
+    let y = yld.(esrc.(e)) and c = cons.(edst.(e)) in
+    if (not (Version.is_epsilon y)) && y <> c then
+      ignore (Vec.push rel (Pair_key.pack y c))
   done
 
 let compute ?(release_labels = true) svfg =
   let start = Unix.gettimeofday () in
   let prog = Svfg.prog svfg in
   let aux = Svfg.aux svfg in
-  let t =
-    {
-      svfg;
-      vt = Version.create ();
-      (* sized for about one entry per edge target: the fill seldom rehashes *)
-      consume = Tbl.create (max 1024 (Svfg.n_indirect_edges svfg / 2));
-      store_yield = Tbl.create 256;
-      delta = Bitset.create ();
-      reliance = Tbl.create 1024;
-      subscribers = Tbl.create 1024;
-      n_reliances = 0;
-      duration = 0.;
-    }
-  in
-  let n_nodes = Svfg.n_nodes svfg in
+  let vt = Version.create () in
+  let n_nodes = Svfg.n_nodes svfg and ns = Svfg.n_slots svfg in
+  let cons = Array.make ns Version.epsilon in
+  let yld = Array.make ns Version.epsilon in
+  let delta_nodes = Bitset.create () in
   let role = Bytes.make n_nodes transparent in
-  (* Prelabelling (Fig. 6). *)
+  (* Prelabelling (Fig. 6). A store's slots are its χ objects; a memory
+     node's one slot is its own object. *)
+  let prelabel n label =
+    ignore (Bitset.add delta_nodes n);
+    Bytes.set role n delta;
+    let s = Svfg.first_slot svfg n in
+    cons.(s) <- Version.fresh vt ~table_label:label;
+    yld.(s) <- cons.(s)
+  in
   for n = 0 to n_nodes - 1 do
     match Svfg.kind svfg n with
     | Svfg.NInst { f; i } -> (
       match Prog.inst (Prog.func prog f) i with
       | Inst.Store _ ->
         Bytes.set role n store;
-        Bitset.iter
-          (fun o ->
-            Tbl.replace t.store_yield (Pair_key.pack n o)
-              (Version.fresh t.vt ~table_label:"store"))
-          (Pta_memssa.Annot.chi (Svfg.annot svfg) f i)
+        for s = Svfg.first_slot svfg n to Svfg.first_slot svfg (n + 1) - 1 do
+          yld.(s) <- Version.fresh vt ~table_label:"store"
+        done
       | _ -> ())
-    | Svfg.NFormalIn { f; obj } ->
+    | Svfg.NFormalIn { f; _ } ->
       (* δ: functions that may be the target of an indirect call. *)
-      if Callgraph.is_indirect_target aux.Pta_memssa.Modref.cg f then begin
-        ignore (Bitset.add t.delta n);
-        Bytes.set role n delta;
-        Tbl.replace t.consume (Pair_key.pack n obj)
-          (Version.fresh t.vt ~table_label:"delta-fin")
-      end
-    | Svfg.NActualOut { f; call; obj } -> (
+      if Callgraph.is_indirect_target aux.Pta_memssa.Modref.cg f then
+        prelabel n "delta-fin"
+    | Svfg.NActualOut { f; call; _ } -> (
       (* δ: return targets of indirect calls. *)
       match Prog.inst (Prog.func prog f) call with
-      | Inst.Call { callee = Inst.Indirect _; _ } ->
-        ignore (Bitset.add t.delta n);
-        Bytes.set role n delta;
-        Tbl.replace t.consume (Pair_key.pack n obj)
-          (Version.fresh t.vt ~table_label:"delta-aout")
+      | Inst.Call { callee = Inst.Indirect _; _ } -> prelabel n "delta-aout"
       | _ -> ())
     | _ -> ()
   done;
-  Stats.add "vsfs.prelabels" (Version.n_prelabels t.vt);
-  (* Group the indirect edges by object, each group in source order (a
-     counting sort over two passes), then label each object's subgraph. *)
+  Stats.add "vsfs.prelabels" (Version.n_prelabels vt);
+  (* Group the slot edges by object, each group in source order (a counting
+     sort over two passes), then label each object's subgraph. *)
   let n_objs = Prog.n_vars prog in
   let first = Array.make (n_objs + 1) 0 in
-  for n = 0 to n_nodes - 1 do
-    Svfg.iter_ind_all svfg n (fun o _ -> first.(o + 1) <- first.(o + 1) + 1)
+  for s = 0 to ns - 1 do
+    let o = Svfg.slot_obj svfg s in
+    Svfg.iter_slot_succs svfg s (fun _ -> first.(o + 1) <- first.(o + 1) + 1)
   done;
   for o = 0 to n_objs - 1 do
     first.(o + 1) <- first.(o + 1) + first.(o)
@@ -341,27 +316,28 @@ let compute ?(release_labels = true) svfg =
   let n_edges = first.(n_objs) in
   let esrc = Array.make n_edges 0 and edst = Array.make n_edges 0 in
   let fill = Array.sub first 0 n_objs in
-  for n = 0 to n_nodes - 1 do
-    Svfg.iter_ind_all svfg n (fun o m ->
-        esrc.(fill.(o)) <- n;
-        edst.(fill.(o)) <- m;
+  for s = 0 to ns - 1 do
+    let o = Svfg.slot_obj svfg s in
+    Svfg.iter_slot_succs svfg s (fun d ->
+        esrc.(fill.(o)) <- s;
+        edst.(fill.(o)) <- d;
         fill.(o) <- fill.(o) + 1)
   done;
-  let loc = Array.make n_nodes (-1) and glob = Array.make n_nodes 0 in
-  let lsrc = Array.make n_edges 0 and ldst = Array.make n_edges 0 in
+  let loc = Array.make ns (-1) and glob = Array.make ns 0 in
+  let rel = Vec.create ~dummy:0 () in
   let objects = ref 0 and sccs = ref 0 and max_scc = ref 0 in
   for o = 0 to n_objs - 1 do
     if first.(o + 1) > first.(o) then begin
       incr objects;
-      label_object t o ~lo:first.(o) ~hi:first.(o + 1) ~esrc ~edst
-        ~role ~loc ~glob ~lsrc ~ldst ~sccs ~max_scc
+      label_object svfg vt ~cons ~yld ~rel ~lo:first.(o) ~hi:first.(o + 1)
+        ~esrc ~edst ~role ~loc ~glob ~sccs ~max_scc
     end
   done;
-  if release_labels then Version.seal t.vt;
-  t.duration <- Unix.gettimeofday () -. start;
-  Stats.add "vsfs.versions" (Version.n_versions t.vt);
+  let t = make svfg vt ~cons ~yld ~delta:delta_nodes ~rel ~duration:0. in
+  if release_labels then Version.seal vt;
+  Stats.add "vsfs.versions" (Version.n_versions vt);
   Stats.add "vsfs.version_objects" !objects;
   Stats.add "vsfs.version_sccs" !sccs;
   let m = Stats.counter "vsfs.version_max_scc" in
   m := max !m !max_scc;
-  t
+  { t with duration = Unix.gettimeofday () -. start }

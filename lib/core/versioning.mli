@@ -19,13 +19,13 @@
     the condensation, and each store consumes the meld of its
     predecessors. No node is visited twice.
 
-    The result is exposed both as the consume/yield maps (C_ℓ(o), Y_ℓ(o))
-    and as the two precomputed relations the solver runs on:
-    - version reliance: (o, κ) → consumed versions κ' ≠ κ that must receive
-      κ's points-to set ([A-PROP] where versions differ), computed in the
-      same per-object pass;
-    - statement reliance: (o, κ) → LOAD/STORE nodes consuming (o, κ) that
-      must be re-processed when pt_κ(o) grows. *)
+    The result is read-only. Every non-ε version belongs to exactly one
+    object, so it is laid out by SVFG slot and by version id: C_ℓ(o) and
+    Y_ℓ(o) are int arrays indexed by the slot of (ℓ, o), and static version
+    reliance (κ → the consumed versions κ' ≠ κ that must receive κ's set,
+    [A-PROP] where versions differ) is a CSR over version ids. What grows
+    while solving lives in {!Vsfs}: call-edge and weak-update reliances,
+    and the loads subscribed to a version (stores never subscribe). *)
 
 open Pta_ir
 
@@ -44,7 +44,6 @@ val compute : ?release_labels:bool -> Pta_svfg.Svfg.t -> t
     every counter) counters to {!Pta_ds.Stats}. *)
 
 val table : t -> Version.table
-val svfg : t -> Pta_svfg.Svfg.t
 
 val consume : t -> int -> Inst.var -> Version.t
 (** C_node(o); ε if the node never consumes a version of [o]. *)
@@ -52,18 +51,19 @@ val consume : t -> int -> Inst.var -> Version.t
 val yield : t -> int -> Inst.var -> Version.t
 (** Y_node(o). *)
 
+val consume_slot : t -> int -> Version.t
+(** [consume] by SVFG slot ({!Pta_svfg.Svfg.slot_of}). *)
+
+val yield_slot : t -> int -> Version.t
+
 val is_delta : t -> int -> bool
 
-val add_dynamic_edge : t -> int -> Inst.var -> int -> (Version.t * Version.t) option
-(** Registers the version reliance of an interprocedural edge discovered by
-    on-the-fly call-graph resolution. Returns [Some (y, c)] when propagation
-    from [pt_y(o)] to [pt_c(o)] is required (y ≠ c, y ≠ ε). *)
+val owner : t -> Version.t -> Inst.var
+(** The object a version belongs to; [-1] for ε and for the transient melds
+    no slot consumes or yields. [v] must be below {!n_versions}. *)
 
-val iter_relied : t -> Inst.var -> Version.t -> (Version.t -> unit) -> unit
-val iter_subscribers : t -> Inst.var -> Version.t -> (int -> unit) -> unit
-
-val subscribe : t -> Inst.var -> Version.t -> int -> unit
-(** Used by the solver for loads/stores (statement reliance). *)
+val iter_relied : t -> Version.t -> (Version.t -> unit) -> unit
+(** The static reliances of a version, ascending. *)
 
 (* Diagnostics / bench metrics *)
 
@@ -73,13 +73,16 @@ val duration : t -> float
 val n_versions : t -> int
 
 val n_reliances : t -> int
+(** Static version reliances. *)
 
 (** Average number of (node, object) consume-points sharing one distinct
     (object, version) pair — the single-object sparsity VSFS gains; SFS is
     1.0 by construction. *)
 val sharing_factor : t -> float
 val words : t -> int
-(** Footprint of the versioning maps in machine words. *)
+(** Footprint of the versioning arrays in machine words: two per slot
+    (C, Y), two per version (owner, CSR row start), one per static
+    reliance, plus the δ set and the version table. *)
 
 (* Serialization (Pta_store) ---------------------------------------------- *)
 
@@ -98,11 +101,13 @@ type raw = {
 val export : t -> raw
 (** Deterministic snapshot of a computed (pre-solve) versioning: the
     consume/yield maps, δ set and static version reliances. Statement
-    reliances (subscribers) are solver-side state and are not included —
-    export before running {!Vsfs.solve} on this value. *)
+    reliances and the reliances added while solving are solver-side state,
+    so exporting before or after {!Vsfs.solve} gives the same bytes. *)
 
 val import : Pta_svfg.Svfg.t -> raw -> t
 (** Rebuild onto an SVFG with the same node numbering the snapshot was taken
     from (imports of the {!Pta_svfg.Svfg.import} of the matching snapshot
     qualify — construction is deterministic). The version table is restored
-    sealed; {!duration} reads 0. Each call owns fresh mutable state. *)
+    sealed; {!duration} reads 0.
+    @raise Invalid_argument if an entry names no slot or an unknown
+    version. *)

@@ -5,29 +5,43 @@ module Solver_common = Pta_sfs.Solver_common
 module Engine = Pta_engine.Engine
 module Telemetry = Pta_engine.Telemetry
 
-module Tbl = Pair_key.Tbl
-
+(* Solver state indexed by version id (a non-ε version belongs to exactly
+   one object, see {!Versioning}) and by SVFG slot. *)
 type result = {
   c : Solver_common.t;
   ver : Versioning.t;
-  ptk : Ptset.t Tbl.t;  (* Pair_key.pack obj κ -> pt_κ(o) *)
+  ptk : Ptset.t array;  (* κ -> pt_κ(o) *)
+  (* κ -> reliances added by the solver, beside {!Versioning}'s static
+     ones: the weak-update C -> Y of stores, and on-the-fly call edges *)
+  late : Version.t list array;
+  subs : int list array;  (* κ -> loads subscribed to pt_κ(o) *)
+  subscribed : Bytes.t;  (* slot -> its load has subscribed to its C *)
 }
 
 type paused = { res : result; eng : Engine.t }
 type outcome = Done of result | Paused of paused
 
-(* Entry presence matters (cf. [pt_version]/[consumed_pt] returning
-   [option]): reads materialise an explicit empty entry, as the mutable
-   version materialised a fresh bitset. *)
-let ptk_id t o v =
-  let k = Pair_key.pack o v in
-  match Tbl.find_opt t.ptk k with
-  | Some id -> id
-  | None ->
-    Tbl.add t.ptk k Ptset.empty;
-    Ptset.empty
+let iter_relied t v f =
+  Versioning.iter_relied t.ver v f;
+  List.iter f t.late.(v)
 
-let ptk_opt t o v = Tbl.find_opt t.ptk (Pair_key.pack o v)
+(* Weak updates as static reliance: whether store [n] may strongly update
+   [o] depends only on the auxiliary points-to set of its pointer and on
+   [o], so every χ object it cannot strongly update has pt_Y(o) ⊇ pt_C(o)
+   for the whole solve. Register that as the reliance C -> Y up front; the
+   store then only adds its GEN. *)
+let add_weak_updates t svfg n ptr =
+  let ptr_single = Solver_common.strong_update_ptr t.c ptr in
+  for s = Svfg.first_slot svfg n to Svfg.first_slot svfg (n + 1) - 1 do
+    let cv = Versioning.consume_slot t.ver s
+    and y = Versioning.yield_slot t.ver s in
+    if
+      (not (Version.is_epsilon cv))
+      && cv <> y
+      && not
+           (Solver_common.strong_update_ok t.c ~ptr_single (Svfg.slot_obj svfg s))
+    then t.late.(cv) <- y :: t.late.(cv)
+  done
 
 (* Build the solver state and its engine, seed the instruction nodes, but do
    not run: [solve] drives it to fixpoint, [solve_budgeted]/[resume] in
@@ -38,107 +52,96 @@ let start ?strong_updates ?versioning svfg =
   in
   let tel = Telemetry.phase ~name:"vsfs.solve" () in
   let c = Solver_common.create ?strong_updates ~tel svfg in
-  let t = { c; ver; ptk = Tbl.create 1024 } in
-  let props = c.Solver_common.props in
+  let nv = Versioning.n_versions ver in
+  let t =
+    { c; ver; ptk = Array.make nv Ptset.empty; late = Array.make nv [];
+      subs = Array.make nv [];
+      subscribed = Bytes.make (Svfg.n_slots svfg) '\000' }
+  in
+  let ptk = t.ptk and props = c.Solver_common.props in
   (* [process] collects the nodes to (re)visit in [buf]; the engine owns
      scheduling and deduplication. *)
   let buf = ref [] in
   let push n = buf := n :: !buf in
   let push_users v = List.iter push (Svfg.users svfg v) in
-  (* pt_κ(o) just grew by [d0]: push the statements consuming it and flow the
-     delta along the version-reliance relation transitively. Only the newly
-     added elements travel — every earlier element already flowed when it was
+  (* pt_κ just grew by [d0]: push the loads consuming it and flow the delta
+     along the version-reliance relation transitively. Only the newly added
+     elements travel — every earlier element already flowed when it was
      itself a delta, and late (dynamic) reliance edges get a full sync in
      [on_call_edge]. *)
-  let propagate_version o v0 d0 =
+  let propagate_version v0 d0 =
     if not (Ptset.is_empty d0) then begin
       let q = Queue.create () in
       Queue.push (v0, d0) q;
       while not (Queue.is_empty q) do
         let v, d = Queue.pop q in
-        Versioning.iter_subscribers ver o v push;
-        Versioning.iter_relied ver o v (fun v' ->
+        List.iter push t.subs.(v);
+        iter_relied t v (fun v' ->
             incr props;
-            let cur = ptk_id t o v' in
+            let cur = ptk.(v') in
             let cur', d' = Ptset.union_delta cur d in
             if not (Ptset.equal cur' cur) then begin
-              Tbl.replace t.ptk (Pair_key.pack o v') cur';
+              ptk.(v') <- cur';
               Queue.push (v', d') q
             end)
       done
     end
   in
+  (* pt_κ ∪= [set], then propagate what was new. *)
+  let grow v set =
+    let cur', d = Ptset.union_delta ptk.(v) set in
+    if not (Ptset.equal cur' ptk.(v)) then begin
+      ptk.(v) <- cur';
+      propagate_version v d
+    end
+  in
   let on_call_edge cs g =
     List.iter
       (fun (src, o, dst) ->
-        match Versioning.add_dynamic_edge ver src o dst with
-        | Some (y, c') ->
+        let y = Versioning.yield_slot ver (Svfg.slot_of svfg src o)
+        and c' = Versioning.consume_slot ver (Svfg.slot_of svfg dst o) in
+        if (not (Version.is_epsilon y)) && y <> c' then begin
+          let known = ref false in
+          iter_relied t y (fun v -> if v = c' then known := true);
+          if not !known then t.late.(y) <- c' :: t.late.(y);
           incr props;
-          let cur = ptk_id t o c' in
-          let cur', d = Ptset.union_delta cur (ptk_id t o y) in
-          if not (Ptset.equal cur' cur) then begin
-            Tbl.replace t.ptk (Pair_key.pack o c') cur';
-            propagate_version o c' d
-          end
-        | None -> ())
+          grow c' ptk.(y)
+        end)
       (Svfg.add_call_edges svfg cs g)
   in
-  let annot = Svfg.annot svfg in
   let process n =
     buf := [];
     (match Svfg.kind svfg n with
-    | Svfg.NInst { f; i } -> (
+    | Svfg.NInst _ -> (
+      (* a load's slots are its μ objects, a store's its χ objects *)
       match Svfg.inst_of svfg n with
       | Inst.Load { lhs; ptr } ->
-        let mu = Pta_memssa.Annot.mu annot f i in
         let changed = ref false in
         Bitset.iter
           (fun o ->
-            if Bitset.mem mu o then begin
-              let cv = Versioning.consume ver n o in
-              Versioning.subscribe ver o cv n;
-              if not (Version.is_epsilon cv) then
-                if Solver_common.union_pt c lhs (ptk_id t o cv) then
-                  changed := true
+            let s = Svfg.slot_of svfg n o in
+            if s >= 0 then begin
+              let cv = Versioning.consume_slot ver s in
+              if not (Version.is_epsilon cv) then begin
+                if Bytes.get t.subscribed s = '\000' then begin
+                  Bytes.set t.subscribed s '\001';
+                  t.subs.(cv) <- n :: t.subs.(cv)
+                end;
+                if Solver_common.union_pt c lhs ptk.(cv) then changed := true
+              end
             end)
           (Solver_common.pt_of c ptr);
         if !changed then push_users lhs
       | Inst.Store { ptr; rhs } ->
-        let chi = Pta_memssa.Annot.chi annot f i in
-        let ptr_pts = Solver_common.pt_of c ptr in
+        (* GEN only: the weak update is the reliance C -> Y registered in
+           [add_weak_updates], and a spuriously annotated χ object (one the
+           store does not write flow-sensitively) is nothing but that. *)
         let rhs_id = Solver_common.pt_id c rhs in
-        let ptr_single = Solver_common.strong_update_ptr c ptr in
-        (* Iterate the χ objects: those the store may define flow-sensitively
-           get GEN (+ weak/strong); the spuriously-annotated rest pass their
-           consumed version through to the yielded one (identity), because
-           the SVFG routes their def-use chains through this node. *)
         Bitset.iter
           (fun o ->
-            let y = Versioning.yield ver n o in
-            let out0 = ptk_id t o y in
-            let cv = Versioning.consume ver n o in
-            Versioning.subscribe ver o cv n;
-            let su = Solver_common.strong_update_ok c ~ptr_single o in
-            if Bitset.mem ptr_pts o then begin
-              let out1, d1 = Ptset.union_delta out0 rhs_id in
-              let out2, d2 =
-                if (not su) && not (Version.is_epsilon cv) then
-                  Ptset.union_delta out1 (ptk_id t o cv)
-                else (out1, Ptset.empty)
-              in
-              if not (Ptset.equal out2 out0) then begin
-                Tbl.replace t.ptk (Pair_key.pack o y) out2;
-                propagate_version o y (Ptset.union d1 d2)
-              end
-            end
-            else if (not (Version.is_epsilon cv)) && not su then begin
-              let out1, d = Ptset.union_delta out0 (ptk_id t o cv) in
-              if not (Ptset.equal out1 out0) then begin
-                Tbl.replace t.ptk (Pair_key.pack o y) out1;
-                propagate_version o y d
-              end
-            end)
-          chi
+            let s = Svfg.slot_of svfg n o in
+            if s >= 0 then grow (Versioning.yield_slot ver s) rhs_id)
+          (Solver_common.pt_of c ptr)
       | ins -> Solver_common.process_top_level c ~push_users ~on_call_edge ~node:n ins)
     | Svfg.NMemPhi _ | Svfg.NFormalIn _ | Svfg.NFormalOut _ | Svfg.NActualIn _
     | Svfg.NActualOut _ ->
@@ -153,7 +156,13 @@ let start ?strong_updates ?versioning svfg =
   in
   (* Seed with instruction nodes only. *)
   for n = 0 to Svfg.n_nodes svfg - 1 do
-    match Svfg.kind svfg n with Svfg.NInst _ -> Engine.push eng n | _ -> ()
+    match Svfg.kind svfg n with
+    | Svfg.NInst _ ->
+      (match Svfg.inst_of svfg n with
+      | Inst.Store { ptr; _ } -> add_weak_updates t svfg n ptr
+      | _ -> ());
+      Engine.push eng n
+    | _ -> ()
   done;
   { res = t; eng }
 
@@ -174,38 +183,48 @@ let resume ~budget p = continue_ (Some budget) p
 
 let pt t v = Solver_common.pt_of t.c v
 let pt_set t v = Solver_common.pt_id t.c v
-let pt_version t o v = Option.map Ptset.view (ptk_opt t o v)
 
-let consumed_pt t n o =
-  let cv = Versioning.consume t.ver n o in
-  Option.map Ptset.view (ptk_opt t o cv)
+(* Each owned version is one (object, version) set. *)
+let fold_sets t f acc =
+  let acc = ref acc in
+  Array.iteri
+    (fun v id ->
+      let o = Versioning.owner t.ver v in
+      if o >= 0 then acc := f o id !acc)
+    t.ptk;
+  !acc
+
+let pt_version t o v =
+  (* ε has no owner *)
+  if v >= 0 && v < Array.length t.ptk && Versioning.owner t.ver v = o then
+    Some (Ptset.view t.ptk.(v))
+  else None
+
+let consumed_pt t n o = pt_version t o (Versioning.consume t.ver n o)
 
 (* Flow-insensitive collapse of an object's contents: the union of all its
-   versions' points-to sets ("may contain anywhere"). Scans the whole
-   table. *)
+   versions' points-to sets ("may contain anywhere"). Scans every
+   version. *)
 let object_pt t o =
-  let acc = Bitset.create () in
-  Tbl.iter
-    (fun k id ->
-      if Pair_key.hi k = o then
-        ignore (Bitset.union_into ~into:acc (Ptset.view id)))
-    t.ptk;
-  acc
+  fold_sets t
+    (fun o' id acc ->
+      if o' = o then ignore (Bitset.union_into ~into:acc (Ptset.view id));
+      acc)
+    (Bitset.create ())
 
-(* Every object's collapse in one pass over the table; a set equal to the
-   object's previous one is skipped. *)
+(* Every object's collapse in one pass over the versions; a set equal to
+   the object's previous one is skipped. *)
 let object_pts t =
   let n = Prog.n_vars (Svfg.prog t.c.Solver_common.svfg) in
   let acc = Array.init n (fun _ -> Bitset.create ()) in
   let last = Array.make n Ptset.empty in
-  Tbl.iter
-    (fun k id ->
-      let o = Pair_key.hi k in
+  fold_sets t
+    (fun o id () ->
       if not (Ptset.equal id last.(o)) then begin
         last.(o) <- id;
         ignore (Bitset.union_into ~into:acc.(o) (Ptset.view id))
       end)
-    t.ptk;
+    ();
   acc
 
 (* §IV-C1: versioning with auxiliary (imprecise) points-to information "may
@@ -213,37 +232,36 @@ let object_pts t =
    collapsible into a single version (both versions have equivalent
    points-to sets per the flow-sensitive analysis)". This counts that excess
    after solving: versions of the same object whose final sets are equal.
-   With interned sets, equal sets share an id, so a per-object id set is the
-   whole computation. *)
+   With interned sets, equal sets share an id, so sorted (object, set id)
+   keys put every collapsible version next to its twin. *)
 let collapsible_versions t =
-  let per_obj = Tbl.create 256 in
-  let collapsible = ref 0 in
-  Tbl.iter
-    (fun k id ->
-      let o = Pair_key.hi k in
-      let seen =
-        match Tbl.find_opt per_obj o with
-        | Some s -> s
-        | None ->
-          let s = Bitset.create () in
-          Tbl.add per_obj o s;
-          s
-      in
-      if not (Bitset.add seen (Ptset.hash id)) then incr collapsible)
-    t.ptk;
-  (!collapsible, Tbl.length t.ptk)
+  let keys =
+    List.sort Int.compare
+      (fold_sets t (fun o id l -> Pair_key.pack o (Ptset.hash id) :: l) [])
+  in
+  let rec dups n = function
+    | a :: (b :: _ as tl) -> dups (if a = b then n + 1 else n) tl
+    | _ -> n
+  in
+  (dups 0 keys, List.length keys)
 
 let callgraph t = t.c.Solver_common.cg_fs
-let versioning t = t.ver
-let n_sets t = Tbl.length t.ptk
+let n_sets t = fold_sets t (fun _ _ n -> n + 1) 0
 
 let tally t =
   let tl = Ptset.Tally.create () in
-  Tbl.iter (fun _ id -> Ptset.Tally.visit tl id) t.ptk;
+  fold_sets t (fun _ id () -> Ptset.Tally.visit tl id) ();
   tl
 
-let words t = Versioning.words t.ver + Ptset.Tally.shared_words (tally t)
-let unshared_words t = Versioning.words t.ver + Ptset.Tally.unshared_words (tally t)
+(* The versioning arrays, plus the solver's per-version lists: one word
+   per version each and three per list cell. *)
+let index_words t =
+  let cells l = Array.fold_left (fun n l -> n + List.length l) 0 l in
+  Versioning.words t.ver + (2 * Array.length t.late)
+  + (3 * (cells t.late + cells t.subs))
+
+let words t = index_words t + Ptset.Tally.shared_words (tally t)
+let unshared_words t = index_words t + Ptset.Tally.unshared_words (tally t)
 let n_unique_sets t = Ptset.Tally.unique (tally t)
 
 let telemetry t = t.c.Solver_common.tel

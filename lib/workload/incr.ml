@@ -366,15 +366,21 @@ let closure_digests st locals =
     Svfg.iter_ind_all svfg n (fun _ m ->
         add_edge st.fn_of_node.(n) st.fn_of_node.(m))
   done;
+  (* A variable's sources reach its users' functions, and the function
+     that defines it: its pt row is stored there even when nothing uses it
+     (an unused parameter written only by callers). *)
   Array.iteri
     (fun v srcs ->
       match srcs with
       | [] -> ()
       | _ ->
         let users = Svfg.users svfg v in
+        let def = Svfg.def_node svfg v in
         List.iter
           (fun s ->
-            List.iter (fun u -> add_edge st.fn_of_node.(s) st.fn_of_node.(u)) users)
+            let f = st.fn_of_node.(s) in
+            if def >= 0 then add_edge f st.fn_of_node.(def);
+            List.iter (fun u -> add_edge f st.fn_of_node.(u)) users)
           srcs)
     st.sources;
   List.iter

@@ -297,22 +297,21 @@ let test_sharing_factor () =
   let _, _, ver = versioning_of redundancy_src in
   Alcotest.(check bool) "sharing >= 1" true (Versioning.sharing_factor ver >= 1.0)
 
-let test_key_overflow () =
-  (* Every (node, object) table is keyed by the shared checked packer: an
-     operand beyond the 31-bit half width must raise, not collide. *)
+let test_out_of_range_miss () =
+  (* C and Y are read by SVFG slot: a (node, object) pair with no slot —
+     out of range on either side, or negative — is a plain miss (ε). *)
   let lim = Pta_ds.Pair_key.limit in
-  let _, _, ver = versioning_of redundancy_src in
-  let raises f =
-    match f () with exception Invalid_argument _ -> true | _ -> false
-  in
-  Alcotest.(check bool) "node at limit rejected" true
-    (raises (fun () -> Versioning.consume ver lim 0));
-  Alcotest.(check bool) "object at limit rejected" true
-    (raises (fun () -> Versioning.consume ver 0 lim));
-  Alcotest.(check bool) "negative rejected" true
-    (raises (fun () -> Versioning.consume ver (-1) 0));
-  Alcotest.(check bool) "just below the limit is a plain miss" true
-    (Vsfs_core.Version.is_epsilon (Versioning.consume ver (lim - 1) (lim - 1)))
+  let _, svfg, ver = versioning_of redundancy_src in
+  List.iter
+    (fun (what, n, o) ->
+      Alcotest.(check bool) what true
+        (V.is_epsilon (Versioning.consume ver n o)
+        && V.is_epsilon (Versioning.yield ver n o)))
+    [ ("node past the graph", Svfg.n_nodes svfg, 0);
+      ("node at the key limit", lim, 0);
+      ("object at the key limit", 0, lim);
+      ("negative node", -1, 0);
+      ("negative object", 0, -1) ]
 
 (* ---------- per-object labelling vs. the Fig. 8 worklist ---------- *)
 
@@ -452,6 +451,48 @@ let prop_labelling_random =
       in
       labelling_matches_reference ~check_versions:false
         (fresh_svfg (prepare (Pta_workload.Gen.source cfg))))
+
+(* Every non-ε version belongs to exactly one object: the slots that
+   consume or yield it all carry that object, {!Versioning.owner} names it,
+   and every prelabel in its label set was introduced at one of that
+   object's slots. *)
+let prop_one_owner =
+  QCheck2.Test.make ~name:"each non-ε version has exactly one owner object"
+    ~count:40 QCheck2.Gen.(0 -- 5_000)
+    (fun seed ->
+      let src = Pta_workload.Gen.source (Pta_workload.Gen.small_random seed) in
+      let svfg = fresh_svfg (prepare src) in
+      let ver = Versioning.compute ~release_labels:false svfg in
+      let table = Versioning.table ver in
+      let claimed = Hashtbl.create 256 and label_obj = Hashtbl.create 256 in
+      let ok = ref true in
+      let claim v o =
+        if not (V.is_epsilon v) then begin
+          (match Hashtbl.find_opt claimed v with
+          | Some o' when o' <> o -> ok := false
+          | _ -> Hashtbl.replace claimed v o);
+          if Versioning.owner ver v <> o then ok := false
+        end
+      in
+      for s = 0 to Svfg.n_slots svfg - 1 do
+        let o = Svfg.slot_obj svfg s in
+        claim (Versioning.consume_slot ver s) o;
+        claim (Versioning.yield_slot ver s) o;
+        (* a prelabel is a singleton label set *)
+        List.iter
+          (fun v ->
+            match V.labels table v with
+            | [ l ] -> Hashtbl.replace label_obj l o
+            | _ -> ())
+          [ Versioning.consume_slot ver s; Versioning.yield_slot ver s ]
+      done;
+      Hashtbl.iter
+        (fun v o ->
+          List.iter
+            (fun l -> if Hashtbl.find_opt label_obj l <> Some o then ok := false)
+            (V.labels table v))
+        claimed;
+      !ok)
 
 (* ---------- VSFS precision equality ---------- *)
 
@@ -666,7 +707,7 @@ let test_dynamic_reliance_registered () =
   |} in
   let svfg = fresh_svfg pa in
   let ver = Versioning.compute svfg in
-  ignore (Vsfs.solve ~versioning:ver svfg);
+  let vsfs = Vsfs.solve ~versioning:ver svfg in
   let p = fst pa in
   let sink = (Option.get (Prog.func_by_name p "sink")).Prog.id in
   let heap = ref (-1) in
@@ -682,7 +723,7 @@ let test_dynamic_reliance_registered () =
       Svfg.iter_ind_all svfg n (fun o _ ->
           if o = !heap then begin
             let y = Versioning.yield ver n o in
-            Versioning.iter_relied ver o y (fun v -> if v = c then found := true)
+            Vsfs.iter_relied vsfs y (fun v -> if v = c then found := true)
           end)
     done;
     Alcotest.(check bool) "dynamic reliance into δ" true !found
@@ -719,6 +760,66 @@ let test_call_edges_wired_once () =
       done);
   Alcotest.(check bool) "program has indirect calls" true !indirect
 
+(* Without strong updates every store is a weak update, so VSFS runs on
+   the reliances C -> Y it registers for every χ object before solving: it
+   must still give SFS's answers. The versioning it solved on is read-only,
+   so its stored bytes are the same before and after the solve. *)
+let test_weak_updates_equal_sfs () =
+  List.iter
+    (fun name ->
+      let e = Option.get (Pta_workload.Suite.find ~scale:0.15 name) in
+      let b =
+        Pta_workload.Pipeline.build_source
+          (Pta_workload.Gen.source e.Pta_workload.Suite.cfg)
+      in
+      let sfs =
+        Pta_sfs.Sfs.solve ~strong_updates:false
+          (Pta_workload.Pipeline.fresh_svfg b)
+      in
+      let svfg = Pta_workload.Pipeline.fresh_svfg b in
+      let ver = Versioning.compute svfg in
+      let bytes () =
+        Pta_store.Artifact.encode_versioning (Versioning.export ver)
+      in
+      let before = bytes () in
+      let vsfs = Vsfs.solve ~strong_updates:false ~versioning:ver svfg in
+      let report = Equiv.compare sfs vsfs svfg in
+      if not (Equiv.is_equal report) then
+        Format.eprintf "%a@." (Equiv.pp_report b.Pta_workload.Pipeline.prog)
+          report;
+      Alcotest.(check bool) (name ^ ": weak-update VSFS = SFS") true
+        (Equiv.is_equal report);
+      Alcotest.(check bool) (name ^ ": export unchanged by solving") true
+        (String.equal before (bytes ())))
+    [ "du"; "dpkg" ]
+
+(* VSFS's work and versioning on two suite programs at scale 0.2: pops,
+   propagations, versions and static reliances. The pool is reset first, as
+   in test_sfs's golden accounting. A change that moves one of these must
+   re-record it and say why. *)
+let golden_vsfs =
+  [ ("bash", [ 3334; 12081; 1345; 2377 ]);
+    ("hyriseConsole", [ 8218; 6819; 1254; 1035 ]) ]
+
+let test_golden_vsfs () =
+  List.iter
+    (fun (name, expected) ->
+      Pta_ds.Ptset.reset ();
+      let e = Option.get (Pta_workload.Suite.find ~scale:0.2 name) in
+      let b =
+        Pta_workload.Pipeline.build_source
+          (Pta_workload.Gen.source e.Pta_workload.Suite.cfg)
+      in
+      let svfg = Pta_workload.Pipeline.fresh_svfg b in
+      let ver = Versioning.compute svfg in
+      let r = Vsfs.solve ~versioning:ver svfg in
+      Alcotest.(check (list int))
+        (name ^ ": pops, props, versions, static reliances")
+        expected
+        [ Vsfs.processed r; Vsfs.n_propagations r; Versioning.n_versions ver;
+          Versioning.n_reliances ver ])
+    golden_vsfs
+
 let () =
   Alcotest.run "vsfs"
     [
@@ -743,12 +844,14 @@ let () =
           Alcotest.test_case "static reliance acyclic" `Quick
             test_static_reliance_acyclic;
           Alcotest.test_case "sharing factor" `Quick test_sharing_factor;
-          Alcotest.test_case "packed-key overflow" `Quick test_key_overflow;
+          Alcotest.test_case "out-of-range key is a miss" `Quick
+            test_out_of_range_miss;
           Alcotest.test_case "labelling = reference (suite)" `Slow
             test_labelling_suite;
           Alcotest.test_case "labelling = reference (corpus)" `Quick
             test_labelling_corpus;
           QCheck_alcotest.to_alcotest prop_labelling_random;
+          QCheck_alcotest.to_alcotest prop_one_owner;
         ] );
       ( "precision-equality",
         [
@@ -761,6 +864,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_vsfs_equals_sfs;
           QCheck_alcotest.to_alcotest prop_version_sharing_theorem;
           QCheck_alcotest.to_alcotest prop_vsfs_equals_dense;
+          Alcotest.test_case "weak updates = SFS, export unchanged" `Quick
+            test_weak_updates_equal_sfs;
         ] );
       ( "sharing",
         [
@@ -776,5 +881,6 @@ let () =
             test_dynamic_reliance_registered;
           Alcotest.test_case "call edges wired once" `Quick
             test_call_edges_wired_once;
+          Alcotest.test_case "golden accounting" `Quick test_golden_vsfs;
         ] );
     ]
