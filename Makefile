@@ -8,7 +8,10 @@
 #            --stats must carry the call-wiring, versioning and SVFG slot
 #            counters
 #   bench-smoke — scale-0.1 Table III run with --json; checks the
-#            machine-readable output carries the interning metrics
+#            machine-readable output carries the interning metrics, and
+#            that every benchmark's SFS and VSFS pops, props and engine
+#            pushes equal the ones recorded in bench/counts_0.1.json
+#            (bench/check_counts.py)
 #   fuzz-smoke — bounded differential-fuzzing run (fixed seed, all
 #            oracles, then the interned-set pool invariant after every
 #            case), then a seed-3 campaign of the daemon reload oracle
@@ -87,7 +90,8 @@ bench-smoke: build
 	grep -q '"hit_rate"' $$j; \
 	grep -q '"dedup_sfs"' $$j; \
 	grep -q '"equal": true' $$j; \
-	if grep -q '"equal": false' $$j; then exit 1; fi
+	if grep -q '"equal": false' $$j; then exit 1; fi; \
+	python3 bench/check_counts.py $$j bench/counts_0.1.json
 	@echo "== bench smoke OK =="
 
 fuzz-smoke: build

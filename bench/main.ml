@@ -325,19 +325,7 @@ let ablations ?(scale = 1.0) () =
       ignore (Vsfs_core.Vsfs.solve (Pipeline.fresh_svfg b)));
   run "VSFS, strong updates off" (fun () ->
       ignore (Vsfs_core.Vsfs.solve ~strong_updates:false (Pipeline.fresh_svfg b)));
-  pf "@.2. on-the-fly vs static (auxiliary) call graph:@.";
-  (* Static: connect every auxiliary call edge before versioning, so no δ
-     machinery is exercised and versioning sees the full graph. *)
-  run "VSFS, on-the-fly call graph (paper)" (fun () ->
-      let svfg = Pipeline.fresh_svfg b in
-      let ver = Vsfs_core.Versioning.compute svfg in
-      ignore (Vsfs_core.Vsfs.solve ~versioning:ver svfg));
-  run "VSFS, static auxiliary call graph" (fun () ->
-      let svfg = Pipeline.fresh_svfg b in
-      Svfg.connect_callgraph svfg (Svfg.aux svfg).Pta_memssa.Modref.cg;
-      let ver = Vsfs_core.Versioning.compute svfg in
-      ignore (Vsfs_core.Vsfs.solve ~versioning:ver svfg));
-  pf "@.3. version sharing factor (consume points per distinct version;@.";
+  pf "@.2. version sharing factor (consume points per distinct version;@.";
   pf "   SFS is 1.0 by construction — this is the single-object sparsity won):@.";
   List.iter
     (fun name ->
@@ -351,7 +339,7 @@ let ablations ?(scale = 1.0) () =
           (Vsfs_core.Versioning.n_versions ver)
       | None -> ())
     [ "du"; "dpkg"; "bake"; "astyle"; "bash" ];
-  pf "@.4. versioning cost share (paper §V-A: negligible and shrinking):@.";
+  pf "@.3. versioning cost share (paper §V-A: negligible and shrinking):@.";
   List.iter
     (fun s ->
       match Suite.find ~scale:s "janet" with
@@ -407,10 +395,7 @@ let micro () =
     Test.make ~name:"kernel:meld-hashcons"
       (Staged.stage (fun () ->
            let t = Vsfs_core.Version.create () in
-           let vs =
-             Array.init 16 (fun i ->
-                 Vsfs_core.Version.fresh t ~table_label:(string_of_int i))
-           in
+           let vs = Array.init 16 (fun _ -> Vsfs_core.Version.fresh t) in
            let acc = ref Vsfs_core.Version.epsilon in
            Array.iter (fun v -> acc := Vsfs_core.Version.meld t !acc v) vs))
   in

@@ -64,14 +64,14 @@ let analyze file analysis queries dump_ir dump_svfg dot_file check stats
   let prog = b.Pipeline.prog in
   let aux = b.Pipeline.aux in
   if dump_ir then Format.printf "%s@." (Printer.prog_to_string prog);
-  let fresh () = Pipeline.fresh_svfg ~ctx b in
+  let svfg = lazy (Pipeline.fresh_svfg ~ctx b) in
   (match dot_file with
   | Some path ->
-    Pta_svfg.Dot.to_file (fresh ()) path;
+    Pta_svfg.Dot.to_file (Lazy.force svfg) path;
     Format.printf "wrote SVFG dot to %s@." path
   | None -> ());
   if dump_svfg then begin
-    let svfg = fresh () in
+    let svfg = Lazy.force svfg in
     Format.printf "SVFG: %d nodes, %d indirect edges, %d direct edges@."
       (Svfg.n_nodes svfg) (Svfg.n_indirect_edges svfg)
       (Svfg.n_direct_edges svfg);
@@ -116,14 +116,18 @@ let analyze file analysis queries dump_ir dump_svfg dot_file check stats
     | `Sfs ->
       let top, obj =
         solved "sfs"
-          (fun () -> fst (Pipeline.run_sfs ~ctx b))
+          (fun () ->
+            Pipeline.(Stage.run ctx stage_sfs) (b, Lazy.force svfg))
           (Pipeline.points_to_of_sfs b)
       in
       (top, obj, "sfs")
     | `Vsfs ->
       let top, obj =
         solved "vsfs"
-          (fun () -> fst (Pipeline.run_vsfs ~ctx b))
+          (fun () ->
+            fst
+              (Pipeline.(Stage.run ctx Stage.(stage_versioning >>> stage_vsfs))
+                 (b, Lazy.force svfg)))
           (Pipeline.points_to_of_vsfs b)
       in
       (top, obj, "vsfs")
@@ -149,10 +153,10 @@ let analyze file analysis queries dump_ir dump_svfg dot_file check stats
           | _ -> ())
   end;
   if check then begin
-    let sfs = Pta_sfs.Sfs.solve (fresh ()) in
-    let svfg2 = fresh () in
-    let vsfs = Vsfs_core.Vsfs.solve svfg2 in
-    let report = Vsfs_core.Equiv.compare sfs vsfs svfg2 in
+    let svfg = Lazy.force svfg in
+    let sfs = Pta_sfs.Sfs.solve svfg in
+    let vsfs = Vsfs_core.Vsfs.solve svfg in
+    let report = Vsfs_core.Equiv.compare sfs vsfs svfg in
     if Vsfs_core.Equiv.is_equal report then
       Format.printf "check: SFS and VSFS agree@."
     else begin

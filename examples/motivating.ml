@@ -84,7 +84,7 @@ let version_fragment () =
   List.iter
     (fun n ->
       if n.is_store then
-        Hashtbl.replace yield0 n.fid (V.fresh table ~table_label:n.fname))
+        Hashtbl.replace yield0 n.fid (V.fresh table))
     nodes;
   let yield_of n =
     match Hashtbl.find_opt yield0 n.fid with
@@ -174,8 +174,8 @@ let fig4 () =
     (fun (u, v) -> ignore (Pta_graph.Digraph.add_edge g u v))
     [ (0, 3); (1, 3); (0, 4); (3, 5); (4, 5); (1, 6); (3, 7); (6, 7); (5, 8) ];
   let table = V.create () in
-  let circle = V.fresh table ~table_label:"●" in
-  let star = V.fresh table ~table_label:"★" in
+  let circle = V.fresh table in
+  let star = V.fresh table in
   let labels = Vsfs_core.Meld.run table g ~prelabels:[ (0, circle); (1, star) ] in
   let show v =
     if v = circle then "●"

@@ -15,7 +15,6 @@ type table = {
   mutable hc : HC.t;
   meld_memo : int Pair_key.Tbl.t;  (* Pair_key.pack (min a b) (max a b) *)
   mutable next_label : int;
-  mutable label_names : string list;  (* reversed; diagnostics only *)
   mutable n_sealed : int;  (* version count snapshot taken at seal time *)
   mutable sealed : bool;
 }
@@ -25,16 +24,15 @@ let create () =
   (* ε is the empty label set and must get id 0. *)
   let eps = HC.intern hc (Bitset.create ()) in
   assert (eps = 0);
-  { hc; meld_memo = Pair_key.Tbl.create 256; next_label = 0; label_names = [];
+  { hc; meld_memo = Pair_key.Tbl.create 256; next_label = 0;
     n_sealed = 0; sealed = false }
 
 let epsilon = 0
 let is_epsilon v = v = 0
 
-let fresh t ~table_label =
+let fresh t =
   let l = t.next_label in
   t.next_label <- l + 1;
-  t.label_names <- table_label :: t.label_names;
   HC.intern t.hc (Bitset.singleton l)
 
 let meld t a b =

@@ -21,9 +21,8 @@ val epsilon : t
 
 val is_epsilon : t -> bool
 
-val fresh : table -> table_label:string -> t
-(** A brand-new prelabel (a singleton label set). [table_label] is only for
-    diagnostics. *)
+val fresh : table -> t
+(** A brand-new prelabel (a singleton label set). *)
 
 val meld : table -> t -> t -> t
 (** κ₁ ⊙ κ₂. O(set size) on first encounter, memoised afterwards. *)

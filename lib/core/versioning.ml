@@ -273,11 +273,11 @@ let compute ?(release_labels = true) svfg =
   let role = Bytes.make n_nodes transparent in
   (* Prelabelling (Fig. 6). A store's slots are its χ objects; a memory
      node's one slot is its own object. *)
-  let prelabel n label =
+  let prelabel n =
     ignore (Bitset.add delta_nodes n);
     Bytes.set role n delta;
     let s = Svfg.first_slot svfg n in
-    cons.(s) <- Version.fresh vt ~table_label:label;
+    cons.(s) <- Version.fresh vt;
     yld.(s) <- cons.(s)
   in
   for n = 0 to n_nodes - 1 do
@@ -287,17 +287,17 @@ let compute ?(release_labels = true) svfg =
       | Inst.Store _ ->
         Bytes.set role n store;
         for s = Svfg.first_slot svfg n to Svfg.first_slot svfg (n + 1) - 1 do
-          yld.(s) <- Version.fresh vt ~table_label:"store"
+          yld.(s) <- Version.fresh vt
         done
       | _ -> ())
     | Svfg.NFormalIn { f; _ } ->
       (* δ: functions that may be the target of an indirect call. *)
       if Callgraph.is_indirect_target aux.Pta_memssa.Modref.cg f then
-        prelabel n "delta-fin"
+        prelabel n
     | Svfg.NActualOut { f; call; _ } -> (
       (* δ: return targets of indirect calls. *)
       match Prog.inst (Prog.func prog f) call with
-      | Inst.Call { callee = Inst.Indirect _; _ } -> prelabel n "delta-aout"
+      | Inst.Call { callee = Inst.Indirect _; _ } -> prelabel n
       | _ -> ())
     | _ -> ()
   done;

@@ -95,19 +95,15 @@ let start ?strong_updates ?versioning svfg =
       propagate_version v d
     end
   in
-  let on_call_edge cs g =
-    List.iter
-      (fun (src, o, dst) ->
-        let y = Versioning.yield_slot ver (Svfg.slot_of svfg src o)
-        and c' = Versioning.consume_slot ver (Svfg.slot_of svfg dst o) in
-        if (not (Version.is_epsilon y)) && y <> c' then begin
-          let known = ref false in
-          iter_relied t y (fun v -> if v = c' then known := true);
-          if not !known then t.late.(y) <- c' :: t.late.(y);
-          incr props;
-          grow c' ptk.(y)
-        end)
-      (Svfg.add_call_edges svfg cs g)
+  let on_call_edge s d =
+    let y = Versioning.yield_slot ver s and c' = Versioning.consume_slot ver d in
+    if (not (Version.is_epsilon y)) && y <> c' then begin
+      let known = ref false in
+      iter_relied t y (fun v -> if v = c' then known := true);
+      if not !known then t.late.(y) <- c' :: t.late.(y);
+      incr props;
+      grow c' ptk.(y)
+    end
   in
   let process n =
     buf := [];

@@ -12,8 +12,9 @@
     strongly update gets the reliance C → Y before solving, and a store
     does only its GEN. On-the-fly call-graph resolution adds version
     reliances (and immediate propagation) for each newly discovered call
-    edge; the δ prelabels placed by {!Versioning} guarantee soundness of
-    those late arrivals. Solver state is indexed by version id. *)
+    edge, and leaves the SVFG as it found it; the δ prelabels placed by
+    {!Versioning} guarantee soundness of those late arrivals. Solver state
+    is indexed by version id. *)
 
 open Pta_ir
 

@@ -151,9 +151,9 @@ let check_andersen src =
 
 let check_equiv src =
   with_built src (fun b ->
-      let sfs_r, _ = Pipeline.run_sfs b in
-      let vsfs_r, _ = Pipeline.run_vsfs b in
       let svfg = Pipeline.fresh_svfg b in
+      let sfs_r = Pta_sfs.Sfs.solve svfg in
+      let vsfs_r = Vsfs_core.Vsfs.solve svfg in
       let report = Vsfs_core.Equiv.compare sfs_r vsfs_r svfg in
       if not (Vsfs_core.Equiv.is_equal report) then begin
         let cls =
@@ -339,9 +339,9 @@ let check_store src =
 
 let solve_both src =
   let b = Pipeline.build_source src in
-  let sfs_r, _ = Pipeline.run_sfs b in
-  let vsfs_r, _ = Pipeline.run_vsfs b in
   let svfg = Pipeline.fresh_svfg b in
+  let sfs_r = Pta_sfs.Sfs.solve svfg in
+  let vsfs_r = Vsfs_core.Vsfs.solve svfg in
   let verdict =
     Vsfs_core.Equiv.is_equal (Vsfs_core.Equiv.compare sfs_r vsfs_r svfg)
   in

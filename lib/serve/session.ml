@@ -101,9 +101,8 @@ let load ~store ~with_vsfs path =
       else begin
         (* the paper's solver, held hot — and a standing cross-check: the
            spliced SFS answers must be bit-identical to a from-scratch VSFS
-           solve of the same source *)
-        let svfg2 = Pipeline.fresh_svfg ~ctx b in
-        let rv = Vsfs_core.Vsfs.solve svfg2 in
+           solve of the same source, on the same (read-only) SVFG *)
+        let rv = Vsfs_core.Vsfs.solve svfg in
         if not (same_points_to snap (Pipeline.points_to_of_vsfs b rv)) then
           failwith "internal: spliced SFS and VSFS disagree";
         Some rv

@@ -15,6 +15,9 @@ type result = {
   outs : Ptset.t array;
   in_made : Bytes.t;
   out_made : Bytes.t;
+  late : int array array;
+      (* slot -> ascending successor slots along the indirect-call edges
+         this solve wired; [||] for almost every slot *)
 }
 
 type paused = { res : result; eng : Engine.t }
@@ -62,7 +65,8 @@ let start ?strong_updates ?seed svfg =
   let ns = Svfg.n_slots svfg in
   let t =
     { c; ins = Array.make ns Ptset.empty; outs = Array.make ns Ptset.empty;
-      in_made = Bytes.make ns '\000'; out_made = Bytes.make ns '\000' }
+      in_made = Bytes.make ns '\000'; out_made = Bytes.make ns '\000';
+      late = Array.make ns [||] }
   in
   let props = c.Solver_common.props in
   (* [process] collects the nodes to (re)visit in [buf]; the engine owns
@@ -75,22 +79,36 @@ let start ?strong_updates ?seed svfg =
      memoized union makes re-propagation cheap) or just the delta a store
      added, which is what makes this difference propagation. *)
   let propagate s set =
-    if not (Ptset.is_empty set) then
-      Svfg.iter_slot_succs svfg s (fun d ->
-          incr props;
-          if union_in t d set then push (Svfg.slot_node svfg d))
-  in
-  let on_call_edge cs g =
-    List.iter
-      (fun (src, o, dst) ->
+    if not (Ptset.is_empty set) then begin
+      let visit d =
         incr props;
-        (* A late edge needs a full sync: the destination missed every delta
-           propagated before the edge existed. *)
-        if
-          union_in t (Svfg.slot_of svfg dst o)
-            (out_for_id t src (Svfg.slot_of svfg src o))
-        then push dst)
-      (Svfg.add_call_edges svfg cs g)
+        if union_in t d set then push (Svfg.slot_node svfg d)
+      in
+      let late = t.late.(s) in
+      if Array.length late = 0 then Svfg.iter_slot_succs svfg s visit
+      else begin
+        (* the SVFG row and the late row are disjoint: merge the two *)
+        let j = ref 0 in
+        Svfg.iter_slot_succs svfg s (fun d ->
+            while !j < Array.length late && late.(!j) < d do
+              visit late.(!j);
+              incr j
+            done;
+            visit d);
+        for j = !j to Array.length late - 1 do
+          visit late.(j)
+        done
+      end
+    end
+  in
+  let on_call_edge s d =
+    t.late.(s) <-
+      Array.of_list (List.merge Int.compare [ d ] (Array.to_list t.late.(s)));
+    incr props;
+    (* A late edge needs a full sync: the destination missed every delta
+       propagated before the edge existed. *)
+    if union_in t d (out_for_id t (Svfg.slot_node svfg s) s) then
+      push (Svfg.slot_node svfg d)
   in
   let process n =
     buf := [];

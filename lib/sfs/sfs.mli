@@ -14,8 +14,9 @@
     materialised INs through to OUT.
 
     The call graph is resolved on the fly from the flow-sensitive points-to
-    sets; newly discovered call edges add interprocedural SVFG edges (the
-    gray parts of Fig. 10).
+    sets; each newly discovered indirect call edge adds its interprocedural
+    edges (the gray parts of Fig. 10) to a sorted per-slot row the solver
+    keeps beside the SVFG's own, which it never writes.
 
     The solve runs on {!Pta_engine.Engine}; {!solve_budgeted} and {!resume}
     expose the engine's step/time budgets — a paused solve resumed to

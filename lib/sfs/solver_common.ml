@@ -78,6 +78,18 @@ let resolve_targets t = function
         | None -> acc)
       (pt_of t fp) []
 
+(* The (source, destination) slots of the edges an indirect call edge
+   [cs -> g] wires, in the reverse of {!Pta_svfg.Svfg.iter_call_edges}'s
+   order: the solvers' visiting order, which their pop and propagation
+   counts depend on. *)
+let call_edge_slots svfg cs g =
+  let l = ref [] in
+  Pta_svfg.Svfg.iter_call_edges svfg cs g (fun src o dst ->
+      l :=
+        (Pta_svfg.Svfg.slot_of svfg src o, Pta_svfg.Svfg.slot_of svfg dst o)
+        :: !l);
+  !l
+
 let process_top_level t ~push_users ~on_call_edge ~node ins =
   let prog = Pta_svfg.Svfg.prog t.svfg in
   match ins with
@@ -109,16 +121,20 @@ let process_top_level t ~push_users ~on_call_edge ~node ins =
       (fun g ->
         if Callgraph.add t.cg_fs cs g then begin
           (* First discovery of this call edge: register the return
-             subscription and wire its memory edges. Those depend only on
-             static mod/ref and χ/μ, so a later pop would find none new. *)
+             subscription and, for an indirect call, wire its memory edges
+             (a direct call's are in the SVFG). Those depend only on static
+             mod/ref and χ/μ, so a later pop would find none new. *)
           (match Hashtbl.find_opt t.callers g with
           | Some l -> l := (cs, lhs) :: !l
           | None -> Hashtbl.add t.callers g (ref [ (cs, lhs) ]));
-          (match callee with
-          | Inst.Indirect _ -> Callgraph.mark_indirect_target t.cg_fs g
-          | Inst.Direct _ -> ());
           incr t.call_edges;
-          on_call_edge cs g
+          match callee with
+          | Inst.Indirect _ ->
+            Callgraph.mark_indirect_target t.cg_fs g;
+            List.iter
+              (fun (s, d) -> on_call_edge s d)
+              (call_edge_slots t.svfg cs g)
+          | Inst.Direct _ -> ()
         end;
         let callee_fn = Prog.func prog g in
         (* parameter passing *)

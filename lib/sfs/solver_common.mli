@@ -53,14 +53,17 @@ val strong_update_ok : t -> ptr_single:bool -> Inst.var -> bool
 val process_top_level :
   t ->
   push_users:(Inst.var -> unit) ->
-  on_call_edge:(Callgraph.callsite -> Inst.func_id -> unit) ->
+  on_call_edge:(int -> int -> unit) ->
   node:int ->
   Inst.t ->
   unit
 (** Applies the top-level rules for one instruction node. [push_users v] is
-    invoked whenever [pt v] changed; [on_call_edge] once per call edge, when
-    the node is a call and first resolves to that target. Loads and stores
-    are ignored here (solver-specific). *)
+    invoked whenever [pt v] changed. When the node is an indirect call that
+    first resolves to a target, [on_call_edge s d] is invoked for each
+    interprocedural edge of that call edge ({!Pta_svfg.Svfg.iter_call_edges}),
+    from slot [s] to slot [d]: edges the SVFG does not hold, which the
+    solver wires in its own state. Loads and stores are ignored here
+    (solver-specific). *)
 
 val resolve_targets : t -> Inst.callee -> Inst.func_id list
 (** Current flow-sensitive targets of a callee expression. *)

@@ -32,9 +32,6 @@ type t = {
      [succ.(succ_start.(s)) .. succ.(succ_start.(s + 1) - 1)], ascending. *)
   mutable succ_start : int array;
   mutable succ : int array;
-  mutable late : int array array;
-      (* slot -> ascending successors added after sealing (call edges the
-         solvers discover); [||] for almost every slot *)
   mutable n_ind_edges : int;
   def_nodes : int Vec.t;  (* var -> defining node or -1 *)
   user_lists : int list Vec.t;  (* var -> instruction nodes using it *)
@@ -166,26 +163,9 @@ let slot_of t n o =
   else find_sorted t.slot_obj t.slot_start.(n) t.slot_start.(n + 1) o
 
 let iter_slot_succs t s f =
-  let late = t.late.(s) and hi = t.succ_start.(s + 1) in
-  if Array.length late = 0 then
-    for j = t.succ_start.(s) to hi - 1 do
-      f t.succ.(j)
-    done
-  else begin
-    (* the late row is disjoint from the sealed one: merge the two *)
-    let j = ref t.succ_start.(s) in
-    Array.iter
-      (fun d ->
-        while !j < hi && t.succ.(!j) < d do
-          f t.succ.(!j);
-          incr j
-        done;
-        f d)
-      late;
-    for j = !j to hi - 1 do
-      f t.succ.(j)
-    done
-  end
+  for j = t.succ_start.(s) to t.succ_start.(s + 1) - 1 do
+    f t.succ.(j)
+  done
 
 let iter_ind_succs t n o f =
   let s = slot_of t n o in
@@ -196,19 +176,6 @@ let iter_ind_all t n f =
     let o = t.slot_obj.(s) in
     iter_slot_succs t s (fun d -> f o t.slot_node.(d))
   done
-
-(* Add a slot edge after sealing; [true] iff new. *)
-let add_late t s d =
-  let late = t.late.(s) in
-  if
-    find_sorted t.succ t.succ_start.(s) t.succ_start.(s + 1) d >= 0
-    || find_sorted late 0 (Array.length late) d >= 0
-  then false
-  else begin
-    t.late.(s) <- Array.of_list (List.merge Int.compare [ d ] (Array.to_list late));
-    t.n_ind_edges <- t.n_ind_edges + 1;
-    true
-  end
 
 (* The objects a node has slots for: a load's μ, a store's χ, a memory
    node's own object. *)
@@ -295,7 +262,6 @@ let seal t (buf : int Vec.t) =
   succ_start.(ns) <- !k;
   t.succ_start <- succ_start;
   t.succ <- (if !k = ne then succ else Array.sub succ 0 !k);
-  t.late <- Array.make ns [||];
   t.n_ind_edges <- !k;
   Stats.add "svfg.slots" ns;
   Stats.add "svfg.indirect_edges" !k
@@ -324,16 +290,6 @@ let iter_call_edges t cs g f =
   let fi, n_fi, fo, n_fo = formal_runs t g in
   iter_common t ai n_ai fi n_fi f;
   iter_common t fo n_fo ao n_ao f
-
-let add_call_edges t cs g =
-  let added = ref [] in
-  iter_call_edges t cs g (fun src o dst ->
-      if add_late t (slot_of t src o) (slot_of t dst o) then
-        added := (src, o, dst) :: !added);
-  !added
-
-let connect_callgraph t cg =
-  Callgraph.iter_edges cg (fun cs g -> ignore (add_call_edges t cs g))
 
 let def_node t v = if v < Vec.length t.def_nodes then Vec.get t.def_nodes v else -1
 
@@ -571,7 +527,6 @@ let create prog aux mr annot =
       slot_node = [||];
       succ_start = [||];
       succ = [||];
-      late = [||];
       n_ind_edges = 0;
       def_nodes = Vec.create ~dummy:(-1) ();
       user_lists = Vec.create ~dummy:[] ();
@@ -595,8 +550,6 @@ let import prog (aux : Modref.aux) raw =
   (* Node tables are derivable from the kind array alone. *)
   check_boundary t raw.raw_kinds;
   Array.iter (fun k -> ignore (add_node t k)) raw.raw_kinds;
-  (* Fresh edge arrays per import: solvers add late edges, so two imports of
-     the same raw value must not share state. *)
   let buf = Vec.create ~dummy:0 () in
   Array.iter (fun (src, o, dsts) -> Array.iter (push_edge buf src o) dsts) raw.raw_ind;
   seal t buf;

@@ -13,18 +13,21 @@
     its uses.
 
     Interprocedural indirect edges (ActualIn → FormalIn, FormalOut →
-    ActualOut) of direct calls are added by {!build}; those of indirect
-    calls are added either statically from the auxiliary call graph
-    ({!connect_callgraph}) or one call edge at a time by the flow-sensitive
-    solvers' on-the-fly call-graph resolution ({!add_call_edges}).
+    ActualOut) of direct calls are part of the graph. Those of an indirect
+    call are not: its targets are known only while solving, so each solver
+    keeps the edges of the call edges it discovers in its own state, from
+    {!iter_call_edges} (the paper's δ nodes account for them in
+    versioning).
+
+    A graph is read-only once {!build} or {!import} returns, so one graph
+    serves every solver of a program, one after another.
 
     Each node owns a contiguous run of {e slots}, one per object it carries
     indirect edges for (a load's μ, a store's χ, a memory node's own
     object), numbered by node, then by ascending object; an edge
     [ℓ --o--> ℓ'] joins slot [(ℓ, o)] to slot [(ℓ', o)]. {!build} and
-    {!import} seal the edges into sorted per-slot successor arrays; edges
-    added later go to a small sorted per-slot overflow. Solvers index their
-    per-(node, object) state by slot.
+    {!import} seal the edges into sorted per-slot successor arrays. Solvers
+    index their per-(node, object) state by slot.
 
     Call-boundary nodes form one block of contiguous runs, each by
     ascending object: per function its FormalIns (entry χ) then FormalOuts
@@ -45,8 +48,7 @@ type t
 val build : Pta_ir.Prog.t -> Pta_memssa.Modref.aux -> t
 (** Builds nodes, all intraprocedural indirect edges, the interprocedural
     indirect edges of direct calls, and all direct edges. Indirect-call
-    edges are not added (see above): they arrive during solving, which is
-    what the paper's δ nodes account for. *)
+    edges are not added (see above). *)
 
 (* Structure access ------------------------------------------------------- *)
 
@@ -80,12 +82,13 @@ val iter_ind_all : t -> int -> (Pta_ir.Inst.var -> int -> unit) -> unit
 (** All outgoing indirect edges of a node, by ascending object, then
     ascending successor. *)
 
-val add_call_edges : t -> Pta_ir.Callgraph.callsite -> Pta_ir.Inst.func_id ->
-  (int * Pta_ir.Inst.var * int) list
-(** Adds the interprocedural edges for one resolved call edge; returns the
-    edges that were actually new as [(src, obj, dst)]. *)
-
-val connect_callgraph : t -> Pta_ir.Callgraph.t -> unit
+val iter_call_edges : t -> Pta_ir.Callgraph.callsite -> Pta_ir.Inst.func_id ->
+  (int -> Pta_ir.Inst.var -> int -> unit) -> unit
+(** [iter_call_edges t cs g f]: [f src o dst] for each interprocedural edge
+    of the call edge [cs -> g]: ActualIn → FormalIn by ascending object,
+    then FormalOut → ActualOut by ascending object. For a direct call these
+    edges are in the graph; for an indirect one they are what a solver
+    wires when it resolves [g] as a target of [cs]. *)
 
 (* Slots ------------------------------------------------------------------ *)
 
@@ -117,11 +120,12 @@ val users : t -> Pta_ir.Inst.var -> int list
 (* Statistics (Table II) -------------------------------------------------- *)
 
 val n_indirect_edges : t -> int
+(** Indirect edges in the graph: intraprocedural and direct-call ones. *)
+
 val n_direct_edges : t -> int
 
 val to_digraph : t -> Pta_graph.Digraph.t
-(** Snapshot of the current adjacency (direct + indirect edges, labels
-    dropped). *)
+(** The adjacency (direct + indirect edges, labels dropped). *)
 
 val pp_node : t -> Format.formatter -> int -> unit
 
@@ -144,13 +148,10 @@ type raw = {
     call-boundary lookup tables and direct def-use edges are rebuilt. *)
 
 val export : t -> raw
-(** Deterministic snapshot of the current graph, late edges included
-    (export before solving, so import needs no call-edge wiring). *)
+(** Deterministic snapshot of the graph. *)
 
 val import : Pta_ir.Prog.t -> Pta_memssa.Modref.aux -> raw -> t
 (** Rebuild a graph from a snapshot in time linear in nodes + edges —
     skipping mod/ref and χ/μ fixpoints, dominance frontiers and SSA renaming.
-    Each call yields an independent mutable graph (solvers mutate the edge
-    sets), so one decoded [raw] can seed many solver runs.
     @raise Invalid_argument on malformed snapshots, including call-boundary
     nodes that are not laid out as {!build} lays them out. *)

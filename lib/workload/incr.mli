@@ -47,6 +47,5 @@ val run_sfs_spliced :
   Pta_svfg.Svfg.t ->
   Pta_sfs.Sfs.result * stats * table option
 (** Plan against the store, seed, solve, persist missing per-function
-    artifacts (stage ["fnresult"], keyed by closure digest). The SVFG must
-    be fresh ({!Pipeline.fresh_svfg}); it is mutated by the solve. The
-    returned result is bit-identical to [Sfs.solve] of the same graph. *)
+    artifacts (stage ["fnresult"], keyed by closure digest). The returned
+    result is bit-identical to [Sfs.solve] of the same graph. *)

@@ -13,11 +13,10 @@
     [(key, seconds, warm)] to the context's stage log. Stages compose with
     {!Stage.( >>> )}.
 
-    Solvers mutate the SVFG they run on (on-the-fly call-graph edges,
-    version reliances), so each measured solver run gets a freshly rebuilt
-    (or freshly imported) SVFG — construction is deterministic, node ids
-    coincide across rebuilds, and the paper excludes SVFG construction
-    from its timings anyway. *)
+    The SVFG and the versioning are read-only once their stages return:
+    solvers keep what they discover (on-the-fly call edges, version
+    reliances) in their own state, so one graph serves every solver run of
+    a program. *)
 
 type built = {
   prog : Pta_ir.Prog.t;
@@ -116,8 +115,8 @@ val build_cached :
      (build_source ~ctx src, stage_warm ctx "build")]. *)
 
 val fresh_svfg : ?ctx:ctx -> built -> Pta_svfg.Svfg.t
-(** A new SVFG with direct-call interprocedural edges connected — imported
-    from the context's store when possible, independent either way. *)
+(** The program's SVFG, direct-call interprocedural edges included: the
+    ["svfg"] stage, imported from the context's store when possible. *)
 
 type solver_run = {
   seconds : float;  (** main phase only *)

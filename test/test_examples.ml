@@ -49,8 +49,8 @@ let test_quickstart_claims () =
    example uses (manual meld of the abstract fragment). *)
 let test_fig2_counts () =
   let table = Vsfs_core.Version.create () in
-  let k1 = Vsfs_core.Version.fresh table ~table_label:"l1" in
-  let k2 = Vsfs_core.Version.fresh table ~table_label:"l2" in
+  let k1 = Vsfs_core.Version.fresh table in
+  let k2 = Vsfs_core.Version.fresh table in
   (* edges of the fragment: l1->l2,l3,l4,l5 and l2->l4,l5; consumed: *)
   let c_l2 = k1 and c_l3 = k1 in
   let c_l4 = Vsfs_core.Version.meld table k1 k2 in

@@ -256,7 +256,7 @@ let test_golden_accounting () =
         Pta_sfs.Sfs.
           [
             n_sets r; words r; unshared_words r; n_propagations r; processed r;
-            Svfg.n_indirect_edges svfg;
+            Svfg.n_indirect_edges svfg + Wired.n_call_edges svfg (callgraph r);
           ])
     golden_accounting;
   List.iter

@@ -20,7 +20,7 @@ let gen_three_versions =
         return picks))
 
 let versions_from_picks table picks =
-  let pool = Array.init 6 (fun i -> V.fresh table ~table_label:(string_of_int i)) in
+  let pool = Array.init 6 (fun _ -> V.fresh table) in
   let rec build acc = function
     | [] -> acc
     | p :: rest -> build (V.meld table acc pool.(p)) rest
@@ -55,8 +55,8 @@ let prop_meld_is_label_union =
 
 let test_version_hashconsing () =
   let table = V.create () in
-  let a = V.fresh table ~table_label:"a" in
-  let b = V.fresh table ~table_label:"b" in
+  let a = V.fresh table in
+  let b = V.fresh table in
   let ab = V.meld table a b in
   let ba = V.meld table b a in
   Alcotest.(check int) "structural sharing" ab ba;
@@ -68,8 +68,8 @@ let test_version_hashconsing () =
 
 let test_seal () =
   let table = V.create () in
-  let a = V.fresh table ~table_label:"a" in
-  let b = V.fresh table ~table_label:"b" in
+  let a = V.fresh table in
+  let b = V.fresh table in
   let ab = V.meld table a b in
   let n = V.n_versions table in
   V.seal table;
@@ -96,8 +96,8 @@ let test_meld_labelling_fig4_style () =
     [ (0, 3); (1, 3); (0, 4); (3, 5); (4, 5); (1, 6); (3, 7); (6, 7) ];
   (* node 8 unreachable *)
   let table = V.create () in
-  let circle = V.fresh table ~table_label:"circle" in
-  let star = V.fresh table ~table_label:"star" in
+  let circle = V.fresh table in
+  let star = V.fresh table in
   let labels = Meld.run table g ~prelabels:[ (0, circle); (1, star) ] in
   Alcotest.(check int) "node 4 sees circle" circle labels.(4);
   let melded = V.meld table circle star in
@@ -115,8 +115,8 @@ let test_meld_labelling_frozen () =
   ignore (Pta_graph.Digraph.add_edge g 1 2);
   ignore (Pta_graph.Digraph.add_edge g 2 0);
   let table = V.create () in
-  let a = V.fresh table ~table_label:"a" in
-  let b = V.fresh table ~table_label:"b" in
+  let a = V.fresh table in
+  let b = V.fresh table in
   let labels =
     Meld.run table g ~frozen:(fun n -> n = 0) ~prelabels:[ (0, a); (1, b) ]
   in
@@ -130,7 +130,7 @@ let test_meld_labelling_cycle () =
     (fun (u, v) -> ignore (Pta_graph.Digraph.add_edge g u v))
     [ (0, 1); (1, 2); (2, 3); (3, 1) ];
   let table = V.create () in
-  let a = V.fresh table ~table_label:"a" in
+  let a = V.fresh table in
   let labels = Meld.run table g ~prelabels:[ (0, a) ] in
   Alcotest.(check int) "cycle node 1" a labels.(1);
   Alcotest.(check int) "cycle node 2" a labels.(2);
@@ -150,9 +150,7 @@ let prop_meld_equals_reachability =
       let g = Pta_graph.Digraph.create ~n () in
       List.iter (fun (u, v) -> ignore (Pta_graph.Digraph.add_edge g u v)) edges;
       let table = V.create () in
-      let prelabels =
-        List.map (fun node -> (node, V.fresh table ~table_label:"p")) pre
-      in
+      let prelabels = List.map (fun node -> (node, V.fresh table)) pre in
       let labels = Meld.run table g ~prelabels in
       (* reachability closure *)
       let reaches src =
@@ -328,7 +326,7 @@ let reference_labelling svfg =
   let consume = Tbl.create 256 and store_yield = Tbl.create 256 in
   let delta = Hashtbl.create 16 and wl = Queue.create () in
   let fresh tbl n o =
-    Tbl.replace tbl (pack n o) (V.fresh vt ~table_label:"p");
+    Tbl.replace tbl (pack n o) (V.fresh vt);
     Queue.push (n, o) wl
   in
   let is_store n =
@@ -631,29 +629,24 @@ let prop_version_sharing_theorem =
     (fun seed ->
       let src = Pta_workload.Gen.source (Pta_workload.Gen.small_random seed) in
       let pa = prepare src in
-      let sfs = Pta_sfs.Sfs.solve (fresh_svfg pa) in
       let svfg = fresh_svfg pa in
+      let sfs = Pta_sfs.Sfs.solve svfg in
       let ver = Versioning.compute svfg in
-      (* run VSFS so that dynamic (on-the-fly) reliances exist too; versions
-         are not changed by solving, only reliances are added *)
-      ignore (Vsfs.solve ~versioning:ver svfg);
       let empty = Pta_ds.Bitset.create () in
       let groups : (int * int, Pta_ds.Bitset.t) Hashtbl.t = Hashtbl.create 64 in
       let ok = ref true in
-      for n = 0 to Svfg.n_nodes svfg - 1 do
-        (* consider consumed versions at every node/object with an in-edge *)
-        Svfg.iter_ind_all svfg n (fun o m ->
-            let c = Versioning.consume ver m o in
-            if not (V.is_epsilon c) then begin
-              let in_set =
-                Option.value ~default:empty (Pta_sfs.Sfs.in_set sfs m o)
-              in
-              match Hashtbl.find_opt groups (o, c) with
-              | Some expected ->
-                if not (Pta_ds.Bitset.equal expected in_set) then ok := false
-              | None -> Hashtbl.add groups (o, c) in_set
-            end)
-      done;
+      (* consider consumed versions at every node/object with an in-edge *)
+      Wired.iter_edges svfg (Pta_sfs.Sfs.callgraph sfs) (fun _ o m ->
+          let c = Versioning.consume ver m o in
+          if not (V.is_epsilon c) then begin
+            let in_set =
+              Option.value ~default:empty (Pta_sfs.Sfs.in_set sfs m o)
+            in
+            match Hashtbl.find_opt groups (o, c) with
+            | Some expected ->
+              if not (Pta_ds.Bitset.equal expected in_set) then ok := false
+            | None -> Hashtbl.add groups (o, c) in_set
+          end);
       !ok)
 
 (* ---------- sharing actually happens ---------- *)
@@ -676,16 +669,14 @@ let test_version_sharing_soundness () =
   let vsfs = Vsfs.solve ~versioning:ver svfg in
   let empty = Pta_ds.Bitset.create () in
   let ok = ref true in
-  for n = 0 to Svfg.n_nodes svfg - 1 do
-    Svfg.iter_ind_all svfg n (fun o m ->
-        let y = Versioning.yield ver n o in
-        let c = Versioning.consume ver m o in
-        if y <> c then begin
-          let py = Option.value ~default:empty (Vsfs.pt_version vsfs o y) in
-          let pc = Option.value ~default:empty (Vsfs.pt_version vsfs o c) in
-          if not (Pta_ds.Bitset.subset py pc) then ok := false
-        end)
-  done;
+  Wired.iter_edges svfg (Vsfs.callgraph vsfs) (fun n o m ->
+      let y = Versioning.yield ver n o in
+      let c = Versioning.consume ver m o in
+      if y <> c then begin
+        let py = Option.value ~default:empty (Vsfs.pt_version vsfs o y) in
+        let pc = Option.value ~default:empty (Vsfs.pt_version vsfs o c) in
+        if not (Pta_ds.Bitset.subset py pc) then ok := false
+      end);
   Alcotest.(check bool) "pt_Y ⊆ pt_C along edges" true !ok
 
 (* ---------- worklist strategies agree ---------- *)
@@ -793,6 +784,75 @@ let test_weak_updates_equal_sfs () =
         (String.equal before (bytes ())))
     [ "du"; "dpkg" ]
 
+(* One SVFG serves both solvers. It is read-only after build, so its
+   encoded export is the same before and after an SFS and a VSFS solve on
+   it; and SFS, then versioning, then VSFS on that one graph give the same
+   answers, counters and [Equiv] report as fresh graphs. Returns the
+   failures and the number of indirect-call edges SFS wired. *)
+let one_graph_failures ((p, _) as pa) =
+  let svfg = fresh_svfg pa in
+  let export () = Pta_store.Artifact.encode_svfg (Svfg.export svfg) in
+  let before = export () in
+  let sfs = Pta_sfs.Sfs.solve svfg in
+  let vsfs = Vsfs.solve ~versioning:(Versioning.compute svfg) svfg in
+  let after = export () in
+  let sfs' = Pta_sfs.Sfs.solve (fresh_svfg pa) in
+  let svfg' = fresh_svfg pa in
+  let vsfs' = Vsfs.solve svfg' in
+  let same_pts pt pt' objs objs' =
+    let ok = ref true in
+    Prog.iter_vars p (fun v ->
+        if not (Pta_ds.Bitset.equal (pt v) (pt' v)) then ok := false;
+        if
+          Prog.is_object p v
+          && not (Pta_ds.Bitset.equal objs.(v) objs'.(v))
+        then ok := false);
+    !ok
+  in
+  let checks =
+    [ ("export unchanged by the solves", String.equal before after);
+      ( "SFS answers",
+        same_pts (Pta_sfs.Sfs.pt sfs) (Pta_sfs.Sfs.pt sfs')
+          (Pta_sfs.Sfs.object_pts sfs) (Pta_sfs.Sfs.object_pts sfs') );
+      ( "VSFS answers",
+        same_pts (Vsfs.pt vsfs) (Vsfs.pt vsfs') (Vsfs.object_pts vsfs)
+          (Vsfs.object_pts vsfs') );
+      ( "SFS pops and props",
+        Pta_sfs.Sfs.(processed sfs = processed sfs'
+                     && n_propagations sfs = n_propagations sfs') );
+      ( "VSFS pops and props",
+        Vsfs.(processed vsfs = processed vsfs'
+              && n_propagations vsfs = n_propagations vsfs') );
+      ( "Equiv report",
+        Equiv.compare sfs vsfs svfg = Equiv.compare sfs' vsfs' svfg' ) ]
+  in
+  ( List.filter_map (fun (what, ok) -> if ok then None else Some what) checks,
+    Wired.n_call_edges svfg (Pta_sfs.Sfs.callgraph sfs) )
+
+let test_one_graph_suite () =
+  List.iter
+    (fun name ->
+      let e = Option.get (Pta_workload.Suite.find ~scale:0.15 name) in
+      let b =
+        Pta_workload.Pipeline.build_source
+          (Pta_workload.Gen.source e.Pta_workload.Suite.cfg)
+      in
+      let failures, wired =
+        one_graph_failures (b.Pta_workload.Pipeline.prog, b.Pta_workload.Pipeline.aux)
+      in
+      Alcotest.(check (list string)) (name ^ ": one graph = fresh graphs") []
+        failures;
+      Alcotest.(check bool) (name ^ ": indirect-call edges wired") true
+        (wired > 0))
+    [ "du"; "dpkg" ]
+
+let prop_one_graph_random =
+  QCheck2.Test.make ~name:"one SVFG on random programs" ~count:25
+    QCheck2.Gen.(0 -- 5_000)
+    (fun seed ->
+      let src = Pta_workload.Gen.source (Pta_workload.Gen.small_random seed) in
+      fst (one_graph_failures (prepare src)) = [])
+
 (* VSFS's work and versioning on two suite programs at scale 0.2: pops,
    propagations, versions and static reliances. The pool is reset first, as
    in test_sfs's golden accounting. A change that moves one of these must
@@ -866,6 +926,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_vsfs_equals_dense;
           Alcotest.test_case "weak updates = SFS, export unchanged" `Quick
             test_weak_updates_equal_sfs;
+          Alcotest.test_case "one SVFG, du and dpkg" `Quick
+            test_one_graph_suite;
+          QCheck_alcotest.to_alcotest prop_one_graph_random;
         ] );
       ( "sharing",
         [
