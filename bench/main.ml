@@ -166,14 +166,12 @@ let bench_entry ~check (e : Suite.entry) =
   Pta_ds.Stats.reset_all ();
   let ctx = Pipeline.context () in
   let b = Pipeline.build ~ctx e.Suite.cfg in
-  let sfs_r, sfs = Pipeline.run_sfs ~ctx b in
-  let vsfs_r, vsfs = Pipeline.run_vsfs ~ctx b in
+  let svfg = Pipeline.fresh_svfg ~ctx b in
+  let sfs_r, sfs = Pipeline.run_sfs ~ctx ~svfg b in
+  let vsfs_r, vsfs = Pipeline.run_vsfs ~ctx ~svfg b in
   let equal =
-    if check then begin
-      let svfg = Pipeline.fresh_svfg b in
-      Vsfs_core.Equiv.is_equal (Vsfs_core.Equiv.compare sfs_r vsfs_r svfg)
-    end
-    else true
+    (not check)
+    || Vsfs_core.Equiv.is_equal (Vsfs_core.Equiv.compare sfs_r vsfs_r svfg)
   in
   let tdiff = sfs.Pipeline.seconds /. max vsfs.Pipeline.seconds 1e-9 in
   (* The paper's memory metric counts each (slot, object) set where it

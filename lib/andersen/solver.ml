@@ -352,9 +352,7 @@ let solve prog =
         && not (Ptset.equal (Vec.get st.pts v) (Vec.get st.prev v))
       then Engine.push eng v
     done;
-    (match Engine.run eng with
-    | Engine.Fixpoint -> ()
-    | Engine.Paused _ -> assert false (* unbudgeted *));
+    Engine.run eng;
     expand_complex st
   done;
   st

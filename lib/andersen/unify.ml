@@ -191,9 +191,7 @@ let solve prog =
     Engine.create ~telemetry:tel ~scheduler:(Scheduler.fifo ()) ~process ()
   in
   Engine.push eng 0;
-  (match Engine.run eng with
-  | Engine.Fixpoint -> ()
-  | Engine.Paused _ -> assert false (* unbudgeted *));
+  Engine.run eng;
   t
 
 let seal t =

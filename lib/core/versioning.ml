@@ -303,12 +303,16 @@ let compute ?(release_labels = true) svfg =
   done;
   Stats.add "vsfs.prelabels" (Version.n_prelabels vt);
   (* Group the slot edges by object, each group in source order (a counting
-     sort over two passes), then label each object's subgraph. *)
+     sort over two passes), then label each object's subgraph. Each pass
+     uses one closure that reads the current slot and its object from refs,
+     rather than allocating one per slot. *)
   let n_objs = Prog.n_vars prog in
   let first = Array.make (n_objs + 1) 0 in
+  let cur_s = ref 0 and cur_o = ref 0 in
+  let count _ = first.(!cur_o + 1) <- first.(!cur_o + 1) + 1 in
   for s = 0 to ns - 1 do
-    let o = Svfg.slot_obj svfg s in
-    Svfg.iter_slot_succs svfg s (fun _ -> first.(o + 1) <- first.(o + 1) + 1)
+    cur_o := Svfg.slot_obj svfg s;
+    Svfg.iter_slot_succs svfg s count
   done;
   for o = 0 to n_objs - 1 do
     first.(o + 1) <- first.(o + 1) + first.(o)
@@ -316,12 +320,16 @@ let compute ?(release_labels = true) svfg =
   let n_edges = first.(n_objs) in
   let esrc = Array.make n_edges 0 and edst = Array.make n_edges 0 in
   let fill = Array.sub first 0 n_objs in
+  let place d =
+    let o = !cur_o in
+    esrc.(fill.(o)) <- !cur_s;
+    edst.(fill.(o)) <- d;
+    fill.(o) <- fill.(o) + 1
+  in
   for s = 0 to ns - 1 do
-    let o = Svfg.slot_obj svfg s in
-    Svfg.iter_slot_succs svfg s (fun d ->
-        esrc.(fill.(o)) <- s;
-        edst.(fill.(o)) <- d;
-        fill.(o) <- fill.(o) + 1)
+    cur_s := s;
+    cur_o := Svfg.slot_obj svfg s;
+    Svfg.iter_slot_succs svfg s place
   done;
   let loc = Array.make ns (-1) and glob = Array.make ns 0 in
   let rel = Vec.create ~dummy:0 () in

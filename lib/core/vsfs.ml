@@ -18,9 +18,6 @@ type result = {
   subscribed : Bytes.t;  (* slot -> its load has subscribed to its C *)
 }
 
-type paused = { res : result; eng : Engine.t }
-type outcome = Done of result | Paused of paused
-
 let iter_relied t v f =
   Versioning.iter_relied t.ver v f;
   List.iter f t.late.(v)
@@ -43,10 +40,9 @@ let add_weak_updates t svfg n ptr =
     then t.late.(cv) <- y :: t.late.(cv)
   done
 
-(* Build the solver state and its engine, seed the instruction nodes, but do
-   not run: [solve] drives it to fixpoint, [solve_budgeted]/[resume] in
-   slices. *)
-let start ?strong_updates ?versioning svfg =
+(* Build the solver state and its engine, seed the instruction nodes, and
+   run to fixpoint. *)
+let solve ?strong_updates ?versioning ?budget svfg =
   let ver =
     match versioning with Some v -> v | None -> Versioning.compute svfg
   in
@@ -160,22 +156,8 @@ let start ?strong_updates ?versioning svfg =
       Engine.push eng n
     | _ -> ()
   done;
-  { res = t; eng }
-
-let continue_ budget p =
-  match Engine.run ?budget p.eng with
-  | Engine.Fixpoint -> Done p.res
-  | Engine.Paused _ -> Paused p
-
-let solve ?strong_updates ?versioning svfg =
-  match continue_ None (start ?strong_updates ?versioning svfg) with
-  | Done r -> r
-  | Paused _ -> assert false (* no budget: run only returns at fixpoint *)
-
-let solve_budgeted ?strong_updates ?versioning ~budget svfg =
-  continue_ (Some budget) (start ?strong_updates ?versioning svfg)
-
-let resume ~budget p = continue_ (Some budget) p
+  Engine.run ?budget eng;
+  t
 
 let pt t v = Solver_common.pt_of t.c v
 let pt_set t v = Solver_common.pt_id t.c v

@@ -23,29 +23,14 @@ type result
 val solve :
   ?strong_updates:bool ->
   ?versioning:Versioning.t ->
+  ?budget:Pta_engine.Engine.budget ->
   Pta_svfg.Svfg.t ->
   result
 (** [versioning] defaults to [Versioning.compute svfg] (pass it explicitly
     to time the phases separately, as the paper's Table III does). The
-    worklist is FIFO, as in {!Pta_sfs.Sfs}. *)
-
-type paused
-(** A budgeted solve stopped short of fixpoint: partial state plus the
-    queued work. Resume with {!resume}; do not read results out of it. *)
-
-type outcome = Done of result | Paused of paused
-
-val solve_budgeted :
-  ?strong_updates:bool ->
-  ?versioning:Versioning.t ->
-  budget:Pta_engine.Engine.budget ->
-  Pta_svfg.Svfg.t ->
-  outcome
-(** Like {!solve} but stops when the engine budget is exhausted; a paused
-    solve resumed to completion is bit-identical to an unbudgeted one. *)
-
-val resume : budget:Pta_engine.Engine.budget -> paused -> outcome
-(** Each resume grants a fresh budget allowance. *)
+    worklist is FIFO, as in {!Pta_sfs.Sfs}.
+    @raise Pta_engine.Engine.Exhausted if [budget] runs out before the
+    fixpoint (default: unlimited). *)
 
 val pt : result -> Inst.var -> Pta_ds.Bitset.t
 

@@ -7,11 +7,11 @@
     monotone for termination: re-processing a node with unchanged inputs
     must return [[]] eventually.
 
-    Budgets make adversarial inputs degrade gracefully instead of hanging:
-    [run ~budget] stops after [max_steps] pops or [max_seconds] of wall
-    time and returns [Paused] with the engine itself as the resume token —
-    all queued work is retained, and a later [run] continues bit-exactly
-    where it stopped (each segment gets a fresh allowance). *)
+    Budgets make adversarial inputs fail fast instead of hanging:
+    [run ~budget] gives up after [max_steps] pops or [max_seconds] of wall
+    time and raises {!Exhausted}. The partial state is not an answer and
+    cannot be resumed; a caller that must stay available keeps its previous
+    result. *)
 
 type budget = { max_steps : int option; max_seconds : float option }
 
@@ -19,11 +19,10 @@ val unlimited : budget
 val step_budget : int -> budget
 val time_budget : float -> budget
 
-type t
+exception Exhausted
+(** The budget ran out with work still queued. *)
 
-type outcome =
-  | Fixpoint  (** the worklist drained — the solve is complete *)
-  | Paused of t  (** budget hit with work remaining; resume with {!run} *)
+type t
 
 val create :
   ?telemetry:Telemetry.phase ->
@@ -35,10 +34,7 @@ val create :
 val push : t -> int -> unit
 (** Seed (or re-seed) a node. Deduplicated; counted in telemetry. *)
 
-val pending : t -> int
-(** Nodes currently queued. *)
-
-val run : ?budget:budget -> t -> outcome
-(** Pops and processes until fixpoint or budget exhaustion (default
-    {!unlimited}). May be called again after either outcome; running a
-    drained engine returns [Fixpoint] immediately. *)
+val run : ?budget:budget -> t -> unit
+(** Pops and processes until the worklist drains (default {!unlimited}).
+    The telemetry phase records the pops and wall time either way.
+    @raise Exhausted when the budget runs out first. *)

@@ -13,11 +13,6 @@ let push t x =
 let pop t =
   match t with Fifo w -> Worklist.Fifo.pop w | Prio w -> Worklist.Prio.pop w
 
-let length t =
-  match t with
-  | Fifo w -> Worklist.Fifo.length w
-  | Prio w -> Worklist.Prio.length w
-
 let is_empty t =
   match t with
   | Fifo w -> Worklist.Fifo.is_empty w

@@ -18,5 +18,4 @@ val push : t -> int -> bool
 (** [false]: the item was already queued (a duplicate push). *)
 
 val pop : t -> int option
-val length : t -> int
 val is_empty : t -> bool

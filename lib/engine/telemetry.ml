@@ -10,9 +10,7 @@ type phase = {
   mutable dups : int;  (* pushes dropped because the node was queued *)
   mutable pops : int;  (* process() invocations *)
   mutable grew : int;  (* pops that returned successor work *)
-  mutable runs : int;  (* Engine.run segments (1 + number of resumes) *)
-  mutable paused : int;  (* segments stopped by a budget *)
-  mutable wall : float;  (* seconds inside Engine.run, summed over segments *)
+  mutable wall : float;  (* seconds inside Engine.run *)
   extras : (string, int ref) Hashtbl.t;
 }
 
@@ -45,8 +43,8 @@ let truncate t =
 let phase ?sink ~name () =
   let sink = match sink with Some s -> s | None -> global () in
   let p =
-    { name; pushes = 0; dups = 0; pops = 0; grew = 0;
-      runs = 0; paused = 0; wall = 0.; extras = Hashtbl.create 8 }
+    { name; pushes = 0; dups = 0; pops = 0; grew = 0; wall = 0.;
+      extras = Hashtbl.create 8 }
   in
   sink.phases <- p :: sink.phases;
   sink.count <- sink.count + 1;
@@ -78,8 +76,6 @@ type snapshot = {
   s_dups : int;
   s_pops : int;
   s_grew : int;
-  s_runs : int;
-  s_paused : int;
   s_wall : float;
   s_extras : (string * int) list;  (* sorted by key *)
 }
@@ -91,8 +87,6 @@ let snapshot p =
     s_dups = p.dups;
     s_pops = p.pops;
     s_grew = p.grew;
-    s_runs = p.runs;
-    s_paused = p.paused;
     s_wall = p.wall;
     s_extras =
       List.sort compare
@@ -123,17 +117,15 @@ let snapshot_to_json s =
   in
   Printf.sprintf
     "{\"phase\": \"%s\", \"pushes\": %d, \"dups\": %d, \"pops\": %d, \
-     \"grew\": %d, \"runs\": %d, \"paused\": %d, \"wall_seconds\": %.6f, \
-     \"extras\": {%s}}"
-    (json_escape s.phase) s.s_pushes s.s_dups
-    s.s_pops s.s_grew s.s_runs s.s_paused s.s_wall extras
+     \"grew\": %d, \"wall_seconds\": %.6f, \"extras\": {%s}}"
+    (json_escape s.phase) s.s_pushes s.s_dups s.s_pops s.s_grew s.s_wall
+    extras
 
 let pp_phase ppf p =
   let s = snapshot p in
   Format.fprintf ppf
-    "%-16s pushes=%d dups=%d pops=%d grew=%d runs=%d paused=%d wall=%.4fs"
-    s.phase s.s_pushes s.s_dups s.s_pops s.s_grew s.s_runs
-    s.s_paused s.s_wall;
+    "%-16s pushes=%d dups=%d pops=%d grew=%d wall=%.4fs" s.phase s.s_pushes
+    s.s_dups s.s_pops s.s_grew s.s_wall;
   List.iter (fun (k, v) -> Format.fprintf ppf " %s=%d" k v) s.s_extras
 
 let pp ppf t =

@@ -18,9 +18,7 @@ type phase = {
   mutable dups : int;  (** pushes dropped as already-queued *)
   mutable pops : int;  (** process() invocations *)
   mutable grew : int;  (** pops that produced successor work *)
-  mutable runs : int;  (** run segments: 1 + number of resumes *)
-  mutable paused : int;  (** segments stopped by a budget *)
-  mutable wall : float;  (** seconds inside [Engine.run], summed *)
+  mutable wall : float;  (** seconds inside [Engine.run] *)
   extras : (string, int ref) Hashtbl.t;
 }
 
@@ -51,8 +49,6 @@ type snapshot = {
   s_dups : int;
   s_pops : int;
   s_grew : int;
-  s_runs : int;
-  s_paused : int;
   s_wall : float;
   s_extras : (string * int) list;  (** sorted by key *)
 }
@@ -66,8 +62,7 @@ val json_escape : string -> string
 
 val snapshot_to_json : snapshot -> string
 (** One JSON object: [{"phase": ..., "pushes": n, "dups": n, "pops": n,
-    "grew": n, "runs": n, "paused": n, "wall_seconds": s,
-    "extras": {...}}]. *)
+    "grew": n, "wall_seconds": s, "extras": {...}}]. *)
 
 val pp_phase : Format.formatter -> phase -> unit
 val pp : Format.formatter -> t -> unit

@@ -309,9 +309,7 @@ let solve prog (aux : Pta_memssa.Modref.aux) =
   for i = 0 to n - 1 do
     Pta_engine.Engine.push eng i
   done;
-  (match Pta_engine.Engine.run eng with
-  | Pta_engine.Engine.Fixpoint -> ()
-  | Pta_engine.Engine.Paused _ -> assert false (* unbudgeted *));
+  Pta_engine.Engine.run eng;
   t
 
 let pt t v = pt_of t v

@@ -20,9 +20,6 @@ type result = {
          this solve wired; [||] for almost every slot *)
 }
 
-type paused = { res : result; eng : Engine.t }
-type outcome = Done of result | Paused of paused
-
 let in_id t s =
   Bytes.set t.in_made s '\001';
   t.ins.(s)
@@ -57,9 +54,8 @@ type seed = {
 }
 
 (* Build the solver state and its engine, seed every node (or, with a
-   [seed], only its schedule), but do not run: [solve] drives it to
-   fixpoint, [solve_budgeted]/[resume] in slices. *)
-let start ?strong_updates ?seed svfg =
+   [seed], only its schedule), and run to fixpoint. *)
+let solve ?strong_updates ?seed ?budget svfg =
   let tel = Telemetry.phase ~name:"sfs.solve" () in
   let c = Solver_common.create ?strong_updates ~tel svfg in
   let ns = Svfg.n_slots svfg in
@@ -211,22 +207,8 @@ let start ?strong_updates ?seed svfg =
         t.outs.(s) <- Ptset.of_bitset set)
       s.seed_outs;
     List.iter (Engine.push eng) s.schedule);
-  { res = t; eng }
-
-let continue_ budget p =
-  match Engine.run ?budget p.eng with
-  | Engine.Fixpoint -> Done p.res
-  | Engine.Paused _ -> Paused p
-
-let solve ?strong_updates ?seed svfg =
-  match continue_ None (start ?strong_updates ?seed svfg) with
-  | Done r -> r
-  | Paused _ -> assert false (* no budget: run only returns at fixpoint *)
-
-let solve_budgeted ?strong_updates ~budget svfg =
-  continue_ (Some budget) (start ?strong_updates svfg)
-
-let resume ~budget p = continue_ (Some budget) p
+  Engine.run ?budget eng;
+  t
 
 let pt t v = Solver_common.pt_of t.c v
 

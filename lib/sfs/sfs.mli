@@ -18,9 +18,8 @@
     edges (the gray parts of Fig. 10) to a sorted per-slot row the solver
     keeps beside the SVFG's own, which it never writes.
 
-    The solve runs on {!Pta_engine.Engine}; {!solve_budgeted} and {!resume}
-    expose the engine's step/time budgets — a paused solve resumed to
-    completion is bit-identical to an unbudgeted one. *)
+    The solve runs on {!Pta_engine.Engine}, under its step/time budgets
+    when given one. *)
 
 open Pta_ir
 
@@ -45,6 +44,7 @@ type seed = {
 val solve :
   ?strong_updates:bool ->
   ?seed:seed ->
+  ?budget:Pta_engine.Engine.budget ->
   Pta_svfg.Svfg.t ->
   result
 (** The worklist is FIFO, the fastest of the orders measured on i3 and
@@ -57,22 +57,9 @@ val solve :
     ({!Pta_workload.Incr}) is responsible for seed soundness. An empty
     schedule returns immediately (0 engine pops).
     @raise Invalid_argument if a seed entry's [(node, object)] is not an
-    SVFG slot. *)
-
-type paused
-(** A budgeted solve stopped short of fixpoint: partial state plus the
-    queued work. Resume with {!resume}; do not read results out of it. *)
-
-type outcome = Done of result | Paused of paused
-
-val solve_budgeted :
-  ?strong_updates:bool ->
-  budget:Pta_engine.Engine.budget ->
-  Pta_svfg.Svfg.t ->
-  outcome
-
-val resume : budget:Pta_engine.Engine.budget -> paused -> outcome
-(** Each resume grants a fresh budget allowance. *)
+    SVFG slot.
+    @raise Pta_engine.Engine.Exhausted if [budget] runs out before the
+    fixpoint (default: unlimited). *)
 
 val iter_ins : result -> (int -> Inst.var -> Pta_ds.Bitset.t -> unit) -> unit
 (** Every materialised non-empty IN entry as [(node, object, set)], in

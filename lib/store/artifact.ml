@@ -63,10 +63,9 @@ let add_sbs p b a = Codec.add_array (add_sb p) b a
    index, block ref) pairs.
 
    Layout: magic | n_blocks | blocks (mask + words) | n_sets | sets | body.
-   The magic is a set count no real v2 artifact can reach (~2·10⁹ distinct
-   sets would dwarf any frame), which makes the encoding self-describing:
-   a v2 pool starts with its actual set count, so {!shared_pool} sniffs the
-   first uint and takes the matching path — v2 entries keep loading. *)
+   The magic is a set count no real v2 pool could reach (~2·10⁹ distinct
+   sets), so a v2 pool, which starts with its set count, is rejected as
+   corrupt. *)
 
 let v3_pool_magic = 0x7fff_fff3
 let pool_block_words = 16
@@ -156,62 +155,54 @@ let pool_finish p =
   Buffer.contents out
 
 let shared_pool d =
-  let first = Codec.uint d in
-  if first = v3_pool_magic then begin
-    let nb = Codec.uint d in
-    if nb > Codec.remaining d then
-      raise (Codec.Corrupt (Printf.sprintf "block pool count %d" nb));
-    let blocks =
-      Array.init nb (fun _ ->
-          let mask = Codec.uint d in
-          if mask = 0 || mask >= 1 lsl pool_block_words then
-            raise (Codec.Corrupt (Printf.sprintf "bad block mask %#x" mask));
-          let n = popcount mask in
-          let arr = Array.make (n + 1) 0 in
-          arr.(0) <- mask;
-          for k = 1 to n do
-            let w = Codec.word d in
-            if w = 0 then raise (Codec.Corrupt "zero word in block");
-            arr.(k) <- w
-          done;
-          arr)
-    in
-    let ns = Codec.uint d in
-    if ns > Codec.remaining d then
-      raise (Codec.Corrupt (Printf.sprintf "set pool count %d" ns));
-    Array.init ns (fun _ ->
-        let ne = Codec.uint d in
-        if ne > Codec.remaining d then
-          raise (Codec.Corrupt (Printf.sprintf "set span count %d" ne));
-        let s = Bitset.create () in
-        let prev = ref (-1) in
-        for _ = 1 to ne do
-          let bi = !prev + 1 + Codec.uint d in
-          prev := bi;
-          let id = Codec.uint d in
-          if id >= nb then
-            raise
-              (Codec.Corrupt (Printf.sprintf "block ref %d out of range" id));
-          let arr = blocks.(id) in
-          let mask = ref arr.(0) in
-          let k = ref 1 in
-          while !mask <> 0 do
-            let bit = !mask land - !mask in
-            mask := !mask land (!mask - 1);
-            Bitset.append_word s
-              ((bi * pool_block_words) + bitpos bit)
-              arr.(!k);
-            incr k
-          done
+  if Codec.uint d <> v3_pool_magic then raise (Codec.Corrupt "not a v3 pool");
+  let nb = Codec.uint d in
+  if nb > Codec.remaining d then
+    raise (Codec.Corrupt (Printf.sprintf "block pool count %d" nb));
+  let blocks =
+    Array.init nb (fun _ ->
+        let mask = Codec.uint d in
+        if mask = 0 || mask >= 1 lsl pool_block_words then
+          raise (Codec.Corrupt (Printf.sprintf "bad block mask %#x" mask));
+        let n = popcount mask in
+        let arr = Array.make (n + 1) 0 in
+        arr.(0) <- mask;
+        for k = 1 to n do
+          let w = Codec.word d in
+          if w = 0 then raise (Codec.Corrupt "zero word in block");
+          arr.(k) <- w
         done;
-        s)
-  end
-  else begin
-    (* v2: [first] is the set count itself *)
-    if first > Codec.remaining d then
-      raise (Codec.Corrupt (Printf.sprintf "set pool count %d" first));
-    Array.init first (fun _ -> Codec.bitset d)
-  end
+        arr)
+  in
+  let ns = Codec.uint d in
+  if ns > Codec.remaining d then
+    raise (Codec.Corrupt (Printf.sprintf "set pool count %d" ns));
+  Array.init ns (fun _ ->
+      let ne = Codec.uint d in
+      if ne > Codec.remaining d then
+        raise (Codec.Corrupt (Printf.sprintf "set span count %d" ne));
+      let s = Bitset.create () in
+      let prev = ref (-1) in
+      for _ = 1 to ne do
+        let bi = !prev + 1 + Codec.uint d in
+        prev := bi;
+        let id = Codec.uint d in
+        if id >= nb then
+          raise
+            (Codec.Corrupt (Printf.sprintf "block ref %d out of range" id));
+        let arr = blocks.(id) in
+        let mask = ref arr.(0) in
+        let k = ref 1 in
+        while !mask <> 0 do
+          let bit = !mask land - !mask in
+          mask := !mask land (!mask - 1);
+          Bitset.append_word s
+            ((bi * pool_block_words) + bitpos bit)
+            arr.(!k);
+          incr k
+        done
+      done;
+      s)
 
 let sb pool d =
   let i = Codec.uint d in

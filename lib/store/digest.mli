@@ -4,7 +4,7 @@
     their contents: the source bytes, the stage name and its parameters, and
     the on-disk format version ({!Store.format_version}). Any change to an
     input therefore changes the key, so stale entries are never *found* —
-    they simply stop being addressed and are reclaimed by [vsfs cache gc].
+    they simply stop being addressed ([vsfs cache clear] drops them).
 
     MD5 (the OCaml standard library's [Digest]) is used: this is an
     integrity/addressing checksum against truncation, bit rot and version

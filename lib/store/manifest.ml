@@ -5,54 +5,19 @@ type entry = {
   bytes : int;
   created : float;
   label : string;
-  funcs : (string * string) list;
 }
 
 (* labels come from user-supplied paths; keep the TSV one entry per line *)
 let sanitize s =
   String.map (function '\t' | '\n' | '\r' -> ' ' | c -> c) s
 
-(* The per-function digest column: "name=digest,name=digest". Function
-   names come from the source, so strip the three separators this column
-   introduces on top of the TSV ones. *)
-let sanitize_fn s =
-  String.map
-    (function '\t' | '\n' | '\r' | ',' | '=' -> ' ' | c -> c)
-    s
-
-let funcs_to_string funcs =
-  String.concat ","
-    (List.map
-       (fun (name, digest) -> sanitize_fn name ^ "=" ^ sanitize_fn digest)
-       funcs)
-
-let funcs_of_string s =
-  if s = "" then []
-  else
-    List.filter_map
-      (fun part ->
-        match String.index_opt part '=' with
-        | None -> None
-        | Some i ->
-          Some
-            ( String.sub part 0 i,
-              String.sub part (i + 1) (String.length part - i - 1) ))
-      (String.split_on_char ',' s)
-
 let parse_line line =
-  (* 6 columns is the pre-serve format (no per-function digests); 7 adds
-     the funcs column. Older manifests therefore keep parsing. *)
-  let make stage key file bytes created label funcs =
+  match String.split_on_char '\t' line with
+  | [ stage; key; file; bytes; created; label ] -> (
     match (int_of_string_opt bytes, float_of_string_opt created) with
     | Some bytes, Some created ->
-      Some { stage; key; file; bytes; created; label; funcs }
-    | _ -> None
-  in
-  match String.split_on_char '\t' line with
-  | [ stage; key; file; bytes; created; label ] ->
-    make stage key file bytes created label []
-  | [ stage; key; file; bytes; created; label; funcs ] ->
-    make stage key file bytes created label (funcs_of_string funcs)
+      Some { stage; key; file; bytes; created; label }
+    | _ -> None)
   | _ -> None
 
 let load path =
@@ -88,15 +53,9 @@ let save path entries =
     (fun () ->
       List.iter
         (fun e ->
-          if e.funcs = [] then
-            Printf.fprintf oc "%s\t%s\t%s\t%d\t%.6f\t%s\n" (sanitize e.stage)
-              (sanitize e.key) (sanitize e.file) e.bytes e.created
-              (sanitize e.label)
-          else
-            Printf.fprintf oc "%s\t%s\t%s\t%d\t%.6f\t%s\t%s\n"
-              (sanitize e.stage) (sanitize e.key) (sanitize e.file) e.bytes
-              e.created (sanitize e.label)
-              (funcs_to_string e.funcs))
+          Printf.fprintf oc "%s\t%s\t%s\t%d\t%.6f\t%s\n" (sanitize e.stage)
+            (sanitize e.key) (sanitize e.file) e.bytes e.created
+            (sanitize e.label))
         entries);
   Sys.rename tmp path
 

@@ -14,17 +14,11 @@ type entry = {
   bytes : int;  (** payload + frame size on disk *)
   created : float;  (** Unix time of the write *)
   label : string;  (** human hint (source file / benchmark name); may be "" *)
-  funcs : (string * string) list;
-      (** per-function digest entries [(function name, digest)] — the
-          function-level index a resident daemon invalidates against;
-          usually [[]] (whole-program entries). Serialized as an optional
-          seventh TSV column ("name=digest,..."), so pre-serve manifests
-          still parse. *)
 }
 
 val load : string -> entry list
-(** Parse the manifest at the path; [[]] if absent; malformed lines are
-    dropped silently. *)
+(** Parse the manifest at the path; [[]] if absent; malformed lines
+    (anything but six TSV columns) are dropped silently. *)
 
 val save : string -> entry list -> unit
 (** Atomically (temp file + rename) rewrite the manifest. *)

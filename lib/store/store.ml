@@ -1,17 +1,8 @@
-(* v2: solver artifacts use structure-shared bitset frames (a per-artifact
-   pool of distinct sets, referenced by index). v3: the set pool itself is
-   block-pooled — distinct 1008-element blocks are serialised once per
-   artifact and sets reference them by index (see [Artifact]); the encoding
-   is self-describing, so v3 readers load v2 frames unchanged.
-
-   [key_version] participates in every entry key; it is pinned at 2 and
-   does NOT move with [format_version], precisely because v3 is a
-   compatible extension — bumping the key would orphan every readable v2
-   entry. Rotate [key_version] only on a break that makes old payloads
-   *unreadable*. *)
+(* v3: solver artifacts reference a block-pooled set pool — distinct
+   1008-element blocks are serialised once per artifact and sets reference
+   them by index (see [Artifact]). The version is also folded into every
+   key, so a format change never addresses an entry of the old one. *)
 let format_version = 3
-let key_version = 2
-let compat_versions = [ 2; 3 ]
 let magic = "PTAS"
 let manifest_name = "MANIFEST.tsv"
 
@@ -33,7 +24,7 @@ let open_ dir =
 let dir t = t.dir
 
 let key ~stage inputs =
-  Digest.combine (string_of_int key_version :: stage :: inputs)
+  Digest.combine (string_of_int format_version :: stage :: inputs)
 
 let manifest t = Filename.concat t.dir manifest_name
 let entry_file ~stage ~key = Printf.sprintf "%s-%s.bin" stage key
@@ -110,7 +101,7 @@ let parse_frame bytes =
   then raise (Codec.Corrupt "bad magic");
   let d = Codec.of_string ~pos:(String.length magic) bytes in
   let version = Codec.uint d in
-  if not (List.mem version compat_versions) then
+  if version <> format_version then
     raise (Codec.Corrupt (Printf.sprintf "format version %d" version));
   let stage = Codec.string d in
   let key = Codec.string d in
@@ -121,7 +112,7 @@ let parse_frame bytes =
     raise (Codec.Corrupt "payload checksum mismatch");
   (stage, key, payload)
 
-let save t ~stage ~key ?(label = "") ?(funcs = []) payload =
+let save t ~stage ~key ?(label = "") payload =
   let b = Buffer.create (String.length payload + 128) in
   Buffer.add_string b magic;
   Codec.add_uint b format_version;
@@ -146,7 +137,6 @@ let save t ~stage ~key ?(label = "") ?(funcs = []) payload =
           bytes = Buffer.length b;
           created = Unix.gettimeofday ();
           label;
-          funcs;
         })
 
 let miss ~stage =
@@ -154,43 +144,30 @@ let miss ~stage =
   Pta_ds.Stats.incr ("store.miss." ^ stage);
   None
 
-let load t ~stage ~key =
+let load t ~stage ~key decode =
   let path = entry_path t ~stage ~key in
   if not (Sys.file_exists path) then miss ~stage
   else
-    match parse_frame (read_file path) with
-    | stage', key', payload when stage' = stage && key' = key ->
+    let decoded () =
+      match parse_frame (read_file path) with
+      | stage', key', payload when stage' = stage && key' = key ->
+        Some (decode payload)
+      | _ -> None
+    in
+    match decoded () with
+    | Some v ->
       Pta_ds.Stats.incr "store.hits";
       Pta_ds.Stats.incr ("store.hit." ^ stage);
-      Some payload
-    | _, _, _ | (exception Codec.Corrupt _) | (exception Sys_error _) ->
-      (* corrupt, truncated, version-skewed or mislabelled: reclaim and
-         recompute rather than trust it *)
+      Some v
+    | None | (exception Codec.Corrupt _) | (exception Sys_error _) ->
+      (* corrupt, truncated, version-skewed, mislabelled or undecodable:
+         reclaim and recompute rather than trust it *)
       Pta_ds.Stats.incr "store.corrupt";
       (try Sys.remove path with Sys_error _ -> ());
       with_manifest_lock t (fun () ->
           Manifest.remove (manifest t) (fun e ->
               e.Manifest.stage = stage && e.Manifest.key = key));
       miss ~stage
-
-let reindex t ~stage ~key ~funcs =
-  with_manifest_lock t (fun () ->
-      let entries = Manifest.load (manifest t) in
-      let changed = ref false in
-      let entries =
-        List.map
-          (fun e ->
-            if
-              e.Manifest.stage = stage && e.Manifest.key = key
-              && e.Manifest.funcs <> funcs
-            then begin
-              changed := true;
-              { e with Manifest.funcs }
-            end
-            else e)
-          entries
-      in
-      if !changed then Manifest.save (manifest t) entries)
 
 let ls t =
   List.sort
@@ -258,7 +235,6 @@ let gc t ~kept ~removed =
                 bytes = (Unix.stat (Filename.concat t.dir f)).Unix.st_size;
                 created = (Unix.stat (Filename.concat t.dir f)).Unix.st_mtime;
                 label = "";
-                funcs = [];
               }
               :: acc)
           valid []

@@ -6,9 +6,10 @@
     {v magic "PTAS" | format version | stage | key | MD5(payload) | payload v}
 
     (all but the magic in {!Codec} encoding). {!load} verifies the whole
-    frame; any mismatch — truncation, bit rot, a different format version,
-    a file renamed across keys — deletes the entry and reports a miss, so
-    corruption degrades to recomputation, never to wrong results. Writes go
+    frame and decodes the payload; any mismatch — truncation, bit rot, a
+    different format version, a file renamed across keys, a payload its
+    decoder rejects — deletes the entry and reports a miss, so corruption
+    degrades to recomputation, never to wrong results. Writes go
     through a uniquely named temp file (pid + counter, so concurrent
     writers never share an inode) published by one atomic [rename]: a crash
     mid-write leaves either the old entry or none, and a reader racing any
@@ -17,10 +18,9 @@
     internal lock; a cross-process manifest race can at worst drop index
     lines, which {!gc} rebuilds from the frames.
 
-    Keys come from {!key}: the hex digest of the stage name, the store
-    {!key_version} and every input that determines the artifact (source
-    bytes first among them). Stale entries are therefore never addressed;
-    {!gc} reclaims them.
+    Keys come from {!key}: the hex digest of the {!format_version}, the
+    stage name and every input that determines the artifact (source bytes
+    first among them). Stale entries are therefore never addressed.
 
     All operations bump {!Pta_ds.Stats} counters ([store.hits],
     [store.misses], [store.corrupt], [store.writes], and per-stage
@@ -36,15 +36,9 @@
     one's. *)
 
 val format_version : int
-(** The version written into new frame headers (3: block-pooled set pools).
-    Bump on any {!Codec}/{!Artifact} encoding change; additionally bump
-    {!key_version} only if old payloads become unreadable. *)
-
-val key_version : int
-(** The version folded into {!key} (pinned at 2). Deliberately decoupled
-    from {!format_version}: v3 is a self-describing, backward-compatible
-    extension of v2, so rotating the key would needlessly orphan every
-    readable v2 entry. Readers accept both frame versions. *)
+(** The version written into frame headers and folded into every {!key}
+    (3: block-pooled set pools), and the only one {!load} accepts. Bump on
+    any {!Codec}/{!Artifact} encoding change. *)
 
 type t
 
@@ -58,24 +52,16 @@ val key : stage:string -> string list -> string
 (** [key ~stage inputs] — the content address: digest of the key
     version, the stage name and the inputs, in that order. *)
 
-val save :
-  t -> stage:string -> key:string -> ?label:string ->
-  ?funcs:(string * string) list -> string -> unit
+val save : t -> stage:string -> key:string -> ?label:string -> string -> unit
 (** Atomically write the payload under [(stage, key)], replacing any
     previous entry, and index it in the manifest. [label] is a human hint
-    shown by [cache ls]; [funcs] attaches per-function digest entries
-    [(name, digest)] to the manifest line — the function-level invalidation
-    index [vsfs serve] reloads against. *)
+    shown by [cache ls]. *)
 
-val reindex :
-  t -> stage:string -> key:string -> funcs:(string * string) list -> unit
-(** Replace the per-function digest entries on an already-indexed entry's
-    manifest line without rewriting the entry file. No-op if the [(stage,
-    key)] pair is not indexed or already carries exactly [funcs]. *)
-
-val load : t -> stage:string -> key:string -> string option
-(** The verified payload, or [None] if absent, corrupt or version-skewed
-    (corrupt entries are deleted). *)
+val load : t -> stage:string -> key:string -> (string -> 'a) -> 'a option
+(** [load t ~stage ~key decode] is the verified payload passed through
+    [decode], or [None] if the entry is absent, corrupt or version-skewed,
+    or [decode] raises {!Codec.Corrupt} (such entries are deleted and
+    counted in [store.corrupt]). *)
 
 val ls : t -> Manifest.entry list
 (** Indexed entries, oldest first. *)

@@ -181,8 +181,6 @@ let build_name_maps st =
    strong-update facts, and the kind/singleton/function binding of every
    object it mentions. Two functions (across program versions) with equal
    local digests present bit-identical transfer functions to the solver. *)
-let dump_counter = ref 0
-
 let local_digests st =
   let prog = st.prog and svfg = st.svfg in
   let annot = Svfg.annot svfg in
@@ -328,18 +326,6 @@ let local_digests st =
         (fun o () -> Hashtbl.replace by_name (name o) o)
         objs_mentioned.(f);
       List.iter (fun nm -> obj_facts b (Hashtbl.find by_name nm)) objs;
-      (match Sys.getenv_opt "PTA_INCR_DUMP" with
-      | Some dir ->
-        let fname = (Prog.func prog f).Prog.fname in
-        incr dump_counter;
-        let oc =
-          open_out
-            (Filename.concat dir
-               (Printf.sprintf "%s.%d.txt" fname !dump_counter))
-        in
-        output_string oc (Buffer.contents b);
-        close_out oc
-      | None -> ());
       Digest.hex (Buffer.contents b))
 
 (* ---------- closures ---------- *)
@@ -523,10 +509,6 @@ let digest_table (b : Pipeline.built) svfg =
     let closures = closure_digests st locals in
     Some { st; locals; closures; var_of_name }
 
-let manifest_funcs tbl =
-  List.init tbl.st.n_funcs (fun f ->
-      ((Prog.func tbl.st.prog f).Prog.fname, tbl.closures.(f)))
-
 let fn_key closure_digest = Store.key ~stage [ closure_digest ]
 
 (* Save the per-function artifacts of a solved result for every function
@@ -631,19 +613,14 @@ let run_sfs_spliced ~store ?label (b : Pipeline.built) svfg =
     let n_funcs = st.n_funcs in
     let decoded = Array.make n_funcs None in
     for f = 0 to n_funcs - 1 do
-      match Store.load store ~stage ~key:(fn_key tbl.closures.(f)) with
-      | None -> ()
-      | Some payload -> (
-        try
-          let node_of_tag = Hashtbl.create 64 in
-          Array.iter
-            (fun n -> Hashtbl.replace node_of_tag (local_tag st n) n)
-            st.fn_nodes.(f);
-          decoded.(f) <-
-            Some
-              (decode_fnresult ~var_of_name:tbl.var_of_name ~node_of_tag
-                 ~n_local:(Array.length st.fn_nodes.(f)) payload)
-        with Codec.Corrupt _ -> ())
+      decoded.(f) <-
+        Store.load store ~stage ~key:(fn_key tbl.closures.(f)) (fun payload ->
+            let node_of_tag = Hashtbl.create 64 in
+            Array.iter
+              (fun n -> Hashtbl.replace node_of_tag (local_tag st n) n)
+              st.fn_nodes.(f);
+            decode_fnresult ~var_of_name:tbl.var_of_name ~node_of_tag
+              ~n_local:(Array.length st.fn_nodes.(f)) payload)
     done;
     if Sys.getenv_opt "PTA_INCR_DEBUG" <> None then
       for f = 0 to n_funcs - 1 do
@@ -752,7 +729,6 @@ let run_sfs_spliced ~store ?label (b : Pipeline.built) svfg =
       }
     in
     let r = Sfs.solve ~seed svfg in
-    Pipeline.record_funcs ~store b (manifest_funcs tbl);
     (* persist what was missing, addressed by the new closure digests *)
     let missing = ref [] in
     for f = 0 to n_funcs - 1 do

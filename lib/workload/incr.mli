@@ -17,20 +17,16 @@
 
     Every degenerate case (non-unique names, undecodable or missing
     artifacts) falls back towards "more things dirty", never towards wrong
-    results. *)
+    results; an undecodable artifact is also deleted from the store. *)
 
 type table
 (** Digest table of one built program: per-function local and closure
-    digests plus the structural indexes planning needs. Compute on a fresh
-    (pre-solve) SVFG — solving mutates the graph. *)
+    digests plus the structural indexes planning needs. Any SVFG of the
+    program will do: solvers never write to it. *)
 
 val digest_table : Pipeline.built -> Pta_svfg.Svfg.t -> table option
 (** [None] if variable or function names are not unique (splicing needs
     name-keyed identity across program versions). *)
-
-val manifest_funcs : table -> (string * string) list
-(** [(function name, closure digest)] per function — the per-function
-    digest entries recorded on the program's manifest line. *)
 
 type stats = {
   funcs_total : int;

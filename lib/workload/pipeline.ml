@@ -73,8 +73,9 @@ module Stage = struct
 
   (* The one cold/warm code path: probe the store (when the context has one
      and the stage knows how to import), fall back to the body, persist the
-     cold result, and log (key, seconds, warm) either way. Corrupt or stale
-     artifacts demote silently to the cold path and are re-saved. *)
+     cold result, and log (key, seconds, warm) either way. Corrupt entries
+     are misses ({!Store.load} deletes them), and an import that does not
+     fit the program demotes to the cold path too; both are re-saved. *)
   let run ctx s x =
     if s.composite then s.body ctx x
     else begin
@@ -92,8 +93,7 @@ module Stage = struct
           match load ctx store x with
           | Some y -> (true, y)
           | None -> cold ()
-          | exception (Pta_store.Codec.Corrupt _ | Invalid_argument _) ->
-            cold ())
+          | exception Invalid_argument _ -> cold ())
         | _ -> (false, s.body ctx x)
       in
       ctx.stage_log :=
@@ -151,13 +151,16 @@ let stage_build ?(compile = fun src -> Pta_cfront.Lower.compile src) () =
   Stage.v ~key:"build"
     ~load:(fun _ store src ->
       let src_digest, kp, ka = keys src in
-      match
-        ( Store.load store ~stage:"prog" ~key:kp,
-          Store.load store ~stage:"andersen" ~key:ka )
-      with
-      | Some pb, Some ab ->
-        let prog = Artifact.decode_prog pb in
-        let a = Artifact.decode_aux ~n_vars:(Pta_ir.Prog.n_vars prog) ab in
+      let prog = Store.load store ~stage:"prog" ~key:kp Artifact.decode_prog in
+      (* probed even when the program missed, so a cold build counts both *)
+      let aux =
+        Store.load store ~stage:"andersen" ~key:ka (fun ab ->
+            Option.map
+              (fun p -> Artifact.decode_aux ~n_vars:(Pta_ir.Prog.n_vars p) ab)
+              prog)
+      in
+      match (prog, aux) with
+      | Some prog, Some (Some a) ->
         Some
           {
             prog;
@@ -213,13 +216,10 @@ let build_cached ~store ?compile ?(label = "") src =
 let stage_svfg =
   Stage.v ~key:"svfg"
     ~load:(fun _ store b ->
-      match
-        Store.load store ~stage:"svfg"
-          ~key:(Store.key ~stage:"svfg" [ b.src_digest ])
-      with
-      | None -> None
-      | Some bytes ->
-        Some (b, Pta_svfg.Svfg.import b.prog b.aux (Artifact.decode_svfg bytes)))
+      Store.load store ~stage:"svfg"
+        ~key:(Store.key ~stage:"svfg" [ b.src_digest ])
+        Artifact.decode_svfg
+      |> Option.map (fun raw -> (b, Pta_svfg.Svfg.import b.prog b.aux raw)))
     ~save:(fun ctx store b (_, svfg) ->
       Store.save store ~stage:"svfg"
         ~key:(Store.key ~stage:"svfg" [ b.src_digest ])
@@ -234,17 +234,11 @@ let fresh_svfg ?ctx b =
 let stage_versioning =
   Stage.v ~key:"versioning"
     ~load:(fun _ store (b, svfg) ->
-      match
-        Store.load store ~stage:"versioning"
-          ~key:(Store.key ~stage:"versioning" [ b.src_digest ])
-      with
-      | None -> None
-      | Some bytes ->
-        Some
-          ( b,
-            svfg,
-            Vsfs_core.Versioning.import svfg (Artifact.decode_versioning bytes)
-          ))
+      Store.load store ~stage:"versioning"
+        ~key:(Store.key ~stage:"versioning" [ b.src_digest ])
+        Artifact.decode_versioning
+      |> Option.map (fun raw ->
+             (b, svfg, Vsfs_core.Versioning.import svfg raw)))
     ~save:(fun ctx store (b, _) (_, _, ver) ->
       Store.save store ~stage:"versioning"
         ~key:(Store.key ~stage:"versioning" [ b.src_digest ])
@@ -303,15 +297,17 @@ let vsfs_run r ver seconds =
     engine = Some (Pta_engine.Telemetry.snapshot (Vsfs_core.Vsfs.telemetry r));
   }
 
-let run_sfs ?ctx b =
+let run_sfs ?ctx ?svfg b =
   let ctx = ctx_for ?ctx () in
-  let r = Stage.run ctx Stage.(stage_svfg >>> stage_sfs) b in
+  let svfg = match svfg with Some g -> g | None -> fresh_svfg ~ctx b in
+  let r = Stage.run ctx stage_sfs (b, svfg) in
   (r, sfs_run r (stage_seconds ctx "solve-sfs"))
 
-let run_vsfs ?ctx b =
+let run_vsfs ?ctx ?svfg b =
   let ctx = ctx_for ?ctx () in
+  let svfg = match svfg with Some g -> g | None -> fresh_svfg ~ctx b in
   let r, ver =
-    Stage.run ctx Stage.(stage_svfg >>> stage_versioning >>> stage_vsfs) b
+    Stage.run ctx Stage.(stage_versioning >>> stage_vsfs) (b, svfg)
   in
   (r, vsfs_run r ver (stage_seconds ctx "solve-vsfs"))
 
@@ -336,16 +332,6 @@ let run_unify ?ctx b =
   let ctx = ctx_for ?ctx () in
   let r = Stage.run ctx stage_unify b in
   (r, stage_seconds ctx "unify")
-
-(* The function-level incremental path (Incr) re-keys its per-function
-   artifacts by closure digest on every (re)load; this records the current
-   function -> digest map on the program's own manifest line, so the
-   store's index shows which per-function entries belong to which program
-   version (and a future gc can sweep orphans by it). *)
-let record_funcs ~store b funcs =
-  Store.reindex store ~stage:"prog"
-    ~key:(Store.key ~stage:"prog" [ b.src_digest ])
-    ~funcs
 
 (* Machine-readable run record, shared by [bench --json] and its round-trip
    test so the schema lives in exactly one place. *)
@@ -395,8 +381,4 @@ let save_points_to ~store ?(label = "") b ~solver r =
 let load_points_to ~store b ~solver =
   let stage = results_stage solver in
   let key = Store.key ~stage [ b.src_digest ] in
-  match Store.load store ~stage ~key with
-  | None -> None
-  | Some bytes -> (
-    try Some (Artifact.decode_points_to bytes)
-    with Pta_store.Codec.Corrupt _ -> None)
+  Store.load store ~stage ~key Artifact.decode_points_to

@@ -64,9 +64,10 @@ module Stage : sig
     ?load:(ctx -> Pta_store.Store.t -> 'a -> 'b option) ->
     ?save:(ctx -> Pta_store.Store.t -> 'a -> 'b -> unit) ->
     (ctx -> 'a -> 'b) -> ('a, 'b) t
-  (** A primitive stage. [load] may raise {!Pta_store.Codec.Corrupt} or
-      [Invalid_argument] — both demote to the cold body (which is then
-      [save]d). *)
+  (** A primitive stage. [load] decodes through {!Pta_store.Store.load},
+      so a corrupt entry is a miss; it may also raise [Invalid_argument]
+      (an import that does not fit the program). Both demote to the cold
+      body (which is then [save]d). *)
 
   val key : ('a, 'b) t -> string
 
@@ -94,8 +95,6 @@ val stage_sfs : (built * Pta_svfg.Svfg.t, Pta_sfs.Sfs.result) Stage.t
 val stage_vsfs :
   (built * Pta_svfg.Svfg.t * Vsfs_core.Versioning.t,
    Vsfs_core.Vsfs.result * Vsfs_core.Versioning.t) Stage.t
-val stage_dense : (built, Pta_sfs.Dense.result) Stage.t
-val stage_unify : (built, Pta_andersen.Unify.result) Stage.t
 
 (* Drivers ----------------------------------------------------------------- *)
 
@@ -134,31 +133,22 @@ type solver_run = {
       (** the solve phase's engine counters (pushes/pops/steps/grew/wall) *)
 }
 
-val sfs_run : Pta_sfs.Sfs.result -> float -> solver_run
-(** The run record of an already-computed SFS result that took [seconds] —
-    for solves driven outside this module (the {!Incr} spliced path). *)
-
-val record_funcs :
-  store:Pta_store.Store.t -> built -> (string * string) list -> unit
-(** Attach [(function name, closure digest)] entries to the program's
-    ["prog"] manifest line ({!Pta_store.Store.reindex}) — the store-level
-    view of the function-level invalidation index. No-op when the program
-    was never cached in [store]. *)
-
 val run_sfs :
-  ?ctx:ctx -> built ->
+  ?ctx:ctx -> ?svfg:Pta_svfg.Svfg.t -> built ->
   Pta_sfs.Sfs.result * solver_run
 
 val run_vsfs :
-  ?ctx:ctx -> built ->
+  ?ctx:ctx -> ?svfg:Pta_svfg.Svfg.t -> built ->
   Vsfs_core.Vsfs.result * solver_run
+(** [svfg] is the program's graph when the caller already has one (it is
+    read-only, so one serves both solvers); without it the ["svfg"] stage
+    runs, as in {!fresh_svfg}. With a store in [ctx], the SVFG and for VSFS
+    the versioning are imported when cached, so only the solve phase itself
+    runs (and [pre_seconds] reads 0). *)
 
 val run_dense :
   ?ctx:ctx -> built ->
   Pta_sfs.Dense.result * solver_run
-(** With a store in [ctx], the SVFG (and for VSFS the versioning) are
-    imported when cached, so only the solve phase itself runs (and
-    [pre_seconds] reads 0). *)
 
 val run_unify : ?ctx:ctx -> built -> Pta_andersen.Unify.result * float
 (** The unification tier as a measured solver run (result, seconds). *)

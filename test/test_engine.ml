@@ -1,6 +1,6 @@
 (* Tests for Pta_engine: the two worklist orders, the generic fixpoint loop,
-   budgets (pause/resume bit-equality against unbudgeted solves on corpus
-   programs), telemetry bookkeeping, and the bench JSON schema. *)
+   budgets (a typed error, on the toy dataflow and on SFS/VSFS solves of
+   corpus programs), telemetry bookkeeping, and the bench JSON schema. *)
 
 module Engine = Pta_engine.Engine
 module Scheduler = Pta_engine.Scheduler
@@ -58,12 +58,7 @@ let run_toy ?budget scheduler =
   for v = 0 to toy_n - 1 do
     Engine.push eng v
   done;
-  let rec go outcome =
-    match outcome with
-    | Engine.Fixpoint -> ()
-    | Engine.Paused e -> go (Engine.run ?budget e)
-  in
-  go (Engine.run ?budget eng);
+  Engine.run ?budget eng;
   (value, tel)
 
 let test_engine_fixpoint_all_schedulers () =
@@ -73,20 +68,24 @@ let test_engine_fixpoint_all_schedulers () =
       let value, tel = run_toy s in
       Alcotest.(check (array int)) name reference value;
       Alcotest.(check bool) "grew <= pops" true
-        (tel.Telemetry.grew <= tel.Telemetry.pops);
-      Alcotest.(check int) "one run segment" 1 tel.Telemetry.runs;
-      Alcotest.(check int) "never paused" 0 tel.Telemetry.paused)
+        (tel.Telemetry.grew <= tel.Telemetry.pops))
     schedulers
 
-let test_engine_budget_pause_resume () =
-  let reference, _ = run_toy Scheduler.fifo in
-  let value, tel = run_toy ~budget:(Engine.step_budget 1) Scheduler.fifo in
-  Alcotest.(check (array int)) "single-step slices converge" reference value;
-  Alcotest.(check bool) "paused at least once" true (tel.Telemetry.paused >= 1);
-  Alcotest.(check int) "every pause resumed"
-    (tel.Telemetry.paused + 1) tel.Telemetry.runs
+let test_engine_step_budget () =
+  let _, full = run_toy Scheduler.fifo in
+  (* a budget of exactly the pops a fixpoint takes is enough ... *)
+  let _, tel =
+    run_toy ~budget:(Engine.step_budget full.Telemetry.pops) Scheduler.fifo
+  in
+  Alcotest.(check int) "fixpoint within budget" full.Telemetry.pops
+    tel.Telemetry.pops;
+  (* ... and one pop less is not *)
+  let budget = Engine.step_budget (full.Telemetry.pops - 1) in
+  match run_toy ~budget Scheduler.fifo with
+  | _ -> Alcotest.fail "expected Exhausted"
+  | exception Engine.Exhausted -> ()
 
-let test_engine_time_budget_immediate_pause () =
+let test_engine_time_budget_expired () =
   let tel = Telemetry.phase ~sink:(Telemetry.create ()) ~name:"t" () in
   let eng =
     Engine.create ~telemetry:tel ~scheduler:(Scheduler.fifo ())
@@ -94,16 +93,11 @@ let test_engine_time_budget_immediate_pause () =
       ()
   in
   Engine.push eng 0;
-  (* an already-expired deadline pauses before the first pop *)
+  (* an already-expired deadline gives up before the first pop *)
   (match Engine.run ~budget:(Engine.time_budget (-1.0)) eng with
-  | Engine.Paused _ -> ()
-  | Engine.Fixpoint -> Alcotest.fail "expected Paused");
-  Alcotest.(check int) "nothing processed" 0 tel.Telemetry.pops;
-  Alcotest.(check int) "work retained" 1 (Engine.pending eng);
-  (match Engine.run eng with
-  | Engine.Fixpoint -> ()
-  | Engine.Paused _ -> Alcotest.fail "expected Fixpoint");
-  Alcotest.(check int) "drained" 0 (Engine.pending eng)
+  | () -> Alcotest.fail "expected Exhausted"
+  | exception Engine.Exhausted -> ());
+  Alcotest.(check int) "nothing processed" 0 tel.Telemetry.pops
 
 (* ---------- telemetry ---------- *)
 
@@ -124,7 +118,7 @@ let test_telemetry_counters_and_sink () =
   Alcotest.(check string) "newest kept" "99"
     (List.nth ps (List.length ps - 1)).Telemetry.name
 
-(* ---------- budgeted solver runs = unbudgeted (corpus programs) ---------- *)
+(* ---------- budgeted solver runs (corpus programs) ---------- *)
 
 let corpus_builds =
   lazy
@@ -138,14 +132,6 @@ let corpus_builds =
          (name, Pipeline.build_source src))
        [ "hash_table"; "event_loop"; "binary_tree" ])
 
-let rec sfs_to_completion ~budget = function
-  | Sfs.Done r -> r
-  | Sfs.Paused p -> sfs_to_completion ~budget (Sfs.resume ~budget p)
-
-let rec vsfs_to_completion ~budget = function
-  | Vsfs.Done r -> r
-  | Vsfs.Paused p -> vsfs_to_completion ~budget (Vsfs.resume ~budget p)
-
 let check_same_sets name prog pt_a pt_b obj_a obj_b =
   Pta_ir.Prog.iter_vars prog (fun v ->
       let a, b =
@@ -156,38 +142,42 @@ let check_same_sets name prog pt_a pt_b obj_a obj_b =
           name
           (Pta_ir.Prog.name prog v))
 
-let test_budgeted_solves_bit_identical () =
+(* An exhausted solve raises, and the phase it opened in the default sink
+   still reports the pops it made and the time it took. *)
+let check_exhausted what ~phase ~budget solve =
+  match solve budget with
+  | _ -> Alcotest.failf "%s: expected Exhausted" what
+  | exception Engine.Exhausted ->
+    let p = List.hd (List.rev (Telemetry.phases (Telemetry.global ()))) in
+    Alcotest.(check string) (what ^ ": phase") phase p.Telemetry.name;
+    Alcotest.(check int) (what ^ ": pops") 23 p.Telemetry.pops;
+    Alcotest.(check bool) (what ^ ": wall > 0") true (p.Telemetry.wall > 0.)
+
+let test_budgeted_solves () =
   List.iter
     (fun (name, b) ->
-      let budget = Engine.step_budget 23 in
-      let full_sfs = Sfs.solve (Pipeline.fresh_svfg b) in
-      let paused_sfs =
-        sfs_to_completion ~budget
-          (Sfs.solve_budgeted ~budget (Pipeline.fresh_svfg b))
-      in
-      let tel = Sfs.telemetry paused_sfs in
-      Alcotest.(check bool)
-        (name ^ ": sfs actually paused")
-        true
-        (tel.Telemetry.paused >= 1 && tel.Telemetry.runs >= 2);
-      check_same_sets (name ^ "/sfs") b.Pipeline.prog (Sfs.pt full_sfs)
-        (Sfs.pt paused_sfs) (Sfs.object_pt full_sfs) (Sfs.object_pt paused_sfs);
-      let full_vsfs = Vsfs.solve (Pipeline.fresh_svfg b) in
-      let paused_vsfs =
-        vsfs_to_completion ~budget
-          (Vsfs.solve_budgeted ~budget (Pipeline.fresh_svfg b))
-      in
-      check_same_sets (name ^ "/vsfs") b.Pipeline.prog (Vsfs.pt full_vsfs)
-        (Vsfs.pt paused_vsfs) (Vsfs.object_pt full_vsfs)
-        (Vsfs.object_pt paused_vsfs);
-      (* and the paused-then-resumed VSFS still matches SFS point-for-point
-         (consumed-set granularity, not just the final summaries) *)
       let svfg = Pipeline.fresh_svfg b in
+      let budget = Engine.step_budget 23 in
+      check_exhausted (name ^ "/sfs") ~phase:"sfs.solve" ~budget (fun budget ->
+          Sfs.solve ~budget svfg);
+      check_exhausted (name ^ "/vsfs") ~phase:"vsfs.solve" ~budget
+        (fun budget -> Vsfs.solve ~budget svfg);
+      (* unbudgeted solves on the same graph keep their answers, and a
+         budget of exactly the pops they take lets them finish *)
+      let full_sfs = Sfs.solve svfg and full_vsfs = Vsfs.solve svfg in
+      let sfs =
+        Sfs.solve ~budget:(Engine.step_budget (Sfs.processed full_sfs)) svfg
+      and vsfs =
+        Vsfs.solve ~budget:(Engine.step_budget (Vsfs.processed full_vsfs)) svfg
+      in
+      check_same_sets (name ^ "/sfs") b.Pipeline.prog (Sfs.pt full_sfs)
+        (Sfs.pt sfs) (Sfs.object_pt full_sfs) (Sfs.object_pt sfs);
+      check_same_sets (name ^ "/vsfs") b.Pipeline.prog (Vsfs.pt full_vsfs)
+        (Vsfs.pt vsfs) (Vsfs.object_pt full_vsfs) (Vsfs.object_pt vsfs);
       Alcotest.(check bool)
         (name ^ ": Equiv agrees")
         true
-        (Vsfs_core.Equiv.is_equal
-           (Vsfs_core.Equiv.compare full_sfs paused_vsfs svfg)))
+        (Vsfs_core.Equiv.is_equal (Vsfs_core.Equiv.compare full_sfs vsfs svfg)))
     (Lazy.force corpus_builds)
 
 (* ---------- bench JSON schema round-trip ---------- *)
@@ -354,8 +344,7 @@ let test_bench_json_roundtrip () =
   Alcotest.(check string) "phase" "sfs.solve" (str (field e "phase"));
   List.iter
     (fun k -> ignore (num (field e k)))
-    [ "pushes"; "dups"; "pops"; "grew"; "runs"; "paused";
-      "wall_seconds" ];
+    [ "pushes"; "dups"; "pops"; "grew"; "wall_seconds" ];
   (match field e "extras" with
   | Obj _ -> ()
   | _ -> Alcotest.fail "extras must be an object");
@@ -382,10 +371,10 @@ let () =
         [
           Alcotest.test_case "fixpoint under all schedulers" `Quick
             test_engine_fixpoint_all_schedulers;
-          Alcotest.test_case "budget pause/resume" `Quick
-            test_engine_budget_pause_resume;
+          Alcotest.test_case "step budget raises Exhausted" `Quick
+            test_engine_step_budget;
           Alcotest.test_case "expired time budget" `Quick
-            test_engine_time_budget_immediate_pause;
+            test_engine_time_budget_expired;
         ] );
       ( "telemetry",
         [
@@ -394,8 +383,8 @@ let () =
         ] );
       ( "solvers",
         [
-          Alcotest.test_case "budgeted = unbudgeted (3 corpus programs)"
-            `Quick test_budgeted_solves_bit_identical;
+          Alcotest.test_case "budget raises Exhausted"
+            `Quick test_budgeted_solves;
         ] );
       ( "json",
         [ Alcotest.test_case "bench schema round-trip" `Quick

@@ -149,14 +149,14 @@ let test_store_frame () =
   Alcotest.(check bool) "key differs by input" true
     (key <> Store.key ~stage:"blob" [ "abd" ]);
   Alcotest.(check (option string)) "miss on empty" None
-    (Store.load store ~stage:"blob" ~key);
+    (Store.load store ~stage:"blob" ~key Fun.id);
   Store.save store ~stage:"blob" ~key ~label:"t" "payload bytes";
   Alcotest.(check (option string)) "hit" (Some "payload bytes")
-    (Store.load store ~stage:"blob" ~key);
+    (Store.load store ~stage:"blob" ~key Fun.id);
   Alcotest.(check int) "ls sees it" 1 (List.length (Store.ls store));
   Alcotest.(check int) "clear" 1 (Store.clear store);
   Alcotest.(check (option string)) "miss after clear" None
-    (Store.load store ~stage:"blob" ~key)
+    (Store.load store ~stage:"blob" ~key Fun.id)
 
 let corrupt_file path =
   let ic = open_in_bin path in
@@ -176,7 +176,7 @@ let test_store_corrupt_detected () =
   (* bit flip in the middle: checksum must catch it, entry is reclaimed *)
   corrupt_file (Filename.concat dir ("blob-" ^ key ^ ".bin"));
   Alcotest.(check (option string)) "corrupt is a miss" None
-    (Store.load store ~stage:"blob" ~key);
+    (Store.load store ~stage:"blob" ~key Fun.id);
   Alcotest.(check bool) "corrupt file deleted" false
     (Sys.file_exists (Filename.concat dir ("blob-" ^ key ^ ".bin")));
   (* truncation likewise, via gc *)
@@ -189,6 +189,36 @@ let test_store_corrupt_detected () =
   Store.gc store ~kept ~removed;
   Alcotest.(check int) "gc removed truncated" 1 !removed;
   Alcotest.(check int) "nothing kept" 0 !kept
+
+(* Manifests once carried a seventh column of per-function digests. Such
+   lines no longer parse, and gc re-indexes their entries from the frames. *)
+let test_old_manifest_gc () =
+  let dir = fresh_dir () in
+  let store = Store.open_ dir in
+  let keys =
+    List.map (fun i -> Store.key ~stage:"blob" [ i ]) [ "a"; "b"; "c" ]
+  in
+  List.iter
+    (fun key -> Store.save store ~stage:"blob" ~key ~label:"t" key)
+    keys;
+  let manifest = Filename.concat dir "MANIFEST.tsv" in
+  let ic = open_in_bin manifest in
+  let lines = In_channel.input_all ic |> String.split_on_char '\n' in
+  close_in ic;
+  let oc = open_out_bin manifest in
+  List.iter
+    (fun l -> if l <> "" then output_string oc (l ^ "\tmain=0f1e,f=2d3c\n"))
+    lines;
+  close_out oc;
+  Alcotest.(check int) "7-column lines do not parse" 0
+    (List.length (Store.ls store));
+  let kept = ref 0 and removed = ref 0 in
+  Store.gc store ~kept ~removed;
+  Alcotest.(check int) "every frame kept" 3 !kept;
+  Alcotest.(check (list string)) "every entry re-indexed"
+    (List.sort compare keys)
+    (List.sort compare
+       (List.map (fun e -> e.Pta_store.Manifest.key) (Store.ls store)))
 
 (* ---------- atomic publication: crash windows and concurrent access ---- *)
 
@@ -207,7 +237,7 @@ let test_crash_window () =
   close_out oc;
   Alcotest.(check (option string)) "reader sees only the published frame"
     (Some "the published generation")
-    (Store.load store ~stage:"blob" ~key);
+    (Store.load store ~stage:"blob" ~key Fun.id);
   Alcotest.(check int) "ls ignores the orphan" 1 (List.length (Store.ls store));
   (* a young temp file could be a *live* writer's, so gc must spare it ... *)
   let kept = ref 0 and removed = ref 0 in
@@ -224,7 +254,7 @@ let test_crash_window () =
   Alcotest.(check bool) "tmp gone" false (Sys.file_exists tmp);
   Alcotest.(check (option string)) "entry survives gc"
     (Some "the published generation")
-    (Store.load store ~stage:"blob" ~key)
+    (Store.load store ~stage:"blob" ~key Fun.id)
 
 let test_save_leaves_no_tmp () =
   let dir = fresh_dir () in
@@ -299,7 +329,9 @@ let test_two_process_locking () =
     for i = 0 to n - 1 do
       let stage = "p" ^ string_of_int which in
       match
-        Store.load store ~stage ~key:(Store.key ~stage [ string_of_int i ])
+        Store.load store ~stage
+          ~key:(Store.key ~stage [ string_of_int i ])
+          Fun.id
       with
       | Some p ->
         Alcotest.(check string) "payload intact"
@@ -334,7 +366,7 @@ let test_concurrent_writers_never_torn () =
           (* reader: every observed value must be a complete payload *)
           let bad = ref 0 in
           for _ = 1 to 200 do
-            match Store.load store ~stage:"race" ~key with
+            match Store.load store ~stage:"race" ~key Fun.id with
             | None -> ()
             | Some p ->
               let ok =
@@ -355,7 +387,7 @@ let test_concurrent_writers_never_torn () =
         Alcotest.(check int) "reader never saw a torn or corrupt frame" 0 bad)
     outcomes;
   (* afterwards the key holds exactly one writer's final payload *)
-  (match Store.load (Store.open_ dir) ~stage:"race" ~key with
+  (match Store.load (Store.open_ dir) ~stage:"race" ~key Fun.id with
   | None -> Alcotest.fail "key empty after the race"
   | Some p ->
     Alcotest.(check bool) "final frame complete" true
@@ -459,7 +491,7 @@ let test_corrupt_entry_recomputed () =
   let _, warm = Pipeline.build_cached ~store src in
   Alcotest.(check bool) "healthy again" true warm
 
-(* ---------- v3 block-pooled set pools vs the v2 read path ---------- *)
+(* ---------- v3 block-pooled set pools; v2 entries are misses ---------- *)
 
 let check_bs = Alcotest.testable Pta_ds.Bitset.pp Pta_ds.Bitset.equal
 
@@ -515,14 +547,26 @@ let check_points_to what (a : Artifact.points_to) (b : Artifact.points_to) =
     (fun i s -> Alcotest.check check_bs (what ^ " obj") s b.Artifact.obj.(i))
     a.Artifact.obj
 
-let test_v2_pool_still_loads () =
-  (* the forward-compat read path: v3 readers must load v2 payloads *)
-  let r = sample_points_to () in
-  check_points_to "v2 payload" r
-    (Artifact.decode_points_to (encode_points_to_v2 r))
+(* A frame or a pool of a retired format is a miss like any corrupt entry:
+   deleted, and counted in [store.corrupt]. *)
+let check_reclaimed what store dir ~stage ~key decode =
+  let before = Pta_ds.Stats.get "store.corrupt" in
+  Alcotest.(check bool) (what ^ " is a miss") true
+    (Store.load store ~stage ~key decode = None);
+  Alcotest.(check bool) (what ^ " deleted") false
+    (Sys.file_exists (Filename.concat dir (stage ^ "-" ^ key ^ ".bin")));
+  Alcotest.(check int) (what ^ " counted") (before + 1)
+    (Pta_ds.Stats.get "store.corrupt")
 
-let test_v2_frame_still_loads () =
-  (* ... and v2 *frames*: same magic, version field 2 *)
+let test_v2_pool_is_a_miss () =
+  let dir = fresh_dir () in
+  let store = Store.open_ dir in
+  let stage = "results-sfs" in
+  let key = Store.key ~stage [ "v2" ] in
+  Store.save store ~stage ~key (encode_points_to_v2 (sample_points_to ()));
+  check_reclaimed "v2 pool" store dir ~stage ~key Artifact.decode_points_to
+
+let test_v2_frame_is_a_miss () =
   let dir = fresh_dir () in
   let store = Store.open_ dir in
   let key = Store.key ~stage:"blob" [ "v2" ] in
@@ -537,21 +581,7 @@ let test_v2_frame_still_loads () =
   let oc = open_out_bin (Filename.concat dir ("blob-" ^ key ^ ".bin")) in
   Buffer.output_buffer oc b;
   close_out oc;
-  Alcotest.(check (option string)) "v2 frame loads" (Some payload)
-    (Store.load store ~stage:"blob" ~key);
-  (* an *unknown* version must still be rejected *)
-  let b = Buffer.create 64 in
-  Buffer.add_string b "PTAS";
-  Codec.add_uint b 99;
-  Codec.add_string b "blob";
-  Codec.add_string b key;
-  Codec.add_string b (Digest.string payload);
-  Codec.add_string b payload;
-  let oc = open_out_bin (Filename.concat dir ("blob-" ^ key ^ ".bin")) in
-  Buffer.output_buffer oc b;
-  close_out oc;
-  Alcotest.(check (option string)) "unknown version is a miss" None
-    (Store.load store ~stage:"blob" ~key)
+  check_reclaimed "v2 frame" store dir ~stage:"blob" ~key Fun.id
 
 let test_v3_shares_blocks_on_disk () =
   let r = sample_points_to () in
@@ -724,10 +754,10 @@ let () =
       ( "artifacts",
         [
           Alcotest.test_case "program roundtrip" `Quick test_prog_roundtrip;
-          Alcotest.test_case "v2 pool still loads" `Quick
-            test_v2_pool_still_loads;
-          Alcotest.test_case "v2 frame still loads" `Quick
-            test_v2_frame_still_loads;
+          Alcotest.test_case "v2 pool is a miss" `Quick
+            test_v2_pool_is_a_miss;
+          Alcotest.test_case "v2 frame is a miss" `Quick
+            test_v2_frame_is_a_miss;
           Alcotest.test_case "v3 shares blocks on disk" `Quick
             test_v3_shares_blocks_on_disk;
           Alcotest.test_case "corrupt blocks rejected" `Quick
@@ -738,6 +768,8 @@ let () =
           Alcotest.test_case "framing" `Quick test_store_frame;
           Alcotest.test_case "corrupt detection" `Quick
             test_store_corrupt_detected;
+          Alcotest.test_case "old manifest re-indexed by gc" `Quick
+            test_old_manifest_gc;
           Alcotest.test_case "crash window" `Quick test_crash_window;
           Alcotest.test_case "save leaves no tmp" `Quick
             test_save_leaves_no_tmp;
